@@ -123,11 +123,7 @@ def sample_channel(spec: DistributionSpec, rng, size=None):
     when ``size`` is None, else an array of that shape.
     """
     u = rng.random() if size is None else rng.random(size)
-    if isinstance(spec, BurrXII):
-        return burr_inverse_cdf(u, spec)
-    if isinstance(spec, Weibull):
-        return weibull_inverse_cdf(u, spec)
-    raise ParameterError(f"unsupported distribution spec: {spec!r}")
+    return spec.inverse_cdf(u)
 
 
 _CONDITIONS = ("strong", "weak")

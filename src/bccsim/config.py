@@ -18,6 +18,7 @@ on load.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import yaml
@@ -88,7 +89,10 @@ def _require_int(key: str, value) -> int:
 def _require_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: must be a number within float range") from None
 
 
 def _parse_nodes(value) -> tuple[NodeProfile, ...]:
@@ -151,7 +155,10 @@ def _parse_sweep(value) -> tuple[float, ...]:
             raise ConfigError("power_sweep_dbm: step must be > 0")
         if stop < start:
             raise ConfigError("power_sweep_dbm: stop must be >= start")
-        count = int((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ConfigError("power_sweep_dbm: (stop - start) / step must be finite")
+        count = int(span + 1e-9) + 1
         return tuple(start + i * step for i in range(count))
     raise ConfigError("power_sweep_dbm: must be a list or a {start, stop, step} mapping")
 

@@ -8,7 +8,7 @@ variance N0*B/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,14 @@ __all__ = [
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """Convert dBm to watts.  -inf maps to 0 W (the zero-power limit)."""
-    p_dbm = float(p_dbm)
-    if np.isnan(p_dbm) or p_dbm == np.inf:
-        raise ParameterError(f"power in dBm must not be NaN or +inf, got {p_dbm!r}")
-    return float(10.0 ** ((p_dbm - 30.0) / 10.0))
+    """Convert dBm to watts.  -inf maps to 0 W; NaN and overflowing watts raise."""
+    try:
+        watts = 10.0 ** ((float(p_dbm) - 30.0) / 10.0)
+    except OverflowError:
+        watts = np.inf
+    if not np.isfinite(watts):
+        raise ParameterError(f"power in dBm must give finite watts, got {p_dbm!r}")
+    return watts
 
 
 def noise_variance(n0_dbm_per_hz: float, bandwidth_hz: float) -> float:
@@ -83,13 +86,22 @@ class ReceivedFrame:
 
     ``y`` holds one row per node and one column per slot.  ``h`` carries
     the channel gains that produced it, kept as oracle access for the
-    coherent baseline.  ``x`` is the transmitted symbol sequence.
+    coherent baseline.  ``x`` is the transmitted symbol sequence and
+    ``noise`` the additive noise, which ``generate_received`` records.
     """
 
     y: np.ndarray
     x: np.ndarray
     h: np.ndarray
     params: LinkParams
+    noise: np.ndarray | None = None
+
+    def at_power(self, params: LinkParams) -> ReceivedFrame:
+        """The same symbols, channel draws and noise received under ``params``."""
+        if params == self.params:
+            return self
+        y = np.sqrt(params.tx_power_w) * self.h * self.x + self.noise
+        return replace(self, y=y, params=params)
 
     @property
     def n_nodes(self) -> int:
@@ -123,4 +135,4 @@ def generate_received(x, nodes, params: LinkParams, rng) -> ReceivedFrame:
         h[i] = node.dist.inverse_cdf(u[i])
     noise = rng.normal(0.0, np.sqrt(params.noise_variance_w), shape)
     y = np.sqrt(params.tx_power_w) * h * x + noise
-    return ReceivedFrame(y=y, x=x, h=h, params=params)
+    return ReceivedFrame(y=y, x=x, h=h, params=params, noise=noise)

@@ -2,9 +2,11 @@
 
 Each BER point runs a number of independent (train, transmit) blocks so
 the estimate averages over training randomness as well as data noise.
-Every block owns a private substream derived from the scenario seed and
-the (sweep kind, point, technique, block) coordinates, which makes
-results identical for any worker count or execution order.
+Block b draws its data frame from the substream (STREAM_VERSION, b) of
+the scenario seed and each training frame from (STREAM_VERSION, b, n_t).
+Every power and technique runs on those shared frames (common random
+numbers), which makes results identical for any worker count, execution
+order or subset of the grid that is run.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import DegenerateTrainingError, ParameterError
 from .link import LinkParams, generate_data_symbols, generate_received, training_symbols
 
 __all__ = [
+    "STREAM_VERSION",
     "Scenario",
     "BerPoint",
     "make_ber_point",
@@ -31,13 +35,8 @@ __all__ = [
     "run_scenario",
 ]
 
-_TECH_INDEX = {name: i for i, name in enumerate(TECHNIQUES)}
-_POWER_SWEEP_DOMAIN = 0
-_NT_SWEEP_DOMAIN = 1
-
-
-def _default_power_sweep() -> tuple[float, ...]:
-    return tuple(float(p) for p in range(-20, 31, 2))
+# Bumped whenever a change makes a seed produce different frames.
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class Scenario:
 
     nodes: tuple[NodeProfile, ...]
     n_t: int = 50
-    power_sweep_dbm: tuple[float, ...] = field(default_factory=_default_power_sweep)
+    power_sweep_dbm: tuple[float, ...] = tuple(float(p) for p in range(-20, 31, 2))
     n_data_symbols: int = 1_000_000
     techniques: tuple[str, ...] = TECHNIQUES
     seed: int = 0
@@ -83,9 +82,11 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
     if not s.power_sweep_dbm:
         raise ParameterError("power_sweep_dbm must be nonempty")
-    for p in s.power_sweep_dbm:
-        if math.isnan(p) or p == math.inf:
-            raise ParameterError(f"power_sweep_dbm must not contain NaN or +inf, got {p!r}")
+    for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
+        try:
+            LinkParams(p)
+        except ParameterError as exc:
+            raise ParameterError(f"power_sweep_dbm: {exc}") from None
     if any(b <= a for a, b in zip(s.power_sweep_dbm, s.power_sweep_dbm[1:])):
         raise ParameterError(
             f"power_sweep_dbm must be strictly increasing, got {s.power_sweep_dbm}")
@@ -105,6 +106,8 @@ def _validate_scenario(s: Scenario) -> None:
         if len(s.power_sweep_dbm) != 1:
             raise ParameterError(
                 "nt_sweep requires a single-entry power_sweep_dbm (the fixed power)")
+        if not s.nt_sweep:
+            raise ParameterError("nt_sweep must be nonempty")
         for v in s.nt_sweep:
             if v < 4 or v % 2:
                 raise ParameterError(f"nt_sweep entries must be even integers >= 4, got {v}")
@@ -144,75 +147,40 @@ def _block_sizes(total: int, blocks: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_blocks)]
 
 
-def _block_rng(seed: int, domain: int, point_index: int, technique: str, block_index: int):
-    key = (domain, point_index, _TECH_INDEX[technique], block_index)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+def _substream(seed: int, *key: int):
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, *key)))
 
 
-def _run_block(nodes, link: LinkParams, n_t: int, technique: str, n_symbols: int, rng) -> int:
-    """One (train, transmit) repetition; returns the error count."""
-    if technique == MRC:
-        x = generate_data_symbols(n_symbols, rng)
-        frame = generate_received(x, nodes, link, rng)
-        decisions = mrc_detect(frame.y, frame.h, link.tx_power_w)
-        return int(np.count_nonzero(decisions != x))
-    training = generate_received(training_symbols(n_t), nodes, link, rng)
-    stats = compute_training_stats(training)
+def _run_block(scenario: Scenario, grid, block_index: int, n_symbols: int) -> np.ndarray:
+    """Error counts of one (train, transmit) block at every grid point and technique.
+
+    The data frame is drawn once and rescaled to each (power, n_t) point;
+    each training length has its own frame.  The counts have shape
+    (points, techniques) and are -1 where the training was degenerate.
+    """
+    links = [LinkParams(power, scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+             for power, _ in grid]
+    rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
-    frame = generate_received(x, nodes, link, rng)
-    decisions = detect(technique, np.abs(frame.y), stats)
-    return int(np.count_nonzero(decisions != x))
-
-
-def _simulate_point(scenario: Scenario, power_dbm: float, n_t: int, technique: str,
-                    domain: int, point_index: int) -> BerPoint:
-    link = LinkParams(power_dbm, scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-    errors = 0
-    symbols = 0
-    failures = 0
-    for block_index, size in enumerate(_block_sizes(scenario.n_data_symbols, scenario.blocks)):
-        rng = _block_rng(scenario.seed, domain, point_index, technique, block_index)
-        try:
-            errors += _run_block(scenario.nodes, link, n_t, technique, size, rng)
-        except DegenerateTrainingError:
-            failures += 1
-            continue
-        symbols += size
-    if symbols == 0:
-        raise DegenerateTrainingError(
-            f"technique {technique!r} at {power_dbm} dBm, n_t={n_t}: "
-            f"all {failures} training blocks were degenerate")
-    return make_ber_point(technique, power_dbm, n_t, errors, symbols)
-
-
-@dataclass(frozen=True)
-class _PointFailure:
-    message: str
-
-
-def _simulate_point_safe(args):
-    try:
-        return _simulate_point(*args)
-    except DegenerateTrainingError as exc:
-        return _PointFailure(str(exc))
-
-
-def _execute(tasks, jobs) -> list[BerPoint]:
-    if jobs is not None and jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
-    if jobs in (None, 1) or len(tasks) <= 1:
-        results = [_simulate_point_safe(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_simulate_point_safe, tasks))
-    points = []
-    for result in results:
-        if isinstance(result, _PointFailure):
-            warnings.warn(f"skipping BER point: {result.message}", RuntimeWarning,
-                          stacklevel=2)
-        else:
-            points.append(result)
-    return sorted(points, key=lambda p: (p.technique, p.tx_power_dbm, p.n_t))
+    data = generate_received(x, scenario.nodes, links[0], rng)
+    training = {n_t: generate_received(training_symbols(n_t), scenario.nodes, links[0],
+                                       _substream(scenario.seed, block_index, n_t))
+                for n_t in {n_t for _, n_t in grid} if set(scenario.techniques) != {MRC}}
+    counts = np.empty((len(grid), len(scenario.techniques)), dtype=np.int64)
+    for i, ((_, n_t), link) in enumerate(zip(grid, links)):
+        frame = data.at_power(link)
+        amplitudes = np.abs(frame.y)
+        stats = compute_training_stats(training[n_t].at_power(link)) if training else None
+        for j, technique in enumerate(scenario.techniques):
+            try:
+                decisions = (mrc_detect(frame.y, frame.h, link.tx_power_w) if technique == MRC
+                             else detect(technique, amplitudes, stats))
+            except DegenerateTrainingError:
+                counts[i, j] = -1
+            else:
+                counts[i, j] = np.count_nonzero(decisions != x)
+    return counts
 
 
 def run_point(scenario: Scenario, power_dbm: float, technique: str) -> BerPoint:
@@ -220,48 +188,61 @@ def run_point(scenario: Scenario, power_dbm: float, technique: str) -> BerPoint:
     if technique not in scenario.techniques:
         raise ParameterError(
             f"technique {technique!r} is not part of the scenario (has {scenario.techniques})")
-    try:
-        point_index = scenario.power_sweep_dbm.index(float(power_dbm))
-    except ValueError:
-        raise ParameterError(f"power {power_dbm!r} dBm is not in the scenario sweep") from None
-    return _simulate_point(scenario, float(power_dbm), scenario.n_t, technique,
-                           _POWER_SWEEP_DOMAIN, point_index)
+    if float(power_dbm) not in scenario.power_sweep_dbm:
+        raise ParameterError(f"power {power_dbm!r} dBm is not in the scenario sweep")
+    points = run_sweep(replace(scenario, power_sweep_dbm=(power_dbm,), techniques=(technique,)))
+    if not points:
+        raise DegenerateTrainingError(f"no BER point for {technique!r} at {power_dbm} dBm")
+    return points[0]
 
 
 def run_sweep(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
-    """All (power, technique) BER points of the scenario's power sweep.
-
-    Points are independent; with ``jobs`` > 1 they run in a process pool.
-    Degenerate points are reported as RuntimeWarnings and omitted.  The
-    output order is deterministic: sorted by (technique, power, n_t).
-    """
-    tasks = [
-        (scenario, power, scenario.n_t, technique, _POWER_SWEEP_DOMAIN, index)
-        for index, power in enumerate(scenario.power_sweep_dbm)
-        for technique in scenario.techniques
-    ]
-    return _execute(tasks, jobs)
+    """All (power, technique) BER points of the scenario's power sweep."""
+    return run_scenario(replace(scenario, nt_sweep=None), jobs=jobs)
 
 
 def run_nt_sweep(scenario: Scenario, nt_values, fixed_power_dbm: float,
                  jobs: int | None = None) -> list[BerPoint]:
     """BER per (training length, technique) at one fixed transmit power."""
-    nt_values = tuple(int(v) for v in nt_values)
-    if not nt_values:
-        raise ParameterError("nt_values must be nonempty")
-    for v in nt_values:
-        if v < 4 or v % 2:
-            raise ParameterError(f"nt_values entries must be even integers >= 4, got {v}")
-    tasks = [
-        (scenario, float(fixed_power_dbm), nt, technique, _NT_SWEEP_DOMAIN, index)
-        for index, nt in enumerate(nt_values)
-        for technique in scenario.techniques
-    ]
-    return _execute(tasks, jobs)
+    return run_scenario(replace(scenario, power_sweep_dbm=(fixed_power_dbm,),
+                                nt_sweep=tuple(nt_values)), jobs=jobs)
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
-    """Run the scenario's sweep: the power sweep, or the nt sweep when set."""
-    if scenario.nt_sweep is not None:
-        return run_nt_sweep(scenario, scenario.nt_sweep, scenario.power_sweep_dbm[0], jobs=jobs)
-    return run_sweep(scenario, jobs=jobs)
+    """Run the scenario's sweep: the power sweep, or the nt sweep when set.
+
+    Blocks are independent; with ``jobs`` > 1 they run in a process pool,
+    and their counts are summed in block order.  A degenerate block drops
+    its symbols from the affected point only; a point left with none is
+    reported as a RuntimeWarning and omitted.  The output is sorted by
+    (technique, power, n_t).
+    """
+    if jobs is not None and jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
+    if scenario.nt_sweep is None:
+        grid = [(p, scenario.n_t) for p in scenario.power_sweep_dbm]
+    else:
+        grid = [(scenario.power_sweep_dbm[0], n_t) for n_t in scenario.nt_sweep]
+    sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
+    args = (repeat(scenario), repeat(grid), range(len(sizes)), sizes)
+    if jobs in (None, 1) or len(sizes) <= 1:
+        results = map(_run_block, *args)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_block, *args))
+    errors = np.zeros((len(grid), len(scenario.techniques)), dtype=np.int64)
+    symbols = np.zeros_like(errors)
+    for size, counts in zip(sizes, results):
+        errors += np.maximum(counts, 0)
+        symbols += (counts >= 0) * size
+    points = []
+    for (i, (power, n_t)), (j, technique) in product(enumerate(grid),
+                                                     enumerate(scenario.techniques)):
+        if symbols[i, j]:
+            points.append(make_ber_point(technique, power, n_t,
+                                         int(errors[i, j]), int(symbols[i, j])))
+        else:
+            warnings.warn(f"skipping BER point: technique {technique!r} at {power} dBm, "
+                          f"n_t={n_t}: all {len(sizes)} training blocks were degenerate",
+                          RuntimeWarning, stacklevel=2)
+    return sorted(points, key=lambda p: (p.technique, p.tx_power_dbm, p.n_t))

@@ -1,10 +1,14 @@
 """CLI front end: subcommands, config validation, CSV contract."""
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bccsim import (
     BurrXII,
     ConfigError,
+    ParameterError,
     Scenario,
     Weibull,
     loads_scenario,
@@ -86,6 +90,14 @@ class TestRunCommand:
         cfg.write_text("nodes: [f1]\nn_t: 7\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "n_t" in capsys.readouterr().err
+
+    def test_overflowing_power_names_key(self, tmp_path, capsys):
+        # a bad late power fails at load, not inside a block
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("nodes: [f1]\npower_sweep_dbm: [0, 4000]\n")
+        assert main(["run", "--config", str(cfg), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "power_sweep_dbm" in err and "Traceback" not in err
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -197,3 +209,20 @@ class TestConfigParsing:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             loads_scenario("- just\n- a\n- list\n")
+
+    def test_unrepresentable_sweeps_rejected(self):
+        for sweep in ("{start: 0, stop: .inf, step: 1}", "{start: .nan, stop: 1, step: 1}",
+                      "[1" + "0" * 400 + "]", "[0, 4000]"):
+            with pytest.raises(ConfigError, match="power_sweep_dbm"):
+                loads_scenario(f"nodes: [f1]\npower_sweep_dbm: {sweep}\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.integers()), max_size=6))
+    def test_any_power_list_loads_or_is_rejected(self, powers):
+        text = yaml.safe_dump({"nodes": ["f9"], "power_sweep_dbm": powers})
+        try:
+            scn = loads_scenario(text)
+        except (ConfigError, ParameterError):
+            return
+        assert isinstance(scn, Scenario)
+        assert len(scn.power_sweep_dbm) == len(powers)

@@ -52,6 +52,8 @@ class TestDbmToWatts:
             dbm_to_watts(float("nan"))
         with pytest.raises(ParameterError):
             dbm_to_watts(float("inf"))
+        with pytest.raises(ParameterError):
+            dbm_to_watts(4000.0)  # 10^397 W overflows a float
 
 
 class TestNoiseVariance:
@@ -180,3 +182,18 @@ class TestGenerateReceived:
             generate_received(np.array([]), (registry_entry("f1"),), params, rng)
         with pytest.raises(ParameterError):
             generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), params, rng)
+
+
+class TestAtPower:
+    def test_matches_a_frame_drawn_at_that_power(self):
+        # the draws do not depend on the power, so rescaling one frame gives
+        # bit for bit the frame that the same stream draws at another power
+        nodes = (registry_entry("f1"), registry_entry("f9"))
+        x = generate_data_symbols(200, np.random.default_rng(3))
+        low = generate_received(x, nodes, LinkParams(-10.0), np.random.default_rng(4))
+        high = generate_received(x, nodes, LinkParams(25.0), np.random.default_rng(4))
+        moved = low.at_power(LinkParams(25.0))
+        assert np.array_equal(moved.y, high.y)
+        assert np.array_equal(moved.noise, low.noise) and moved.h is low.h
+        assert moved.params == LinkParams(25.0)
+        assert low.at_power(LinkParams(-10.0)) is low
