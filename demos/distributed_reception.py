@@ -11,7 +11,7 @@ both in every scenario.
 
 from dataclasses import replace
 
-from bccsim import preset, run_sweep
+from bccsim import preset, run_scenario
 
 SWEEP = tuple(float(p) for p in range(-10, 31, 5))
 
@@ -21,7 +21,7 @@ for name in ("fig5-strong", "fig5-weak", "fig6"):
              "fig5-weak": "weak channels only (K=6)",
              "fig6": "all nine channels (K=9)"}[name]
     techniques = [t for t in scenario.techniques if t != "mrc"]
-    points = {(p.technique, p.tx_power_dbm): p for p in run_sweep(scenario)}
+    points = {(p.technique, p.tx_power_dbm): p for p in run_scenario(scenario)}
     print(f"\n{label}")
     print(f"{'P [dBm]':>8} " + " ".join(f"{t:>12}" for t in techniques))
     for power in SWEEP:

@@ -17,14 +17,14 @@ techniques next to the coherent MRC bound.  Three effects to look for:
 
 from dataclasses import replace
 
-from bccsim import preset, run_sweep
+from bccsim import preset, run_scenario
 
 scenario = replace(preset("fig4"),
                    power_sweep_dbm=tuple(range(-20, 31, 5)),
                    n_data_symbols=200_000,
                    seed=1)
 
-points = {(p.technique, p.tx_power_dbm): p for p in run_sweep(scenario)}
+points = {(p.technique, p.tx_power_dbm): p for p in run_scenario(scenario)}
 
 print("BER on channel f9, single node, 50 training slots, 200k symbols/point\n")
 print(f"{'P [dBm]':>8} {'probability':>12} {'deviation':>12} {'combination':>12} {'mrc':>12}")

@@ -19,6 +19,6 @@ points = {(p.technique, p.n_t): p for p in run_scenario(scenario)}
 
 print("BER at 10 dBm, weak-channel group (K=6), 200k symbols/point\n")
 print(f"{'n_t':>6} " + " ".join(f"{t:>12}" for t in scenario.techniques))
-for n_t in scenario.nt_sweep:
+for n_t in scenario.n_t:
     row = " ".join(f"{points[(t, n_t)].ber:>12.2e}" for t in scenario.techniques)
     print(f"{n_t:>6d} {row}")

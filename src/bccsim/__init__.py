@@ -9,8 +9,8 @@ The package splits into five layers:
   the per-slot received-signal model.
 * :mod:`bccsim.detectors`  -- training statistics, the probability /
   deviation / combination weights, fusion, and the coherent MRC baseline.
-* :mod:`bccsim.montecarlo` -- seeded, parallel BER estimation over power
-  and training-length sweeps.
+* :mod:`bccsim.montecarlo` -- seeded, parallel BER estimation over a
+  (power x training length) grid.
 * :mod:`bccsim.cli`        -- scenario files, figure presets, CSV output.
 """
 
@@ -59,10 +59,7 @@ from .montecarlo import (
     BerPoint,
     Scenario,
     make_ber_point,
-    run_nt_sweep,
-    run_point,
     run_scenario,
-    run_sweep,
 )
 from .presets import PRESET_NAMES, preset
 

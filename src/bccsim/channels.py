@@ -138,7 +138,7 @@ class NodeProfile:
     condition: str
 
     def __post_init__(self):
-        if not isinstance(self.node_id, int) or self.node_id < 1:
+        if type(self.node_id) is not int or self.node_id < 1:
             raise ParameterError(
                 f"node_id must be a positive integer, got {self.node_id!r}")
         if not isinstance(self.dist, (BurrXII, Weibull)):

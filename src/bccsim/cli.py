@@ -7,6 +7,8 @@ Subcommands::
     bccsim preset fig5-weak [--out PATH]
     bccsim registry
 
+Every preset and scenario file is one Scenario, so ``run`` writes one
+CSV and ``preset`` one YAML document that ``--config`` loads back.
 ``run`` emits one CSV row per BER point, sorted by (technique, power,
 n_t).  Identical seeds produce byte-identical CSV regardless of the
 worker count.  The default worker count can be set with the
@@ -19,7 +21,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import yaml
 
@@ -107,11 +108,7 @@ def _dispatch(args) -> int:
         _write(_registry_table(), None)
         return 0
     if args.command == "preset":
-        scenarios = preset(args.name)
-        if not isinstance(scenarios, list):
-            scenarios = [scenarios]
-        text = yaml.safe_dump_all([scenario_to_config(s) for s in scenarios], sort_keys=False)
-        _write(text, args.out)
+        _write(yaml.safe_dump(scenario_to_config(preset(args.name)), sort_keys=False), args.out)
         return 0
     return _run_command(args)
 
@@ -132,12 +129,7 @@ def _registry_table() -> str:
 def _run_command(args) -> int:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
-    if args.config:
-        scenarios = load_scenario(args.config)
-    else:
-        scenarios = preset(args.preset)
-    multi = isinstance(scenarios, list)
-    scenario_list = scenarios if multi else [scenarios]
+    scenario = load_scenario(args.config) if args.config else preset(args.preset)
 
     overrides = {}
     if args.seed is not None:
@@ -146,26 +138,11 @@ def _run_command(args) -> int:
         overrides["n_data_symbols"] = args.symbols
     if overrides:
         try:
-            scenario_list = [replace(s, **overrides) for s in scenario_list]
+            scenario = replace(scenario, **overrides)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-    jobs = _resolve_jobs(args.jobs)
 
-    if multi:
-        # fig3 is one K=1 run per channel; the CSV schema has no node
-        # column, so each channel gets its own file next to --out.
-        if not args.out:
-            raise ConfigError("--out is required with preset fig3 (one CSV per channel)")
-        base = Path(args.out)
-        for scenario in scenario_list:
-            label = f"f{scenario.nodes[0].node_id}"
-            points = run_scenario(scenario, jobs=jobs)
-            if not points:
-                raise DegenerateTrainingError(f"no BER points produced for channel {label}")
-            _write(format_csv(points), str(base.with_name(f"{base.stem}_{label}{base.suffix}")))
-        return 0
-
-    points = run_scenario(scenario_list[0], jobs=jobs)
+    points = run_scenario(scenario, jobs=_resolve_jobs(args.jobs))
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")
     _write(format_csv(points), args.out)

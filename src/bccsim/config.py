@@ -6,14 +6,14 @@ or inline mappings with an explicit family and parameter list::
     nodes:
       - f1
       - {family: burr, params: [4.71e-7, 2.43, 5.61], condition: weak, node_id: 11}
-    n_t: 50
+    n_t: 50                                            # or a list of training lengths
     power_sweep_dbm: {start: -20, stop: 30, step: 2}   # or an explicit list
     n_data_symbols: 1000000
     techniques: [probability, deviation, combination, mrc]
     seed: 0
 
-Unknown keys are rejected, and every scenario invariant is re-validated
-on load.
+The BER points are every (power, training length) pair.  Unknown keys
+are rejected, and every scenario invariant is re-validated on load.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .montecarlo import Scenario
 __all__ = ["load_scenario", "loads_scenario", "scenario_to_config"]
 
 _TOP_KEYS = {"nodes", "n_t", "power_sweep_dbm", "n_data_symbols", "techniques",
-             "seed", "n0_dbm_per_hz", "bandwidth_hz", "nt_sweep", "blocks"}
+             "seed", "n0_dbm_per_hz", "bandwidth_hz", "blocks"}
 _NODE_KEYS = {"family", "params", "condition", "node_id"}
 _SWEEP_KEYS = {"start", "stop", "step"}
 
@@ -48,7 +48,7 @@ def loads_scenario(text: str) -> Scenario:
         raise ConfigError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    unknown = sorted(set(doc) - _TOP_KEYS)
+    unknown = sorted(set(doc) - _TOP_KEYS, key=str)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     if "nodes" not in doc:
@@ -57,7 +57,11 @@ def loads_scenario(text: str) -> Scenario:
     fields: dict = {"nodes": _parse_nodes(doc["nodes"])}
     if "power_sweep_dbm" in doc:
         fields["power_sweep_dbm"] = _parse_sweep(doc["power_sweep_dbm"])
-    for key in ("n_t", "n_data_symbols", "seed", "blocks"):
+    if "n_t" in doc:
+        value = doc["n_t"]
+        fields["n_t"] = tuple(_require_int("n_t", v)
+                              for v in (value if isinstance(value, list) else [value]))
+    for key in ("n_data_symbols", "seed", "blocks"):
         if key in doc:
             fields[key] = _require_int(key, doc[key])
     for key in ("n0_dbm_per_hz", "bandwidth_hz"):
@@ -68,11 +72,6 @@ def loads_scenario(text: str) -> Scenario:
         if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
             raise ConfigError("techniques: must be a list of technique names")
         fields["techniques"] = tuple(value)
-    if doc.get("nt_sweep") is not None:
-        value = doc["nt_sweep"]
-        if not isinstance(value, list):
-            raise ConfigError("nt_sweep: must be a list of even integers")
-        fields["nt_sweep"] = tuple(_require_int("nt_sweep", v) for v in value)
 
     try:
         return Scenario(**fields)
@@ -113,25 +112,25 @@ def _parse_nodes(value) -> tuple[NodeProfile, ...]:
 
 
 def _parse_inline_node(item: dict, index: int) -> NodeProfile:
-    unknown = sorted(set(item) - _NODE_KEYS)
+    unknown = sorted(set(item) - _NODE_KEYS, key=str)
     if unknown:
         raise ConfigError(f"nodes: unknown key {unknown[0]!r} in entry {index}")
     family = item.get("family")
     params = item.get("params")
     if family not in ("burr", "weibull"):
         raise ConfigError(f"nodes: family must be 'burr' or 'weibull' in entry {index}")
-    if (not isinstance(params, list)
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params)):
+    if not isinstance(params, list):
         raise ConfigError(f"nodes: params must be a list of numbers in entry {index}")
+    params = [_require_number(f"nodes: params of entry {index}", p) for p in params]
     try:
         if family == "burr":
             if len(params) != 3:
                 raise ConfigError(f"nodes: burr params must be [alpha, c, k] in entry {index}")
-            dist = BurrXII(*map(float, params))
+            dist = BurrXII(*params)
         else:
             if len(params) != 2:
                 raise ConfigError(f"nodes: weibull params must be [a, b] in entry {index}")
-            dist = Weibull(*map(float, params))
+            dist = Weibull(*params)
         node_id = item.get("node_id", index + 1)
         return NodeProfile(node_id=node_id, dist=dist, condition=item.get("condition"))
     except ParameterError as exc:
@@ -142,7 +141,7 @@ def _parse_sweep(value) -> tuple[float, ...]:
     if isinstance(value, list):
         return tuple(_require_number("power_sweep_dbm", v) for v in value)
     if isinstance(value, dict):
-        unknown = sorted(set(value) - _SWEEP_KEYS)
+        unknown = sorted(set(value) - _SWEEP_KEYS, key=str)
         if unknown:
             raise ConfigError(f"power_sweep_dbm: unknown key {unknown[0]!r}")
         missing = sorted(_SWEEP_KEYS - set(value))
@@ -177,9 +176,9 @@ def scenario_to_config(scenario: Scenario) -> dict:
             family, params = "weibull", [profile.dist.a, profile.dist.b]
         nodes.append({"family": family, "params": params,
                       "condition": profile.condition, "node_id": profile.node_id})
-    doc = {
+    return {
         "nodes": nodes,
-        "n_t": scenario.n_t,
+        "n_t": list(scenario.n_t),
         "power_sweep_dbm": list(scenario.power_sweep_dbm),
         "n_data_symbols": scenario.n_data_symbols,
         "techniques": list(scenario.techniques),
@@ -188,6 +187,3 @@ def scenario_to_config(scenario: Scenario) -> dict:
         "bandwidth_hz": scenario.bandwidth_hz,
         "blocks": scenario.blocks,
     }
-    if scenario.nt_sweep is not None:
-        doc["nt_sweep"] = list(scenario.nt_sweep)
-    return doc

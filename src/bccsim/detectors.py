@@ -1,8 +1,8 @@
 """Training statistics, per-node detection weights, fusion, and MRC baseline.
 
-All operations are pure and vectorized: per-node inputs are arrays with
-the node axis first, so a whole block of data slots is detected in one
-call with shape (K, N).
+All operations are pure and vectorized: per-node inputs are (K, N)
+arrays with the node axis first, so a whole block of data slots is
+detected in one call.  A single slot is a (K, 1) array.
 
 Three noncoherent techniques share the same training phase and the same
 fusion rule but differ in how each node turns a received amplitude into
@@ -110,15 +110,11 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00, n_t=n_t)
 
 
-def _node_col(values: np.ndarray, ndim: int) -> np.ndarray:
-    return values[:, None] if ndim == 2 else values
-
-
 def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:
     y = np.asarray(y_abs, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != stats.n_nodes:
+    if y.ndim != 2 or y.shape[0] != stats.n_nodes:
         raise ParameterError(
-            f"y_abs must have the node axis first with {stats.n_nodes} rows, got shape {y.shape}")
+            f"y_abs must be (K, N) with K = {stats.n_nodes} nodes, got shape {y.shape}")
     return y
 
 
@@ -131,9 +127,9 @@ def prob_weights(y_abs, stats: TrainingStats) -> WeightPair:
     log argument inside (0, 1), so the weights are always finite.
     """
     y = _as_amplitudes(y_abs, stats)
-    detected = y >= _node_col(stats.a_th, y.ndim)
-    p11 = _node_col(stats.p11, y.ndim)
-    p00 = _node_col(stats.p00, y.ndim)
+    detected = y >= stats.a_th[:, None]
+    p11 = stats.p11[:, None]
+    p00 = stats.p00[:, None]
     w1 = np.where(detected, np.log(p11), np.log1p(-p11))
     w0 = np.where(detected, np.log1p(-p00), np.log(p00))
     return WeightPair(w1=w1, w0=w0)
@@ -142,8 +138,8 @@ def prob_weights(y_abs, stats: TrainingStats) -> WeightPair:
 def dev_weights(y_abs, stats: TrainingStats) -> WeightPair:
     """Deviation weights: w1 = |y| - A1 and w0 = A0 - |y| per node."""
     y = _as_amplitudes(y_abs, stats)
-    w1 = y - _node_col(stats.a_one, y.ndim)
-    w0 = _node_col(stats.a_zero, y.ndim) - y
+    w1 = y - stats.a_one[:, None]
+    w0 = stats.a_zero[:, None] - y
     return WeightPair(w1=w1, w0=w0)
 
 
@@ -161,9 +157,9 @@ def comb_weights(y_abs, stats: TrainingStats) -> WeightPair:
     y = _as_amplitudes(y_abs, stats)
     d = dev_weights(y, stats)
     p = prob_weights(y, stats)
-    a_one = _node_col(stats.a_one, y.ndim)
-    a_zero = _node_col(stats.a_zero, y.ndim)
-    a_th = _node_col(stats.a_th, y.ndim)
+    a_one = stats.a_one[:, None]
+    a_zero = stats.a_zero[:, None]
+    a_th = stats.a_th[:, None]
     w1 = -(d.w1 ** 2) / a_one + (d.w1 ** 2) / a_th * p.w1
     w0 = -(d.w0 ** 2) / a_zero + (d.w0 ** 2) / a_th * p.w0
     return WeightPair(w1=w1, w0=w0)
@@ -174,19 +170,17 @@ def fuse(weights: WeightPair):
 
     The comparison sums per-node weight differences rather than the two
     sums separately, so a perfectly balanced weight set cancels to an
-    exact zero; ties resolve to symbol 0.  Returns a scalar int for (K,)
-    inputs and an int array for (K, N) inputs.
+    exact zero; ties resolve to symbol 0.  Takes (K, N) weights and
+    returns an (N,) int array.
     """
     w1 = np.asarray(weights.w1, dtype=float)
     w0 = np.asarray(weights.w0, dtype=float)
     if w1.shape != w0.shape:
         raise ParameterError(f"w1 and w0 must have matching shapes, got {w1.shape} and {w0.shape}")
-    if w1.ndim not in (1, 2) or w1.shape[0] == 0:
-        raise ParameterError("weights must be nonempty with the node axis first")
+    if w1.ndim != 2 or w1.shape[0] == 0:
+        raise ParameterError(f"weights must be (K, N) with K >= 1, got shape {w1.shape}")
     margin = (w1 - w0).sum(axis=0)
     decision = margin > 0.0
-    if decision.ndim == 0:
-        return int(decision)
     return decision.astype(np.int64)
 
 
@@ -194,11 +188,7 @@ _WEIGHT_FNS = {PROBABILITY: prob_weights, DEVIATION: dev_weights, COMBINATION: c
 
 
 def detect(technique: str, y_abs, stats: TrainingStats):
-    """Detect symbols with one noncoherent technique.
-
-    ``y_abs`` is (K,) for a single slot or (K, N) for a block; the result
-    is a scalar int or an (N,) int array accordingly.
-    """
+    """Detect the (N,) symbols of a (K, N) block with one noncoherent technique."""
     try:
         weight_fn = _WEIGHT_FNS[technique]
     except KeyError:
@@ -212,17 +202,17 @@ def mrc_detect(y, h, p_watts: float):
     """Coherent MRC baseline with perfect per-slot channel knowledge.
 
     Matched-filter statistic sum_k h_k*y_k compared against the midpoint
-    threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.
+    threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (K, N)
+    arrays and returns an (N,) int array.
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
-    if y.shape != h.shape or y.ndim not in (1, 2) or y.shape[0] == 0:
-        raise ParameterError("y and h must be matching nonempty arrays with the node axis first")
+    if y.shape != h.shape or y.ndim != 2 or y.shape[0] == 0:
+        raise ParameterError(
+            f"y and h must be matching (K, N) arrays with K >= 1, got {y.shape} and {h.shape}")
     if not p_watts >= 0.0:
         raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
     z = (h * y).sum(axis=0)
     threshold = 0.5 * np.sqrt(p_watts) * (h * h).sum(axis=0)
     decision = z > threshold
-    if decision.ndim == 0:
-        return int(decision)
     return decision.astype(np.int64)

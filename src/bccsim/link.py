@@ -37,10 +37,14 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def noise_variance(n0_dbm_per_hz: float, bandwidth_hz: float) -> float:
-    """Real-noise variance N0*B/2 in watts."""
+    """Real-noise variance N0*B/2 in watts; NaN and overflowing variances raise."""
     if not bandwidth_hz >= 0.0:
         raise ParameterError(f"bandwidth_hz must be >= 0, got {bandwidth_hz!r}")
-    return dbm_to_watts(n0_dbm_per_hz) * bandwidth_hz / 2.0
+    variance = dbm_to_watts(n0_dbm_per_hz) * bandwidth_hz / 2.0
+    if not np.isfinite(variance):
+        raise ParameterError(f"noise variance N0*B/2 must be finite, got {variance!r} W "
+                             f"from {n0_dbm_per_hz!r} dBm/Hz and {bandwidth_hz!r} Hz")
+    return variance
 
 
 @dataclass(frozen=True)

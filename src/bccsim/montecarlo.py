@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo BER estimation over power and training-length sweeps.
+"""Seeded Monte-Carlo BER estimation over a (power x training length) grid.
 
 Each BER point runs a number of independent (train, transmit) blocks so
 the estimate averages over training randomness as well as data noise.
@@ -14,24 +14,23 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product, repeat
+from numbers import Integral
 
 import numpy as np
 
 from .channels import NodeProfile
 from .detectors import MRC, TECHNIQUES, compute_training_stats, detect, mrc_detect
 from .errors import DegenerateTrainingError, ParameterError
-from .link import LinkParams, generate_data_symbols, generate_received, training_symbols
+from .link import (LinkParams, generate_data_symbols, generate_received, noise_variance,
+                   training_symbols)
 
 __all__ = [
     "STREAM_VERSION",
     "Scenario",
     "BerPoint",
     "make_ber_point",
-    "run_point",
-    "run_sweep",
-    "run_nt_sweep",
     "run_scenario",
 ]
 
@@ -41,33 +40,39 @@ STREAM_VERSION = 2
 
 @dataclass(frozen=True)
 class Scenario:
-    """One full experiment: nodes, training length, sweep, budget, seed.
+    """One full experiment: nodes, point grid, budget, seed.
 
-    ``nt_sweep`` switches the scenario from a transmit-power sweep to a
-    training-length sweep at the single fixed power in ``power_sweep_dbm``.
+    The BER points are every (power, training length) pair of
+    ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple.
     ``blocks`` is the number of independent (train, transmit) repetitions
     each point is averaged over.
     """
 
     nodes: tuple[NodeProfile, ...]
-    n_t: int = 50
+    n_t: tuple[int, ...] = (50,)
     power_sweep_dbm: tuple[float, ...] = tuple(float(p) for p in range(-20, 31, 2))
     n_data_symbols: int = 1_000_000
     techniques: tuple[str, ...] = TECHNIQUES
     seed: int = 0
     n0_dbm_per_hz: float = -174.0
     bandwidth_hz: float = 1.0e5
-    nt_sweep: tuple[int, ...] | None = None
     blocks: int = 100
 
     def __post_init__(self):
+        n_t = (self.n_t,) if isinstance(self.n_t, Integral) else self.n_t
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "n_t", tuple(int(v) for v in n_t))
         object.__setattr__(self, "power_sweep_dbm",
                            tuple(float(p) for p in self.power_sweep_dbm))
         object.__setattr__(self, "techniques", tuple(self.techniques))
-        if self.nt_sweep is not None:
-            object.__setattr__(self, "nt_sweep", tuple(int(v) for v in self.nt_sweep))
         _validate_scenario(self)
+
+
+def _check_axis(key: str, values: tuple) -> None:
+    if not values:
+        raise ParameterError(f"{key} must be nonempty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ParameterError(f"{key} must be strictly increasing, got {values}")
 
 
 def _validate_scenario(s: Scenario) -> None:
@@ -76,20 +81,18 @@ def _validate_scenario(s: Scenario) -> None:
     ids = [n.node_id for n in s.nodes]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"nodes must have unique node_id values, got {ids}")
-    if s.n_t < 4 or s.n_t % 2:
-        raise ParameterError(f"n_t must be an even integer >= 4, got {s.n_t}")
+    for v in s.n_t:
+        if v < 4 or v % 2:
+            raise ParameterError(f"n_t entries must be even integers >= 4, got {v}")
+    _check_axis("n_t", s.n_t)
     if s.n_data_symbols < 1:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
-    if not s.power_sweep_dbm:
-        raise ParameterError("power_sweep_dbm must be nonempty")
     for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
         try:
             LinkParams(p)
         except ParameterError as exc:
             raise ParameterError(f"power_sweep_dbm: {exc}") from None
-    if any(b <= a for a, b in zip(s.power_sweep_dbm, s.power_sweep_dbm[1:])):
-        raise ParameterError(
-            f"power_sweep_dbm must be strictly increasing, got {s.power_sweep_dbm}")
+    _check_axis("power_sweep_dbm", s.power_sweep_dbm)
     if not s.techniques:
         raise ParameterError("techniques must be nonempty")
     unknown = [t for t in s.techniques if t not in TECHNIQUES]
@@ -102,17 +105,10 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"seed must fit an unsigned 64-bit integer, got {s.seed}")
     if s.blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {s.blocks}")
-    if s.nt_sweep is not None:
-        if len(s.power_sweep_dbm) != 1:
-            raise ParameterError(
-                "nt_sweep requires a single-entry power_sweep_dbm (the fixed power)")
-        if not s.nt_sweep:
-            raise ParameterError("nt_sweep must be nonempty")
-        for v in s.nt_sweep:
-            if v < 4 or v % 2:
-                raise ParameterError(f"nt_sweep entries must be even integers >= 4, got {v}")
-    # rejects NaN spectral density / negative bandwidth early
-    LinkParams(s.power_sweep_dbm[0], s.n0_dbm_per_hz, s.bandwidth_hz)
+    try:
+        noise_variance(s.n0_dbm_per_hz, s.bandwidth_hz)
+    except ParameterError as exc:
+        raise ParameterError(f"n0_dbm_per_hz/bandwidth_hz: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -152,23 +148,25 @@ def _substream(seed: int, *key: int):
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, *key)))
 
 
-def _run_block(scenario: Scenario, grid, block_index: int, n_symbols: int) -> np.ndarray:
+def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
     The data frame is drawn once and rescaled to each (power, n_t) point;
     each training length has its own frame.  The counts have shape
-    (points, techniques) and are -1 where the training was degenerate.
+    (points, techniques) in grid order and are -1 where the training was
+    degenerate.
     """
     links = [LinkParams(power, scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-             for power, _ in grid]
+             for power in scenario.power_sweep_dbm]
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
     data = generate_received(x, scenario.nodes, links[0], rng)
     training = {n_t: generate_received(training_symbols(n_t), scenario.nodes, links[0],
                                        _substream(scenario.seed, block_index, n_t))
-                for n_t in {n_t for _, n_t in grid} if set(scenario.techniques) != {MRC}}
-    counts = np.empty((len(grid), len(scenario.techniques)), dtype=np.int64)
-    for i, ((_, n_t), link) in enumerate(zip(grid, links)):
+                for n_t in scenario.n_t if set(scenario.techniques) != {MRC}}
+    counts = np.empty((len(links) * len(scenario.n_t), len(scenario.techniques)),
+                      dtype=np.int64)
+    for i, (link, n_t) in enumerate(product(links, scenario.n_t)):
         frame = data.at_power(link)
         amplitudes = np.abs(frame.y)
         stats = compute_training_stats(training[n_t].at_power(link)) if training else None
@@ -183,33 +181,8 @@ def _run_block(scenario: Scenario, grid, block_index: int, n_symbols: int) -> np
     return counts
 
 
-def run_point(scenario: Scenario, power_dbm: float, technique: str) -> BerPoint:
-    """One BER point of the power sweep; deterministic in (seed, power, technique)."""
-    if technique not in scenario.techniques:
-        raise ParameterError(
-            f"technique {technique!r} is not part of the scenario (has {scenario.techniques})")
-    if float(power_dbm) not in scenario.power_sweep_dbm:
-        raise ParameterError(f"power {power_dbm!r} dBm is not in the scenario sweep")
-    points = run_sweep(replace(scenario, power_sweep_dbm=(power_dbm,), techniques=(technique,)))
-    if not points:
-        raise DegenerateTrainingError(f"no BER point for {technique!r} at {power_dbm} dBm")
-    return points[0]
-
-
-def run_sweep(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
-    """All (power, technique) BER points of the scenario's power sweep."""
-    return run_scenario(replace(scenario, nt_sweep=None), jobs=jobs)
-
-
-def run_nt_sweep(scenario: Scenario, nt_values, fixed_power_dbm: float,
-                 jobs: int | None = None) -> list[BerPoint]:
-    """BER per (training length, technique) at one fixed transmit power."""
-    return run_scenario(replace(scenario, power_sweep_dbm=(fixed_power_dbm,),
-                                nt_sweep=tuple(nt_values)), jobs=jobs)
-
-
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
-    """Run the scenario's sweep: the power sweep, or the nt sweep when set.
+    """BER of every (technique, power, n_t) point of the scenario's grid.
 
     Blocks are independent; with ``jobs`` > 1 they run in a process pool,
     and their counts are summed in block order.  A degenerate block drops
@@ -219,12 +192,9 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     """
     if jobs is not None and jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
-    if scenario.nt_sweep is None:
-        grid = [(p, scenario.n_t) for p in scenario.power_sweep_dbm]
-    else:
-        grid = [(scenario.power_sweep_dbm[0], n_t) for n_t in scenario.nt_sweep]
+    grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
     sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
-    args = (repeat(scenario), repeat(grid), range(len(sizes)), sizes)
+    args = (repeat(scenario), range(len(sizes)), sizes)
     if jobs in (None, 1) or len(sizes) <= 1:
         results = map(_run_block, *args)
     else:

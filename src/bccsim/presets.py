@@ -1,15 +1,20 @@
-"""Named scenario presets matching the reference experiment protocols."""
+"""Named scenario presets matching the reference experiment protocols.
+
+The per-channel single-node study of figure 3 is nine presets,
+"fig3-f1" .. "fig3-f9", one K=1 scenario per registry channel.
+"""
 
 from __future__ import annotations
 
-from .channels import STRONG_NODES, WEAK_NODES, registry_entry, table1_registry
+from .channels import STRONG_NODES, WEAK_NODES, registry_entry, registry_name, table1_registry
 from .detectors import COMBINATION, DEVIATION, MRC, PROBABILITY
 from .errors import ParameterError
 from .montecarlo import Scenario
 
 __all__ = ["PRESET_NAMES", "preset"]
 
-PRESET_NAMES = ("fig3", "fig4", "fig5-weak", "fig5-strong", "fig6", "fig7")
+_FIG3 = {f"fig3-{registry_name(profile)}": profile for profile in table1_registry()}
+PRESET_NAMES = (*_FIG3, "fig4", "fig5-weak", "fig5-strong", "fig6", "fig7")
 
 _NONCOHERENT = (PROBABILITY, DEVIATION, COMBINATION)
 _ALL_TECHNIQUES = (PROBABILITY, DEVIATION, COMBINATION, MRC)
@@ -20,16 +25,10 @@ def _nodes(names):
     return tuple(registry_entry(name) for name in names)
 
 
-def preset(name: str):
-    """Build the Scenario for a named preset.
-
-    "fig3" is the per-channel single-node study and returns a list of
-    nine K=1 scenarios (one per registry channel); every other name
-    returns a single Scenario.
-    """
-    if name == "fig3":
-        return [Scenario(nodes=(profile,), techniques=(PROBABILITY,))
-                for profile in table1_registry()]
+def preset(name: str) -> Scenario:
+    """Build the Scenario for a named preset."""
+    if name in _FIG3:
+        return Scenario(nodes=(_FIG3[name],), techniques=(PROBABILITY,))
     if name == "fig4":
         return Scenario(nodes=_nodes(("f9",)), techniques=_ALL_TECHNIQUES)
     if name == "fig5-weak":
@@ -40,6 +39,6 @@ def preset(name: str):
         return Scenario(nodes=tuple(table1_registry()), techniques=_ALL_TECHNIQUES)
     if name == "fig7":
         return Scenario(nodes=_nodes(WEAK_NODES), power_sweep_dbm=(10.0,),
-                        nt_sweep=_NT_SWEEP, techniques=_NONCOHERENT)
+                        n_t=_NT_SWEEP, techniques=_NONCOHERENT)
     raise ParameterError(
         f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")

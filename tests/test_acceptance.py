@@ -28,9 +28,7 @@ from bccsim import (
     preset,
     prob_weights,
     registry_entry,
-    run_point,
     run_scenario,
-    run_sweep,
     sample_channel,
     table1_registry,
     training_symbols,
@@ -87,10 +85,10 @@ def test_criterion_02_single_node_equivalence():
     stats = TrainingStats(a_th=0.5 * (a_one[keep] + a_zero[keep]), a_one=a_one[keep],
                           a_zero=a_zero[keep], p11=p11[keep], p00=p00[keep], n_t=50)
     y = y[keep]
-    wp = prob_weights(y, stats)
-    wd = dev_weights(y, stats)
-    margin_p = wp.w1 - wp.w0
-    margin_d = wd.w1 - wd.w0
+    wp = prob_weights(y[:, None], stats)
+    wd = dev_weights(y[:, None], stats)
+    margin_p = (wp.w1 - wp.w0)[:, 0]
+    margin_d = (wd.w1 - wd.w0)[:, 0]
     non_tie = (margin_p != 0.0) & (margin_d != 0.0) & (y != stats.a_th)
     agree = np.array_equal(margin_p[non_tie] > 0, margin_d[non_tie] > 0)
     _report(2, "probability == deviation for K=1 on 10^5 informative non-tie inputs",
@@ -108,7 +106,7 @@ def test_criterion_03_saturated_majority_rule():
                               p11=cap * ones, p00=cap * ones, n_t=n_t)
         for pattern in itertools.product((0, 1), repeat=k):
             y = np.where(np.array(pattern) == 1, 1.4, 0.2).astype(float)
-            got = detect("probability", y, stats)
+            got = detect("probability", y[:, None], stats)[0]
             expected = 1 if sum(pattern) > k - sum(pattern) else 0
             if got != expected:
                 mismatches.append((k, pattern, got))
@@ -134,7 +132,7 @@ def test_criterion_04_sampling_fidelity_ks():
 
 def test_criterion_05_single_strong_node_curve_shape():
     scenario = replace(preset("fig4"), n_data_symbols=SYMBOLS, seed=505)
-    points = _by_key(run_sweep(scenario))
+    points = _by_key(run_scenario(scenario))
     violations = []
     for power in scenario.power_sweep_dbm:
         mrc = points[("mrc", power, 50)]
@@ -158,7 +156,8 @@ def test_criterion_06_strong_weak_grouping():
     for name in STRONG_NODES + WEAK_NODES:
         scenario = Scenario(nodes=(registry_entry(name),), power_sweep_dbm=(power,),
                             techniques=("probability",), n_data_symbols=SYMBOLS, seed=606)
-        bers[name] = run_point(scenario, power, "probability").ber
+        (point,) = run_scenario(scenario)
+        bers[name] = point.ber
     strong_max = max(bers[name] for name in STRONG_NODES)
     weak_min = min(bers[name] for name in WEAK_NODES)
     _report(6, "every strong-channel BER below every weak-channel BER at 10 dBm",
@@ -173,7 +172,7 @@ def test_criterion_07_combination_robustness():
                             power_sweep_dbm=sweep,
                             techniques=("probability", "deviation", "combination"),
                             n_data_symbols=SYMBOLS, seed=707)
-        points = _by_key(run_sweep(scenario))
+        points = _by_key(run_scenario(scenario))
         for power in sweep:
             if power < 0.0:
                 continue
@@ -189,7 +188,7 @@ def test_criterion_07_combination_robustness():
 def test_criterion_08_training_length_trends():
     scenario = replace(preset("fig7"), n_data_symbols=SYMBOLS, seed=808)
     points = _by_key(run_scenario(scenario))
-    nts = scenario.nt_sweep
+    nts = scenario.n_t
     violations = []
 
     prob = [points[("probability", 10.0, nt)] for nt in nts]
@@ -232,10 +231,10 @@ def test_criterion_10_degenerate_limits():
     zero_noise = Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(10.0,),
                           bandwidth_hz=0.0, techniques=("probability", "deviation", "mrc"),
                           n_data_symbols=10_000, seed=1010)
-    noise_free = run_sweep(zero_noise)
+    noise_free = run_scenario(zero_noise)
     zero_power = Scenario(nodes=(registry_entry("f9"),), power_sweep_dbm=(float("-inf"),),
                           n_data_symbols=SYMBOLS, seed=1011)
-    coin_flips = run_sweep(zero_power)
+    coin_flips = run_scenario(zero_power)
     ok_zero_noise = len(noise_free) == 3 and all(p.ber == 0.0 for p in noise_free)
     ok_zero_power = len(coin_flips) == 4 and all(abs(p.ber - 0.5) <= 0.01 for p in coin_flips)
     _report(10, "zero-noise BER exactly 0; zero-power BER 0.5 +/- 0.01 at 10^5 symbols",

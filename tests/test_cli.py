@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bccsim import (
+    PRESET_NAMES,
+    TECHNIQUES,
     BurrXII,
     ConfigError,
     ParameterError,
@@ -18,6 +20,36 @@ from bccsim import (
 )
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
 from bccsim.montecarlo import make_ber_point
+
+# integers up to 2**1100 overflow a float; keys of mixed types do not sort
+_NUMBERS = st.one_of(st.floats(), st.integers(), st.integers(-2 ** 1100, 2 ** 1100))
+_YAML_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text("abf19-_ ", max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.one_of(st.text("abf19", max_size=4), st.integers()),
+                                            inner, max_size=3)),
+    max_leaves=8)
+_EXTRA_KEYS = st.dictionaries(st.one_of(st.text("xyz", min_size=1, max_size=2), st.integers()),
+                              _YAML_VALUES, max_size=2)
+_INLINE_NODE = st.builds(
+    lambda fields, extra: {**extra, **fields},
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["burr", "weibull", "rayleigh"]),
+         "params": st.lists(_NUMBERS, max_size=4),
+         "condition": st.sampled_from(["strong", "weak", "fair"])},
+        optional={"node_id": st.one_of(st.integers(), _YAML_VALUES)}),
+    st.one_of(st.just({}), _EXTRA_KEYS))
+_KEY_VALUES = {
+    "nodes": st.lists(st.one_of(st.sampled_from([f"f{i}" for i in range(11)]), _INLINE_NODE),
+                      max_size=4),
+    "n_t": st.one_of(st.integers(), st.lists(st.integers(), max_size=4)),
+    "n_data_symbols": st.integers(),
+    "seed": st.integers(),
+    "blocks": st.integers(),
+    "techniques": st.lists(st.sampled_from(TECHNIQUES + ("guessing",)), max_size=5),
+    "n0_dbm_per_hz": _NUMBERS,
+    "bandwidth_hz": _NUMBERS,
+}
 
 
 class TestCsvContract:
@@ -99,6 +131,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "power_sweep_dbm" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("noise", [
+        "n0_dbm_per_hz: 300\nbandwidth_hz: 1.0e+300\n",
+        "bandwidth_hz: .inf\n",
+        "n0_dbm_per_hz: .nan\n",
+    ])
+    def test_non_finite_noise_names_key(self, noise, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("nodes: [f1]\n" + noise)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert noise.split(":")[0] in err and "Traceback" not in err
+
+    def test_nt_sweep_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("nodes: [f1]\npower_sweep_dbm: [10]\nnt_sweep: [10, 20]\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "nt_sweep" in capsys.readouterr().err
+
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("nodes: [f1]\nbogus_knob: 3\n")
@@ -110,17 +160,20 @@ class TestRunCommand:
         assert "fig99" in capsys.readouterr().err
 
     def test_fig3_writes_one_csv_per_channel(self, tmp_path):
-        out = tmp_path / "fig3.csv"
-        assert main(["run", "--preset", "fig3", "--seed", "2", "--symbols", "200",
-                     "--out", str(out)]) == 0
+        for i in range(1, 10):
+            assert main(["run", "--preset", f"fig3-f{i}", "--seed", "2", "--symbols", "200",
+                         "--out", str(tmp_path / f"fig3_f{i}.csv")]) == 0
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == [f"fig3_f{i}.csv" for i in range(1, 10)]
         for path in tmp_path.iterdir():
-            assert parse_csv(path.read_text())
+            points = parse_csv(path.read_text())
+            assert len(points) == 26 and {p.technique for p in points} == {"probability"}
 
-    def test_fig3_requires_out(self, capsys):
+    def test_fig3_list_preset_is_gone(self, capsys):
         assert main(["run", "--preset", "fig3"]) == 2
-        assert "--out" in capsys.readouterr().err
+        assert main(["preset", "fig3"]) == 2
+        err = capsys.readouterr().err
+        assert "'fig3'" in err and "fig3-f1" in err
 
     def test_zero_noise_combination_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "degenerate.yaml"
@@ -135,7 +188,7 @@ class TestRunCommand:
 
 
 class TestPresetCommand:
-    @pytest.mark.parametrize("name", ["fig4", "fig5-weak", "fig5-strong", "fig6", "fig7"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_yaml_round_trip(self, name, tmp_path):
         out = tmp_path / "scenario.yaml"
         assert main(["preset", name, "--out", str(out)]) == 0
@@ -151,11 +204,12 @@ class TestPresetCommand:
     def test_fig7_protocol(self):
         scn = preset("fig7")
         assert scn.power_sweep_dbm == (10.0,)
-        assert scn.nt_sweep == (10, 20, 50, 100, 200, 500, 1000)
+        assert scn.n_t == (10, 20, 50, 100, 200, 500, 1000)
         assert len(scn.nodes) == 6
 
     def test_fig3_is_nine_single_node_scenarios(self):
-        scenarios = preset("fig3")
+        assert PRESET_NAMES[:9] == tuple(f"fig3-f{i}" for i in range(1, 10))
+        scenarios = [preset(name) for name in PRESET_NAMES[:9]]
         assert [s.nodes[0].node_id for s in scenarios] == list(range(1, 10))
         assert all(s.techniques == ("probability",) for s in scenarios)
 
@@ -193,6 +247,12 @@ class TestConfigParsing:
             loads_scenario("nodes:\n  - {family: weibull, params: [1.0, 2.0]}\n")
         with pytest.raises(ConfigError, match="params"):
             loads_scenario("nodes:\n  - {family: burr, params: [1.0], condition: weak}\n")
+        with pytest.raises(ConfigError, match="node_id"):
+            loads_scenario("nodes:\n  - {family: weibull, params: [1.0, 2.0], condition: weak,"
+                           " node_id: true}\n")
+        with pytest.raises(ConfigError, match="params"):
+            loads_scenario("nodes:\n  - {family: weibull, params: [1" + "0" * 400 + ", 2.0],"
+                           " condition: weak}\n")
 
     def test_unknown_registry_name(self):
         with pytest.raises(ConfigError, match="f12"):
@@ -205,6 +265,14 @@ class TestConfigParsing:
         import yaml
 
         assert loads_scenario(yaml.safe_dump(scenario_to_config(scn))) == scn
+
+    def test_n_t_takes_an_int_or_a_list(self):
+        assert loads_scenario("nodes: [f1]\nn_t: 20\n").n_t == (20,)
+        assert loads_scenario("nodes: [f1]\nn_t: [10, 20]\n").n_t == (10, 20)
+        assert scenario_to_config(loads_scenario("nodes: [f1]\nn_t: 20\n"))["n_t"] == [20]
+        for bad in ("[]", "[20, 10]", "[10, 15]", "[10, 2.5]", "{a: 1}"):
+            with pytest.raises(ConfigError, match="n_t"):
+                loads_scenario(f"nodes: [f1]\nn_t: {bad}\n")
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -226,3 +294,15 @@ class TestConfigParsing:
             return
         assert isinstance(scn, Scenario)
         assert len(scn.power_sweep_dbm) == len(powers)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        key: st.one_of(values, _YAML_VALUES) for key, values in _KEY_VALUES.items()}),
+        st.one_of(st.just({}), _EXTRA_KEYS))
+    def test_any_key_values_load_or_are_rejected(self, doc, extra):
+        try:
+            scn = loads_scenario(yaml.safe_dump({**extra, **doc}))
+        except ConfigError:
+            return
+        assert isinstance(scn, Scenario)
+        assert loads_scenario(yaml.safe_dump(scenario_to_config(scn))) == scn

@@ -97,65 +97,65 @@ class TestComputeTrainingStats:
 class TestProbWeights:
     def test_above_threshold(self):
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.7)
-        pair = prob_weights(np.array([1.3]), stats)  # 1.3 >= 1.25
-        assert pair.w1[0] == pytest.approx(math.log(0.8), rel=1e-12)
-        assert pair.w0[0] == pytest.approx(math.log(0.3), rel=1e-12)
+        pair = prob_weights(np.array([[1.3]]), stats)  # 1.3 >= 1.25
+        assert pair.w1[0, 0] == pytest.approx(math.log(0.8), rel=1e-12)
+        assert pair.w0[0, 0] == pytest.approx(math.log(0.3), rel=1e-12)
 
     def test_below_threshold(self):
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.7)
-        pair = prob_weights(np.array([1.2]), stats)
-        assert pair.w1[0] == pytest.approx(math.log(0.2), rel=1e-12)
-        assert pair.w0[0] == pytest.approx(math.log(0.7), rel=1e-12)
+        pair = prob_weights(np.array([[1.2]]), stats)
+        assert pair.w1[0, 0] == pytest.approx(math.log(0.2), rel=1e-12)
+        assert pair.w0[0, 0] == pytest.approx(math.log(0.7), rel=1e-12)
 
     def test_uninformative_node(self):
         stats = stats_single(2.0, 0.5, p11=0.5, p00=0.5)
         for y in (0.1, 1.25, 7.0):
-            pair = prob_weights(np.array([y]), stats)
-            assert pair.w1[0] == pair.w0[0] == pytest.approx(math.log(0.5), rel=1e-12)
+            pair = prob_weights(np.array([[y]]), stats)
+            assert pair.w1[0, 0] == pair.w0[0, 0] == pytest.approx(math.log(0.5), rel=1e-12)
 
 
 class TestDevWeights:
     def test_zero_points(self):
         stats = stats_single(2.0, 0.5, 0.9, 0.9)
-        assert dev_weights(np.array([2.0]), stats).w1[0] == 0.0
-        assert dev_weights(np.array([0.5]), stats).w0[0] == 0.0
+        assert dev_weights(np.array([[2.0]]), stats).w1[0, 0] == 0.0
+        assert dev_weights(np.array([[0.5]]), stats).w0[0, 0] == 0.0
 
     def test_direct_substitution(self):
         stats = stats_single(2.0, 0.5, 0.9, 0.9)
-        pair = dev_weights(np.array([1.5]), stats)
-        assert pair.w1[0] == -0.5
-        assert pair.w0[0] == -1.0
+        pair = dev_weights(np.array([[1.5]]), stats)
+        assert pair.w1[0, 0] == -0.5
+        assert pair.w0[0, 0] == -1.0
 
 
 class TestCombWeights:
     def test_zero_at_reference_amplitudes(self):
         stats = stats_single(2.0, 0.5, 0.8, 0.8)
-        assert comb_weights(np.array([2.0]), stats).w1[0] == 0.0
-        assert comb_weights(np.array([0.5]), stats).w0[0] == 0.0
+        assert comb_weights(np.array([[2.0]]), stats).w1[0, 0] == 0.0
+        assert comb_weights(np.array([[0.5]]), stats).w0[0, 0] == 0.0
 
     def test_direct_substitution(self):
         # dev weight 1, A1 = 2, Ath = 1.25, prob weight ln 0.8
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.8)
-        pair = comb_weights(np.array([3.0]), stats)
-        assert pair.w1[0] == pytest.approx(-0.5 + 0.8 * math.log(0.8), rel=1e-12)
+        pair = comb_weights(np.array([[3.0]]), stats)
+        assert pair.w1[0, 0] == pytest.approx(-0.5 + 0.8 * math.log(0.8), rel=1e-12)
 
     def test_degenerate_training(self):
         stats = stats_single(2.0, 0.0, 0.8, 0.8)
         with pytest.raises(DegenerateTrainingError):
-            comb_weights(np.array([1.0]), stats)
+            comb_weights(np.array([[1.0]]), stats)
 
 
 class TestFuse:
     def test_sum_comparison(self):
-        pair = WeightPair(w1=np.array([-0.5, -0.5]), w0=np.array([-1.0, -1.0]))
-        assert fuse(pair) == 1
+        pair = WeightPair(w1=np.array([[-0.5], [-0.5]]), w0=np.array([[-1.0], [-1.0]]))
+        assert fuse(pair).tolist() == [1]
 
     def test_tie_resolves_to_zero(self):
-        pair = WeightPair(w1=np.array([0.25, -0.75]), w0=np.array([-0.75, 0.25]))
-        assert fuse(pair) == 0
+        pair = WeightPair(w1=np.array([[0.25], [-0.75]]), w0=np.array([[-0.75], [0.25]]))
+        assert fuse(pair).tolist() == [0]
 
     def test_single_node(self):
-        assert fuse(WeightPair(w1=np.array([0.3]), w0=np.array([-0.1]))) == 1
+        assert fuse(WeightPair(w1=np.array([[0.3]]), w0=np.array([[-0.1]]))).tolist() == [1]
 
     def test_vectorized_columns(self):
         pair = WeightPair(w1=np.array([[1.0, -1.0], [1.0, -1.0]]),
@@ -164,22 +164,27 @@ class TestFuse:
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ParameterError):
-            fuse(WeightPair(w1=np.array([]), w0=np.array([])))
+            fuse(WeightPair(w1=np.empty((0, 3)), w0=np.empty((0, 3))))
         with pytest.raises(ParameterError):
-            fuse(WeightPair(w1=np.array([1.0]), w0=np.array([1.0, 2.0])))
+            fuse(WeightPair(w1=np.array([[1.0]]), w0=np.array([[1.0, 2.0]])))
+
+    def test_rejects_non_2d_weights(self):
+        for shape in ((), (2,), (2, 3, 1)):
+            with pytest.raises(ParameterError, match=r"\(K, N\)"):
+                fuse(WeightPair(w1=np.ones(shape), w0=np.zeros(shape)))
 
 
 class TestDetect:
     def test_single_node_deviation_is_strict_threshold(self):
         stats = stats_single(2.0, 0.5, 0.9, 0.9)  # a_th = 1.25 exactly
         for y, expected in ((0.0, 0), (1.2499, 0), (1.25, 0), (1.2501, 1), (5.0, 1)):
-            assert detect("deviation", np.array([y]), stats) == expected
+            assert detect("deviation", np.array([y])[:, None], stats)[0] == expected
 
     def test_single_node_probability_matches_threshold_rule(self):
         # informative stats: decision is exactly the >= threshold comparison
         stats = stats_single(2.0, 0.5, 0.9, 0.8)
         for y, expected in ((0.0, 0), (1.2499, 0), (1.25, 1), (1.2501, 1), (5.0, 1)):
-            assert detect("probability", np.array([y]), stats) == expected
+            assert detect("probability", np.array([y])[:, None], stats)[0] == expected
 
     def test_remark1_equivalence_randomized(self):
         # single receive node: probability and deviation agree whenever the
@@ -188,10 +193,10 @@ class TestDetect:
         n = 20_000
         stats = random_stats(rng, n)
         y = stats.a_th * rng.uniform(0.0, 2.5, size=n)
-        wp = prob_weights(y, stats)
-        wd = dev_weights(y, stats)
-        margin_p = wp.w1 - wp.w0
-        margin_d = wd.w1 - wd.w0
+        wp = prob_weights(y[:, None], stats)
+        wd = dev_weights(y[:, None], stats)
+        margin_p = (wp.w1 - wp.w0)[:, 0]
+        margin_d = (wd.w1 - wd.w0)[:, 0]
         informative = stats.p11 + stats.p00 > 1.0
         non_tie = (margin_p != 0.0) & (margin_d != 0.0) & (y != stats.a_th)
         mask = informative & non_tie
@@ -208,7 +213,7 @@ class TestDetect:
             for pattern in itertools.product((0, 1), repeat=k):
                 y = np.where(np.array(pattern) == 1, 1.4, 0.2)
                 expected = 1 if sum(pattern) > k - sum(pattern) else 0
-                assert detect("probability", y.astype(float), stats) == expected
+                assert detect("probability", y.astype(float)[:, None], stats)[0] == expected
 
     def test_positive_scaling_covariance(self):
         rng = np.random.default_rng(29)
@@ -237,22 +242,29 @@ class TestDetect:
 
     def test_unknown_technique(self):
         with pytest.raises(ParameterError):
-            detect("mrc", np.array([1.0]), stats_single(2.0, 0.5, 0.8, 0.8))
+            detect("mrc", np.array([[1.0]]), stats_single(2.0, 0.5, 0.8, 0.8))
+
+    def test_rejects_non_2d_amplitudes(self):
+        stats = stats_single(2.0, 0.5, 0.8, 0.8)
+        for y in (np.float64(1.0), np.array([1.0]), np.ones((1, 2, 1)), np.ones((2, 3))):
+            for fn in (prob_weights, dev_weights, comb_weights):
+                with pytest.raises(ParameterError, match=r"\(K, N\)"):
+                    fn(y, stats)
 
 
 class TestMrcDetect:
     def test_single_node_midpoint(self):
-        assert mrc_detect(np.array([0.6]), np.array([1.0]), 1.0) == 1
-        assert mrc_detect(np.array([0.4]), np.array([1.0]), 1.0) == 0
+        assert mrc_detect(np.array([[0.6]]), np.array([[1.0]]), 1.0).tolist() == [1]
+        assert mrc_detect(np.array([[0.4]]), np.array([[1.0]]), 1.0).tolist() == [0]
 
     def test_two_nodes_direct_substitution(self):
         # z = 2.7 against threshold (sqrt(4)/2) * 2 = 2
-        y = np.array([1.5, 1.2])
-        h = np.array([1.0, 1.0])
-        assert mrc_detect(y, h, 4.0) == 1
+        y = np.array([1.5, 1.2])[:, None]
+        h = np.array([1.0, 1.0])[:, None]
+        assert mrc_detect(y, h, 4.0)[0] == 1
 
     def test_zero_signal_gives_zero(self):
-        assert mrc_detect(np.zeros(3), np.ones(3), 1.0) == 0
+        assert mrc_detect(np.zeros((3, 1)), np.ones((3, 1)), 1.0)[0] == 0
 
     def test_vectorized(self):
         y = np.array([[1.5, 0.1], [1.2, 0.0]])
@@ -261,4 +273,9 @@ class TestMrcDetect:
 
     def test_rejects_mismatched(self):
         with pytest.raises(ParameterError):
-            mrc_detect(np.ones(2), np.ones(3), 1.0)
+            mrc_detect(np.ones((2, 1)), np.ones((3, 1)), 1.0)
+
+    def test_rejects_non_2d_input(self):
+        for shape in ((), (3,), (3, 2, 1)):
+            with pytest.raises(ParameterError, match=r"\(K, N\)"):
+                mrc_detect(np.ones(shape), np.ones(shape), 1.0)

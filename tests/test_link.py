@@ -72,6 +72,12 @@ class TestNoiseVariance:
         with pytest.raises(ParameterError):
             noise_variance(-174.0, -1.0)
 
+    def test_non_finite_variance_rejected(self):
+        for n0, bandwidth in ((300.0, 1e300), (-174.0, math.inf), (-math.inf, math.inf),
+                              (math.nan, 1e5)):
+            with pytest.raises(ParameterError):
+                noise_variance(n0, bandwidth)
+
 
 class TestLinkParams:
     def test_derived_values(self):

@@ -11,21 +11,24 @@ import pytest
 
 from bccsim import (
     TECHNIQUES,
-    DegenerateTrainingError,
     ParameterError,
     Scenario,
     make_ber_point,
     preset,
     registry_entry,
-    run_nt_sweep,
-    run_point,
     run_scenario,
-    run_sweep,
 )
 from bccsim.montecarlo import STREAM_VERSION, _substream
 
 F9 = (registry_entry("f9"),)
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def single_point(scenario, power_dbm, technique):
+    """The BER point of one (power, technique) pair, run on its own."""
+    (point,) = run_scenario(replace(scenario, power_sweep_dbm=(power_dbm,),
+                                    techniques=(technique,)))
+    return point
 
 
 def small_scenario(**overrides):
@@ -50,9 +53,15 @@ class TestScenarioValidation:
         with pytest.raises(ParameterError):
             Scenario(nodes=F9, seed=-1)
         with pytest.raises(ParameterError):
-            Scenario(nodes=F9, nt_sweep=(10, 20))  # needs single-power sweep
+            Scenario(nodes=F9, n_t=(50, 20))  # grid axes must increase
+        with pytest.raises(ParameterError):
+            Scenario(nodes=F9, n_t=())
         with pytest.raises(ParameterError):
             Scenario(nodes=F9 + F9)  # duplicate node ids
+
+    def test_int_n_t_is_a_one_entry_axis(self):
+        assert Scenario(nodes=F9, n_t=20).n_t == (20,)
+        assert Scenario(nodes=F9, n_t=20) == Scenario(nodes=F9, n_t=(20,))
 
     def test_zero_power_sweep_is_allowed(self):
         scn = Scenario(nodes=F9, power_sweep_dbm=(float("-inf"),))
@@ -76,22 +85,22 @@ class TestBerPoint:
 class TestDeterminism:
     def test_identical_seeds_identical_counts(self):
         scn = small_scenario()
-        assert run_sweep(scn) == run_sweep(scn)
+        assert run_scenario(scn) == run_scenario(scn)
 
     def test_worker_count_does_not_matter(self):
         scn = small_scenario()
-        assert run_sweep(scn, jobs=1) == run_sweep(scn, jobs=3)
+        assert run_scenario(scn, jobs=1) == run_scenario(scn, jobs=3)
 
-    def test_run_point_matches_sweep_row(self):
+    def test_single_point_matches_sweep_row(self):
         scn = small_scenario()
-        rows = {(p.technique, p.tx_power_dbm): p for p in run_sweep(scn)}
-        assert run_point(scn, 10.0, "deviation") == rows[("deviation", 10.0)]
+        rows = {(p.technique, p.tx_power_dbm): p for p in run_scenario(scn)}
+        assert single_point(scn, 10.0, "deviation") == rows[("deviation", 10.0)]
 
     def test_frozen_regression_value(self):
         # fixed-seed reference run, recorded when the stream version was set
         scn = Scenario(nodes=F9, power_sweep_dbm=(10.0,), techniques=("deviation",),
                        n_data_symbols=100_000, seed=42)
-        point = run_point(scn, 10.0, "deviation")
+        (point,) = run_scenario(scn)
         assert STREAM_VERSION == 2  # stream 1 gave 50 errors here
         assert point.error_count == 40
         assert point.symbol_count == 100_000
@@ -102,19 +111,19 @@ class TestAccounting:
         for budget in (1, 99, 4000):
             scn = small_scenario(n_data_symbols=budget, power_sweep_dbm=(10.0,),
                                  techniques=("deviation",))
-            assert run_point(scn, 10.0, "deviation").symbol_count == budget
+            (point,) = run_scenario(scn)
+            assert point.symbol_count == budget
 
     def test_output_order_deterministic(self):
-        points = run_sweep(small_scenario())
-        keys = [(p.technique, p.tx_power_dbm) for p in points]
+        points = run_scenario(small_scenario(n_t=(10, 50)))
+        keys = [(p.technique, p.tx_power_dbm, p.n_t) for p in points]
         assert keys == sorted(keys)
 
     def test_preconditions(self):
         scn = small_scenario()
-        with pytest.raises(ParameterError):
-            run_point(scn, 5.0, "deviation")  # power not in sweep
-        with pytest.raises(ParameterError):
-            run_point(scn, 10.0, "mrc")  # technique not in scenario
+        for jobs in (0, -2):
+            with pytest.raises(ParameterError, match="jobs"):
+                run_scenario(scn, jobs=jobs)
 
 
 class TestDegenerateLimits:
@@ -122,7 +131,9 @@ class TestDegenerateLimits:
         scn = Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(10.0,),
                        bandwidth_hz=0.0, techniques=("probability", "deviation", "mrc"),
                        n_data_symbols=10_000, seed=1)
-        for point in run_sweep(scn):
+        points = run_scenario(scn)
+        assert len(points) == 3
+        for point in points:
             assert point.ber == 0.0
 
     def test_zero_noise_combination_degenerates(self):
@@ -130,21 +141,23 @@ class TestDegenerateLimits:
         scn = Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(10.0,),
                        bandwidth_hz=0.0, techniques=("combination",),
                        n_data_symbols=1000, seed=1)
-        with pytest.raises(DegenerateTrainingError):
-            run_point(scn, 10.0, "combination")
+        with pytest.warns(RuntimeWarning, match="all 100 training blocks were degenerate"):
+            assert run_scenario(scn) == []
 
     def test_zero_noise_sweep_reports_and_skips(self):
         scn = Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(10.0,),
                        bandwidth_hz=0.0, techniques=("deviation", "combination"),
                        n_data_symbols=1000, seed=1)
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            points = run_sweep(scn)
+            points = run_scenario(scn)
         assert [p.technique for p in points] == ["deviation"]
 
     def test_zero_power_is_coin_flip(self):
         scn = Scenario(nodes=F9, power_sweep_dbm=(float("-inf"),),
                        n_data_symbols=30_000, seed=2)
-        for point in run_sweep(scn):
+        points = run_scenario(scn)
+        assert len(points) == 4
+        for point in points:
             assert abs(point.ber - 0.5) < 0.02
 
 
@@ -152,45 +165,48 @@ class TestSweepShapes:
     def test_high_power_beats_low_power(self):
         scn = Scenario(nodes=F9, power_sweep_dbm=(-10.0, 30.0),
                        n_data_symbols=20_000, seed=3)
-        points = {(p.technique, p.tx_power_dbm): p for p in run_sweep(scn)}
+        points = {(p.technique, p.tx_power_dbm): p for p in run_scenario(scn)}
         for technique in scn.techniques:
             assert points[(technique, 30.0)].ber < points[(technique, -10.0)].ber
 
     def test_nt_sweep_points(self):
-        scn = Scenario(nodes=F9, power_sweep_dbm=(10.0,),
+        scn = Scenario(nodes=F9, power_sweep_dbm=(10.0,), n_t=(10, 50),
                        techniques=("probability",), n_data_symbols=2000, seed=4)
-        points = run_nt_sweep(scn, (10, 50), 10.0)
+        points = run_scenario(scn)
         assert sorted(p.n_t for p in points) == [10, 50]
         assert all(p.tx_power_dbm == 10.0 for p in points)
-        assert run_nt_sweep(scn, (10, 50), 10.0) == points
+        assert run_scenario(scn) == points
 
     def test_nt_sweep_validation(self):
-        scn = small_scenario()
-        with pytest.raises(ParameterError):
-            run_nt_sweep(scn, (10, 15), 10.0)
-        with pytest.raises(ParameterError):
-            run_nt_sweep(scn, (), 10.0)
+        for n_t in ((10, 15), (), (2, 10), (20, 10), (10, 10)):
+            with pytest.raises(ParameterError, match="n_t"):
+                small_scenario(n_t=n_t)
 
-    def test_run_scenario_dispatches_on_nt_sweep(self):
-        scn = Scenario(nodes=F9, power_sweep_dbm=(10.0,), techniques=("deviation",),
-                       n_data_symbols=2000, seed=6, nt_sweep=(10, 20))
+    def test_run_scenario_runs_the_power_by_nt_grid(self):
+        scn = small_scenario(n_t=(10, 20, 50))
         points = run_scenario(scn)
-        assert sorted(p.n_t for p in points) == [10, 20]
-        power_scn = small_scenario()
-        assert run_scenario(power_scn) == run_sweep(power_scn)
+        assert [(p.tx_power_dbm, p.n_t) for p in points[:6]] == list(
+            itertools.product(scn.power_sweep_dbm, scn.n_t))
+        assert len(points) == 2 * 3 * len(scn.techniques)
+        # each row of the grid is the same as running that row alone
+        for n_t in scn.n_t:
+            row = run_scenario(replace(scn, n_t=n_t))
+            assert row == [p for p in points if p.n_t == n_t]
 
     def test_nt_sweep_streams_independent_of_power_sweep(self):
         # a point's draws depend on (seed, block, n_t) only: running it alone
         # or beside other powers, techniques or training lengths is the same
         alone = Scenario(nodes=F9, n_t=20, power_sweep_dbm=(10.0,),
                          techniques=("combination",), n_data_symbols=3000, seed=7)
-        point = run_point(alone, 10.0, "combination")
+        point = single_point(alone, 10.0, "combination")
         in_power_sweep = replace(alone, power_sweep_dbm=(-4.0, 10.0, 24.0),
                                  techniques=TECHNIQUES)
         in_nt_sweep = replace(alone, techniques=("probability", "combination"),
-                              nt_sweep=(10, 20, 50))
-        assert point in run_sweep(in_power_sweep)
+                              n_t=(10, 20, 50))
+        in_grid = replace(in_power_sweep, n_t=(10, 20, 50))
+        assert point in run_scenario(in_power_sweep)
         assert point in run_scenario(in_nt_sweep, jobs=2)
+        assert point in run_scenario(in_grid, jobs=2)
 
     def test_blocks_and_training_lengths_draw_distinct_values(self):
         draws = [_substream(7, *key).random(8)
