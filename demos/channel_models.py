@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bccsim import registry_name, sample_channel, table1_registry
+from bccsim import registry_name, table1_registry
 
 print(f"{'name':<5} {'family':<8} {'condition':<9} parameters")
 for profile in table1_registry():
@@ -33,7 +33,7 @@ print(f"{'name':<5} {'KS dist':>9} {'mean':>10} {'std':>10} {'std/mean':>9}")
 n = 200_000
 for profile in table1_registry():
     rng = np.random.default_rng(profile.node_id)
-    samples = np.sort(sample_channel(profile.dist, rng, size=n))
+    samples = np.sort(profile.dist.inverse_cdf(rng.random(n)))
     grid = profile.dist.cdf(samples)
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - grid), np.max(grid - (i - 1) / n))

@@ -21,12 +21,9 @@ from .channels import (
     DistributionSpec,
     NodeProfile,
     Weibull,
-    burr_inverse_cdf,
     registry_entry,
     registry_name,
-    sample_channel,
     table1_registry,
-    weibull_inverse_cdf,
 )
 from .config import load_scenario, loads_scenario, scenario_to_config
 from .detectors import (
@@ -47,7 +44,6 @@ from .detectors import (
 )
 from .errors import ConfigError, DegenerateTrainingError, DomainError, ParameterError
 from .link import (
-    LinkParams,
     ReceivedFrame,
     dbm_to_watts,
     generate_data_symbols,

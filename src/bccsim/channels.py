@@ -3,8 +3,8 @@
 Body-channel links are modeled by two families of positive amplitude laws:
 Burr Type XII with CDF ``F(x) = 1 - (1 + (x/alpha)^c)^(-k)`` and Weibull
 with CDF ``F(x) = 1 - exp(-(x/a)^b)``.  Both invert in closed form, so
-sampling uses exact inverse-transform of uniform draws and stays fully
-reproducible under seeded streams.
+sampling is exact inverse transform: ``spec.inverse_cdf(rng.random(size))``
+is reproducible under a seeded stream.
 
 The module also carries the registry of nine named channel models
 ("f1" .. "f9"), each tagged as a strong or weak link condition.
@@ -23,15 +23,19 @@ __all__ = [
     "Weibull",
     "DistributionSpec",
     "NodeProfile",
-    "burr_inverse_cdf",
-    "weibull_inverse_cdf",
-    "sample_channel",
     "table1_registry",
     "registry_entry",
     "registry_name",
     "STRONG_NODES",
     "WEAK_NODES",
 ]
+
+
+def _check_uniform(u):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise DomainError("u must lie in [0, 1)")
+    return u
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,17 @@ class BurrXII:
         """F(x) = 1 - (1 + (x/alpha)^c)^(-k), zero on x <= 0."""
         x = np.asarray(x, dtype=float)
         ratio = np.where(x > 0.0, x, 0.0) / self.alpha
-        out = -np.expm1(-self.k * np.log1p(ratio ** self.c))
-        return out if out.ndim else float(out)
+        return -np.expm1(-self.k * np.log1p(ratio ** self.c))
 
     def inverse_cdf(self, u):
-        return burr_inverse_cdf(u, self)
+        """Quantile ``alpha * ((1-u)^(-1/k) - 1)^(1/c)``, monotone nondecreasing in u.
+
+        Evaluated through expm1/log1p so the small-u branch keeps full
+        precision; round-tripping through the CDF recovers ``u`` to better
+        than 1e-12.
+        """
+        t = np.expm1(-np.log1p(-_check_uniform(u)) / self.k)
+        return self.alpha * t ** (1.0 / self.c)
 
 
 @dataclass(frozen=True)
@@ -78,52 +88,14 @@ class Weibull:
         """F(x) = 1 - exp(-(x/a)^b), zero on x <= 0."""
         x = np.asarray(x, dtype=float)
         ratio = np.where(x > 0.0, x, 0.0) / self.a
-        out = -np.expm1(-(ratio ** self.b))
-        return out if out.ndim else float(out)
+        return -np.expm1(-(ratio ** self.b))
 
     def inverse_cdf(self, u):
-        return weibull_inverse_cdf(u, self)
+        """Quantile ``a * (-ln(1-u))^(1/b)``; same precision contract as BurrXII."""
+        return self.a * (-np.log1p(-_check_uniform(u))) ** (1.0 / self.b)
 
 
 DistributionSpec = BurrXII | Weibull
-
-
-def _check_uniform(u):
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise DomainError("u must lie in [0, 1)")
-    return u
-
-
-def burr_inverse_cdf(u, spec: BurrXII):
-    """Burr Type XII quantile ``alpha * ((1-u)^(-1/k) - 1)^(1/c)``.
-
-    Monotone nondecreasing in ``u``.  Evaluated through expm1/log1p so
-    the small-u branch keeps full precision; round-tripping through the
-    CDF recovers ``u`` to better than 1e-12.
-    """
-    u = _check_uniform(u)
-    t = np.expm1(-np.log1p(-u) / spec.k)
-    x = spec.alpha * t ** (1.0 / spec.c)
-    return x if x.ndim else float(x)
-
-
-def weibull_inverse_cdf(u, spec: Weibull):
-    """Weibull quantile ``a * (-ln(1-u))^(1/b)``; same precision contract."""
-    u = _check_uniform(u)
-    x = spec.a * (-np.log1p(-u)) ** (1.0 / spec.b)
-    return x if x.ndim else float(x)
-
-
-def sample_channel(spec: DistributionSpec, rng, size=None):
-    """Draw i.i.d. channel amplitudes via the matching inverse CDF.
-
-    ``rng`` must yield uniforms in [0, 1) through ``rng.random``; the
-    result is deterministic given the stream state.  Returns a scalar
-    when ``size`` is None, else an array of that shape.
-    """
-    u = rng.random() if size is None else rng.random(size)
-    return spec.inverse_cdf(u)
 
 
 _CONDITIONS = ("strong", "weak")

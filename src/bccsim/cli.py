@@ -11,8 +11,8 @@ Every preset and scenario file is one Scenario, so ``run`` writes one
 CSV and ``preset`` one YAML document that ``--config`` loads back.
 ``run`` emits one CSV row per BER point, sorted by (technique, power,
 n_t).  Identical seeds produce byte-identical CSV regardless of the
-worker count.  The default worker count can be set with the
-``BCCSIM_JOBS`` environment variable.
+worker count.  A bad scenario, an unreadable ``--config`` file or an
+unwritable ``--out`` path exits 2 with a message naming the key or flag.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from .errors import ConfigError, DegenerateTrainingError, DomainError, Parameter
 from .montecarlo import BerPoint, run_scenario
 from .presets import PRESET_NAMES, preset
 
-__all__ = ["main", "format_csv", "parse_csv", "CSV_HEADER", "JOBS_ENV_VAR"]
+__all__ = ["main", "format_csv", "parse_csv", "CSV_HEADER"]
 
 CSV_HEADER = "technique,tx_power_dbm,n_t,symbols,errors,ber,ci95"
-JOBS_ENV_VAR = "BCCSIM_JOBS"
 
 
 def format_csv(points) -> str:
@@ -91,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, metavar="U64", help="override the scenario seed")
     run.add_argument("--symbols", type=int, metavar="N",
                      help="override the per-point symbol budget")
-    run.add_argument("--jobs", type=int, metavar="N",
-                     help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
+    run.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="worker processes (default: 1)")
     run.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     pre = sub.add_parser("preset", help="print a preset as an editable scenario document")
@@ -129,7 +128,15 @@ def _registry_table() -> str:
 def _run_command(args) -> int:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
-    scenario = load_scenario(args.config) if args.config else preset(args.preset)
+    if args.config:
+        try:
+            scenario = load_scenario(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _unusable("--config", args.config, exc) from None
+    else:
+        scenario = preset(args.preset)
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out}: no such directory")
 
     overrides = {}
     if args.seed is not None:
@@ -142,34 +149,29 @@ def _run_command(args) -> int:
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
 
-    points = run_scenario(scenario, jobs=_resolve_jobs(args.jobs))
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    points = run_scenario(scenario, jobs=args.jobs)
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")
     _write(format_csv(points), args.out)
     return 0
 
 
-def _resolve_jobs(value) -> int:
-    if value is None:
-        env = os.environ.get(JOBS_ENV_VAR, "")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-        else:
-            value = 1
-    if value < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {value}")
-    return value
+def _unusable(flag: str, path: str, exc: Exception) -> ConfigError:
+    reason = exc.strerror if isinstance(exc, OSError) else str(exc)
+    return ConfigError(f"{flag} {path}: {reason}")
 
 
 def _write(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _unusable("--out", out, exc) from None
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ class TrainingStats:
     a_zero: np.ndarray
     p11: np.ndarray
     p00: np.ndarray
-    n_t: int
 
     @property
     def n_nodes(self) -> int:
@@ -107,7 +106,7 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
     p11 = np.clip(detected[:, :half].mean(axis=1), lo, hi)
     p00 = np.clip(1.0 - detected[:, half:].mean(axis=1), lo, hi)
-    return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00, n_t=n_t)
+    return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
 def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:

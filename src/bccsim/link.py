@@ -3,7 +3,8 @@
 The received amplitude at node k in slot n is
 ``y = sqrt(P) * h * x + noise`` with a fresh independent channel draw per
 node and per slot (fast-varying channels), and real Gaussian noise of
-variance N0*B/2.
+variance N0*B/2.  Powers and variances are plain floats in watts;
+``dbm_to_watts`` and ``noise_variance`` convert from the scenario's units.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "LinkParams",
     "ReceivedFrame",
     "dbm_to_watts",
     "noise_variance",
@@ -47,27 +47,6 @@ def noise_variance(n0_dbm_per_hz: float, bandwidth_hz: float) -> float:
     return variance
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """Transmit power, noise spectral density, and bandwidth of one link."""
-
-    tx_power_dbm: float
-    n0_dbm_per_hz: float = -174.0
-    bandwidth_hz: float = 1.0e5
-
-    def __post_init__(self):
-        dbm_to_watts(self.tx_power_dbm)
-        noise_variance(self.n0_dbm_per_hz, self.bandwidth_hz)
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.tx_power_dbm)
-
-    @property
-    def noise_variance_w(self) -> float:
-        return noise_variance(self.n0_dbm_per_hz, self.bandwidth_hz)
-
-
 def training_symbols(n_t: int) -> np.ndarray:
     """Known training pattern: n_t/2 ones followed by n_t/2 zeros."""
     if n_t < 2 or n_t % 2:
@@ -90,33 +69,26 @@ class ReceivedFrame:
 
     ``y`` holds one row per node and one column per slot.  ``h`` carries
     the channel gains that produced it, kept as oracle access for the
-    coherent baseline.  ``x`` is the transmitted symbol sequence and
-    ``noise`` the additive noise, which ``generate_received`` records.
+    coherent baseline.  ``x`` is the transmitted symbol sequence, ``noise``
+    the additive noise and ``power_w`` the transmit power in watts.
     """
 
     y: np.ndarray
     x: np.ndarray
     h: np.ndarray
-    params: LinkParams
-    noise: np.ndarray | None = None
+    noise: np.ndarray
+    power_w: float
 
-    def at_power(self, params: LinkParams) -> ReceivedFrame:
-        """The same symbols, channel draws and noise received under ``params``."""
-        if params == self.params:
+    def at_power(self, power_w: float) -> ReceivedFrame:
+        """The same symbols, channel draws and noise received at ``power_w`` watts."""
+        if power_w == self.power_w:
             return self
-        y = np.sqrt(params.tx_power_w) * self.h * self.x + self.noise
-        return replace(self, y=y, params=params)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_slots(self) -> int:
-        return self.y.shape[1]
+        y = np.sqrt(power_w) * self.h * self.x + self.noise
+        return replace(self, y=y, power_w=power_w)
 
 
-def generate_received(x, nodes, params: LinkParams, rng) -> ReceivedFrame:
+def generate_received(x, nodes, power_w: float, noise_variance_w: float,
+                      rng) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
     Every node and every slot gets a fresh independent channel draw, so
@@ -124,6 +96,9 @@ def generate_received(x, nodes, params: LinkParams, rng) -> ReceivedFrame:
     uniform block (K, N) for the channels, then one normal block (K, N)
     for the noise; this makes frames bit-reproducible for a given stream.
     """
+    if not (0.0 <= power_w < np.inf and 0.0 <= noise_variance_w < np.inf):
+        raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
+                             f"got {power_w!r} and {noise_variance_w!r}")
     x = np.asarray(x)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("x must be a nonempty 1-D symbol array")
@@ -137,6 +112,6 @@ def generate_received(x, nodes, params: LinkParams, rng) -> ReceivedFrame:
     h = np.empty(shape)
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(u[i])
-    noise = rng.normal(0.0, np.sqrt(params.noise_variance_w), shape)
-    y = np.sqrt(params.tx_power_w) * h * x + noise
-    return ReceivedFrame(y=y, x=x, h=h, params=params, noise=noise)
+    noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
+    y = np.sqrt(power_w) * h * x + noise
+    return ReceivedFrame(y=y, x=x, h=h, noise=noise, power_w=power_w)

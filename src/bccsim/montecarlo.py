@@ -23,7 +23,7 @@ import numpy as np
 from .channels import NodeProfile
 from .detectors import MRC, TECHNIQUES, compute_training_stats, detect, mrc_detect
 from .errors import DegenerateTrainingError, ParameterError
-from .link import (LinkParams, generate_data_symbols, generate_received, noise_variance,
+from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
                    training_symbols)
 
 __all__ = [
@@ -89,7 +89,7 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
     for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
         try:
-            LinkParams(p)
+            dbm_to_watts(p)
         except ParameterError as exc:
             raise ParameterError(f"power_sweep_dbm: {exc}") from None
     _check_axis("power_sweep_dbm", s.power_sweep_dbm)
@@ -156,23 +156,23 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarr
     (points, techniques) in grid order and are -1 where the training was
     degenerate.
     """
-    links = [LinkParams(power, scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-             for power in scenario.power_sweep_dbm]
+    powers = [dbm_to_watts(p) for p in scenario.power_sweep_dbm]
+    variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
-    data = generate_received(x, scenario.nodes, links[0], rng)
-    training = {n_t: generate_received(training_symbols(n_t), scenario.nodes, links[0],
-                                       _substream(scenario.seed, block_index, n_t))
+    data = generate_received(x, scenario.nodes, powers[0], variance, rng)
+    training = {n_t: generate_received(training_symbols(n_t), scenario.nodes, powers[0],
+                                       variance, _substream(scenario.seed, block_index, n_t))
                 for n_t in scenario.n_t if set(scenario.techniques) != {MRC}}
-    counts = np.empty((len(links) * len(scenario.n_t), len(scenario.techniques)),
+    counts = np.empty((len(powers) * len(scenario.n_t), len(scenario.techniques)),
                       dtype=np.int64)
-    for i, (link, n_t) in enumerate(product(links, scenario.n_t)):
-        frame = data.at_power(link)
+    for i, (power, n_t) in enumerate(product(powers, scenario.n_t)):
+        frame = data.at_power(power)
         amplitudes = np.abs(frame.y)
-        stats = compute_training_stats(training[n_t].at_power(link)) if training else None
+        stats = compute_training_stats(training[n_t].at_power(power)) if training else None
         for j, technique in enumerate(scenario.techniques):
             try:
-                decisions = (mrc_detect(frame.y, frame.h, link.tx_power_w) if technique == MRC
+                decisions = (mrc_detect(frame.y, frame.h, power) if technique == MRC
                              else detect(technique, amplitudes, stats))
             except DegenerateTrainingError:
                 counts[i, j] = -1
@@ -198,7 +198,7 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     if jobs in (None, 1) or len(sizes) <= 1:
         results = map(_run_block, *args)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
             results = list(pool.map(_run_block, *args))
     errors = np.zeros((len(grid), len(scenario.techniques)), dtype=np.int64)
     symbols = np.zeros_like(errors)

@@ -18,7 +18,6 @@ import numpy as np
 from bccsim import (
     STRONG_NODES,
     WEAK_NODES,
-    LinkParams,
     ReceivedFrame,
     Scenario,
     TrainingStats,
@@ -29,7 +28,6 @@ from bccsim import (
     prob_weights,
     registry_entry,
     run_scenario,
-    sample_channel,
     table1_registry,
     training_symbols,
 )
@@ -56,7 +54,7 @@ def test_criterion_01_threshold_is_half_frame_midpoint():
     for n_t in (4, 10, 50, 128):
         y = rng.lognormal(mean=0.0, sigma=2.0, size=(2500, n_t))
         frame = ReceivedFrame(y=y, x=training_symbols(n_t), h=np.ones_like(y),
-                              params=LinkParams(0.0))
+                              noise=np.zeros_like(y), power_w=1e-3)
         stats = compute_training_stats(frame)
         rel = np.abs(stats.a_th - 0.5 * (stats.a_one + stats.a_zero)) / stats.a_th
         worst = max(worst, float(rel.max()))
@@ -83,7 +81,7 @@ def test_criterion_02_single_node_equivalence():
     assert informative.sum() >= target
     keep = np.flatnonzero(informative)[:target]
     stats = TrainingStats(a_th=0.5 * (a_one[keep] + a_zero[keep]), a_one=a_one[keep],
-                          a_zero=a_zero[keep], p11=p11[keep], p00=p00[keep], n_t=50)
+                          a_zero=a_zero[keep], p11=p11[keep], p00=p00[keep])
     y = y[keep]
     wp = prob_weights(y[:, None], stats)
     wd = dev_weights(y[:, None], stats)
@@ -103,7 +101,7 @@ def test_criterion_03_saturated_majority_rule():
     for k in range(1, 6):
         ones = np.ones(k)
         stats = TrainingStats(a_th=ones, a_one=1.5 * ones, a_zero=0.5 * ones,
-                              p11=cap * ones, p00=cap * ones, n_t=n_t)
+                              p11=cap * ones, p00=cap * ones)
         for pattern in itertools.product((0, 1), repeat=k):
             y = np.where(np.array(pattern) == 1, 1.4, 0.2).astype(float)
             got = detect("probability", y[:, None], stats)[0]
@@ -120,7 +118,7 @@ def test_criterion_04_sampling_fidelity_ks():
     failures = []
     for profile in table1_registry():
         rng = np.random.default_rng(4000 + profile.node_id)
-        samples = np.sort(sample_channel(profile.dist, rng, size=n))
+        samples = np.sort(profile.dist.inverse_cdf(rng.random(n)))
         grid = profile.dist.cdf(samples)
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - grid), np.max(grid - (i - 1) / n))

@@ -13,11 +13,8 @@ from bccsim import (
     NodeProfile,
     ParameterError,
     Weibull,
-    burr_inverse_cdf,
     registry_entry,
-    sample_channel,
     table1_registry,
-    weibull_inverse_cdf,
 )
 
 F1 = BurrXII(4.71e-7, 2.43, 5.61)
@@ -38,31 +35,19 @@ def bisect_quantile(cdf, u, hi):
     return 0.5 * (lo + hi)
 
 
-class FixedUniformStream:
-    """Stand-in rng whose uniform draws are all one constant."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
-
-
 class TestBurrInverseCdf:
     def test_lower_endpoint(self):
-        assert burr_inverse_cdf(0.0, F1) == 0.0
+        assert F1.inverse_cdf(0.0) == 0.0
 
     def test_quantile_at_scale(self):
         # F(alpha) = 1 - 2^-k, so the quantile there is the scale itself
         for spec in (F1, BurrXII(9.32e-7, 38.8, 0.552), BurrXII(7.76e-6, 9.71, 7.87)):
             u = 1.0 - 2.0 ** (-spec.k)
-            assert burr_inverse_cdf(u, spec) == pytest.approx(spec.alpha, rel=1e-12)
+            assert spec.inverse_cdf(u) == pytest.approx(spec.alpha, rel=1e-12)
 
     def test_median_f1_against_bisection_oracle(self):
         expected = bisect_quantile(F1.cdf, 0.5, hi=1e-5)
-        x = burr_inverse_cdf(0.5, F1)
+        x = F1.inverse_cdf(0.5)
         assert x == pytest.approx(expected, rel=1e-10)
         assert F1.cdf(x) == pytest.approx(0.5, abs=1e-12)
         assert x == pytest.approx(2.044e-7, rel=1e-3)
@@ -70,9 +55,9 @@ class TestBurrInverseCdf:
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
-                burr_inverse_cdf(bad, F1)
+                F1.inverse_cdf(bad)
         with pytest.raises(DomainError):
-            burr_inverse_cdf(np.array([0.2, 1.0]), F1)
+            F1.inverse_cdf(np.array([0.2, 1.0]))
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -85,23 +70,23 @@ class TestBurrInverseCdf:
 
 class TestWeibullInverseCdf:
     def test_lower_endpoint(self):
-        assert weibull_inverse_cdf(0.0, F5) == 0.0
+        assert F5.inverse_cdf(0.0) == 0.0
 
     def test_quantile_at_scale(self):
         # F(a) = 1 - e^-1
         u = 1.0 - math.exp(-1.0)
-        assert weibull_inverse_cdf(u, F5) == pytest.approx(F5.a, rel=1e-12)
+        assert F5.inverse_cdf(u) == pytest.approx(F5.a, rel=1e-12)
 
     def test_median_f5(self):
         expected = F5.a * math.log(2.0) ** (1.0 / F5.b)
-        x = weibull_inverse_cdf(0.5, F5)
+        x = F5.inverse_cdf(0.5)
         assert x == pytest.approx(expected, rel=1e-12)
         assert F5.cdf(x) == pytest.approx(0.5, abs=1e-12)
         assert x == pytest.approx(1.601e-6, rel=1e-3)
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            weibull_inverse_cdf(1.0, F5)
+            F5.inverse_cdf(1.0)
         with pytest.raises(ParameterError):
             Weibull(1.76e-6, 0.0)
 
@@ -118,30 +103,20 @@ class TestRegistryLaws:
         x = profile.dist.inverse_cdf(u)
         assert np.all(np.diff(x) >= 0.0)
 
+    def test_scalar_in_float_out(self, profile):
+        assert type(profile.dist.inverse_cdf(0.5)) is np.float64
+        assert type(profile.dist.cdf(1e-6)) is np.float64
+
     def test_samples_positive_and_ks_close(self, profile):
         n = 100_000
         rng = np.random.default_rng(2000 + profile.node_id)
-        samples = np.sort(sample_channel(profile.dist, rng, size=n))
+        samples = np.sort(profile.dist.inverse_cdf(rng.random(n)))
         assert np.all(samples > 0.0)
         grid = profile.dist.cdf(samples)
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - grid), np.max(grid - (i - 1) / n))
         # 1% significance: sqrt(-ln(0.005)/2) / sqrt(n)
         assert ks < math.sqrt(-math.log(0.005) / 2.0) / math.sqrt(n)
-
-
-class TestSampleChannel:
-    def test_fixed_stream_hits_median(self):
-        x = sample_channel(F5, FixedUniformStream(0.5))
-        assert x == pytest.approx(1.76e-6 * math.log(2.0) ** (1.0 / 3.88), rel=1e-12)
-
-    def test_zero_stream(self):
-        assert sample_channel(F1, FixedUniformStream(0.0)) == 0.0
-
-    def test_deterministic_given_seed(self):
-        a = sample_channel(F1, np.random.default_rng(3), size=100)
-        b = sample_channel(F1, np.random.default_rng(3), size=100)
-        assert np.array_equal(a, b)
 
 
 class TestRegistry:

@@ -18,6 +18,7 @@ from bccsim import (
     registry_entry,
     scenario_to_config,
 )
+from bccsim import cli
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
 from bccsim.montecarlo import make_ber_point
 
@@ -154,6 +155,22 @@ class TestRunCommand:
         cfg.write_text("nodes: [f1]\nbogus_knob: 3\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "run --config {d}/missing.yaml",
+        "run --config {d}",
+        "run --config {d}/not-utf8.yaml",
+        "run --preset fig4 --out {d}/missing/fig4.csv",
+        "preset fig4 --out {d}/missing/fig4.yaml",
+    ])
+    def test_unusable_file_names_flag_and_path(self, argv, tmp_path, capsys, monkeypatch):
+        (tmp_path / "not-utf8.yaml").write_bytes(b"nodes: [f1]\nseed: \xff\n")
+        # a bad --out fails before the sweep starts
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("ran"))
+        argv = [token.format(d=tmp_path) for token in argv.split()]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-2]} {argv[-1]}:" in err and "Traceback" not in err
 
     def test_unknown_preset(self, capsys):
         assert main(["run", "--preset", "fig99"]) == 2

@@ -8,7 +8,6 @@ import pytest
 
 from bccsim import (
     DegenerateTrainingError,
-    LinkParams,
     ParameterError,
     ReceivedFrame,
     TrainingStats,
@@ -23,19 +22,20 @@ from bccsim import (
     training_symbols,
 )
 
-PARAMS = LinkParams(0.0)
+def frame_of(y, x):
+    """A frame carrying the given amplitudes; training reads only ``y`` and ``x``."""
+    return ReceivedFrame(y=y, x=x, h=np.ones_like(y), noise=np.zeros_like(y), power_w=1e-3)
 
 
 def frame_from_amplitudes(y_rows, n_t):
-    y = np.atleast_2d(np.asarray(y_rows, dtype=float))
-    return ReceivedFrame(y=y, x=training_symbols(n_t), h=np.ones_like(y), params=PARAMS)
+    return frame_of(np.atleast_2d(np.asarray(y_rows, dtype=float)), training_symbols(n_t))
 
 
-def stats_single(a_one, a_zero, p11, p00, n_t=50):
+def stats_single(a_one, a_zero, p11, p00):
     a_one = np.array([float(a_one)])
     a_zero = np.array([float(a_zero)])
     return TrainingStats(a_th=0.5 * (a_one + a_zero), a_one=a_one, a_zero=a_zero,
-                         p11=np.array([float(p11)]), p00=np.array([float(p00)]), n_t=n_t)
+                         p11=np.array([float(p11)]), p00=np.array([float(p00)]))
 
 
 def random_stats(rng, k, n_t=50):
@@ -43,8 +43,7 @@ def random_stats(rng, k, n_t=50):
     a_zero = a_one * rng.uniform(0.02, 0.98, size=k)
     lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
     return TrainingStats(a_th=0.5 * (a_one + a_zero), a_one=a_one, a_zero=a_zero,
-                         p11=rng.uniform(lo, hi, size=k), p00=rng.uniform(lo, hi, size=k),
-                         n_t=n_t)
+                         p11=rng.uniform(lo, hi, size=k), p00=rng.uniform(lo, hi, size=k))
 
 
 class TestComputeTrainingStats:
@@ -89,7 +88,7 @@ class TestComputeTrainingStats:
         with pytest.raises(ParameterError):
             compute_training_stats(frame_from_amplitudes([[1.0, 2.0]], 2))
         y = np.ones((1, 4))
-        bad = ReceivedFrame(y=y, x=np.array([1, 0, 1, 0]), h=np.ones_like(y), params=PARAMS)
+        bad = frame_of(y, np.array([1, 0, 1, 0]))
         with pytest.raises(ParameterError):
             compute_training_stats(bad)
 
@@ -209,7 +208,7 @@ class TestDetect:
         for k in range(1, 6):
             ones = np.ones(k)
             stats = TrainingStats(a_th=ones, a_one=1.5 * ones, a_zero=0.5 * ones,
-                                  p11=cap * ones, p00=cap * ones, n_t=n_t)
+                                  p11=cap * ones, p00=cap * ones)
             for pattern in itertools.product((0, 1), repeat=k):
                 y = np.where(np.array(pattern) == 1, 1.4, 0.2)
                 expected = 1 if sum(pattern) > k - sum(pattern) else 0
@@ -225,7 +224,7 @@ class TestDetect:
         for s in (2.0 ** -10, 2.0, 2.0 ** 13):  # exact binary scalings
             scaled = TrainingStats(a_th=s * stats.a_th, a_one=s * stats.a_one,
                                    a_zero=s * stats.a_zero, p11=stats.p11,
-                                   p00=stats.p00, n_t=stats.n_t)
+                                   p00=stats.p00)
             assert np.array_equal(detect("probability", s * y, scaled), base_prob)
             assert np.array_equal(detect("deviation", s * y, scaled), base_dev)
             pair = dev_weights(s * y, scaled)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bccsim import (
-    LinkParams,
     ParameterError,
     Weibull,
     NodeProfile,
@@ -17,6 +16,9 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
+
+
+NOISE_W = noise_variance(-174.0, 1e5)
 
 
 class StubRng:
@@ -79,19 +81,6 @@ class TestNoiseVariance:
                 noise_variance(n0, bandwidth)
 
 
-class TestLinkParams:
-    def test_derived_values(self):
-        params = LinkParams(10.0)
-        assert params.tx_power_w == dbm_to_watts(10.0) > 0.0
-        assert params.noise_variance_w == noise_variance(-174.0, 1e5) > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            LinkParams(float("nan"))
-        with pytest.raises(ParameterError):
-            LinkParams(10.0, bandwidth_hz=-5.0)
-
-
 class TestTrainingSymbols:
     def test_examples(self):
         assert training_symbols(4).tolist() == [1, 1, 0, 0]
@@ -127,15 +116,13 @@ class TestGenerateDataSymbols:
 
 class TestGenerateReceived:
     def test_zero_symbol_zero_noise_gives_zero(self):
-        params = LinkParams(10.0, bandwidth_hz=0.0)
         frame = generate_received(np.zeros(64, dtype=int), (registry_entry("f9"),),
-                                  params, np.random.default_rng(0))
+                                  dbm_to_watts(10.0), 0.0, np.random.default_rng(0))
         assert np.all(frame.y == 0.0)
 
     def test_signal_only_equals_scaled_channel(self):
-        params = LinkParams(20.0, bandwidth_hz=0.0)
         node = registry_entry("f5")
-        frame = generate_received(np.ones(8, dtype=int), (node,), params,
+        frame = generate_received(np.ones(8, dtype=int), (node,), dbm_to_watts(20.0), 0.0,
                                   StubRng(uniform=0.5, noise=0.0))
         expected = math.sqrt(dbm_to_watts(20.0)) * 1.76e-6 * math.log(2.0) ** (1.0 / 3.88)
         assert frame.y == pytest.approx(np.full((1, 8), expected), rel=1e-12)
@@ -144,50 +131,56 @@ class TestGenerateReceived:
         # P = 1 W, h = 2, noise draw = 0.3 -> y = 2.3
         node = NodeProfile(1, Weibull(2.0, 1.7), "weak")
         u_at_scale = 1.0 - math.exp(-1.0)  # quantile there is the scale, h = 2
-        frame = generate_received(np.ones(3, dtype=int), (node,), LinkParams(30.0),
+        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, NOISE_W,
                                   StubRng(uniform=u_at_scale, noise=0.3))
         assert frame.y == pytest.approx(np.full((1, 3), 2.3), rel=1e-12)
 
     def test_noise_only_variance(self):
-        params = LinkParams(10.0)
         frame = generate_received(np.zeros(1_000_000, dtype=int), (registry_entry("f1"),),
-                                  params, np.random.default_rng(8))
+                                  dbm_to_watts(10.0), NOISE_W, np.random.default_rng(8))
         measured = frame.y.var()
-        assert measured == pytest.approx(params.noise_variance_w, rel=0.01)
+        assert measured == pytest.approx(NOISE_W, rel=0.01)
 
     def test_power_scaling(self):
         # scaling P by s^2 scales the signal part by s (noise disabled)
         node = registry_entry("f9")
         x = np.ones(1000, dtype=int)
-        lo = generate_received(x, (node,), LinkParams(10.0, bandwidth_hz=0.0),
-                               np.random.default_rng(21))
-        hi = generate_received(x, (node,), LinkParams(30.0, bandwidth_hz=0.0),
-                               np.random.default_rng(21))
+        lo = generate_received(x, (node,), dbm_to_watts(10.0), 0.0, np.random.default_rng(21))
+        hi = generate_received(x, (node,), dbm_to_watts(30.0), 0.0, np.random.default_rng(21))
         assert hi.y == pytest.approx(10.0 * lo.y, rel=1e-12)
 
     def test_reproducible_bit_exact(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = training_symbols(50)
-        a = generate_received(x, nodes, LinkParams(10.0), np.random.default_rng(99))
-        b = generate_received(x, nodes, LinkParams(10.0), np.random.default_rng(99))
+        a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
+        b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.h, b.h)
 
     def test_shape_and_frame_fields(self):
         nodes = (registry_entry("f1"), registry_entry("f2"), registry_entry("f3"))
-        frame = generate_received(training_symbols(10), nodes, LinkParams(0.0),
+        frame = generate_received(training_symbols(10), nodes, dbm_to_watts(0.0), NOISE_W,
                                   np.random.default_rng(1))
-        assert frame.y.shape == frame.h.shape == (3, 10)
-        assert frame.n_nodes == 3 and frame.n_slots == 10
+        assert frame.y.shape == frame.h.shape == frame.noise.shape == (3, 10)
+        assert frame.power_w == dbm_to_watts(0.0) and frame.x.tolist() == [1] * 5 + [0] * 5
 
     def test_rejects_bad_inputs(self):
-        params = LinkParams(10.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            generate_received(np.ones(4, dtype=int), (), params, rng)
+            generate_received(np.ones(4, dtype=int), (), 1.0, NOISE_W, rng)
         with pytest.raises(ParameterError):
-            generate_received(np.array([]), (registry_entry("f1"),), params, rng)
+            generate_received(np.array([]), (registry_entry("f1"),), 1.0, NOISE_W, rng)
         with pytest.raises(ParameterError):
-            generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), params, rng)
+            generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), 1.0, NOISE_W, rng)
+
+    @pytest.mark.parametrize("power_w, variance_w", [
+        (math.nan, NOISE_W), (-1e-3, NOISE_W), (math.inf, NOISE_W),
+        (1e-3, math.nan), (1e-3, -1e-16), (1e-3, math.inf)],
+        ids=["nan-power", "negative-power", "inf-power",
+             "nan-variance", "negative-variance", "inf-variance"])
+    def test_rejects_bad_power_and_variance(self, power_w, variance_w):
+        with pytest.raises(ParameterError, match="power and noise variance"):
+            generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
+                              variance_w, np.random.default_rng(0))
 
 
 class TestAtPower:
@@ -196,10 +189,10 @@ class TestAtPower:
         # bit for bit the frame that the same stream draws at another power
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
-        low = generate_received(x, nodes, LinkParams(-10.0), np.random.default_rng(4))
-        high = generate_received(x, nodes, LinkParams(25.0), np.random.default_rng(4))
-        moved = low.at_power(LinkParams(25.0))
+        low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, np.random.default_rng(4))
+        high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, np.random.default_rng(4))
+        moved = low.at_power(dbm_to_watts(25.0))
         assert np.array_equal(moved.y, high.y)
         assert np.array_equal(moved.noise, low.noise) and moved.h is low.h
-        assert moved.params == LinkParams(25.0)
-        assert low.at_power(LinkParams(-10.0)) is low
+        assert moved.power_w == dbm_to_watts(25.0)
+        assert low.at_power(dbm_to_watts(-10.0)) is low

@@ -18,6 +18,7 @@ from bccsim import (
     registry_entry,
     run_scenario,
 )
+from bccsim import montecarlo
 from bccsim.montecarlo import STREAM_VERSION, _substream
 
 F9 = (registry_entry("f9"),)
@@ -118,6 +119,31 @@ class TestAccounting:
         points = run_scenario(small_scenario(n_t=(10, 50)))
         keys = [(p.technique, p.tx_power_dbm, p.n_t) for p in points]
         assert keys == sorted(keys)
+
+    def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
+        # an in-process stand-in records the pool size and starts no process
+        pool_sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        scn = small_scenario(blocks=2)
+        serial = run_scenario(scn, jobs=1)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        assert run_scenario(scn, jobs=8) == serial
+        run_scenario(replace(scn, blocks=5), jobs=3)
+        run_scenario(replace(scn, blocks=100, n_data_symbols=3), jobs=8)  # 3 blocks
+        assert pool_sizes == [2, 3, 3]
 
     def test_preconditions(self):
         scn = small_scenario()
