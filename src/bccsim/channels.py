@@ -6,13 +6,21 @@ with CDF ``F(x) = 1 - exp(-(x/a)^b)``.  Both invert in closed form, so
 sampling is exact inverse transform: ``spec.inverse_cdf(rng.random(size))``
 is reproducible under a seeded stream.
 
+Each law checks its own parameters (real, not bool, finite, positive;
+stored as floats) and owns its family name, ``BurrXII.family == "burr"``;
+``FAMILIES`` maps names to laws and ``dataclasses.astuple(dist)`` is the
+parameter list.
+
 The module also carries the registry of nine named channel models
 ("f1" .. "f9"), each tagged as a strong or weak link condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +30,7 @@ __all__ = [
     "BurrXII",
     "Weibull",
     "DistributionSpec",
+    "FAMILIES",
     "NodeProfile",
     "table1_registry",
     "registry_entry",
@@ -38,20 +47,32 @@ def _check_uniform(u):
     return u
 
 
+def _check_parameters(law) -> None:
+    """Store every field of ``law`` as a float; each must be a finite, positive real."""
+    for field in fields(law):
+        name, value = f"{type(law).__name__}.{field.name}", getattr(law, field.name)
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ParameterError(f"{name} must be a number within float range") from None
+        if not 0.0 < number < math.inf:
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+        object.__setattr__(law, field.name, number)
+
+
 @dataclass(frozen=True)
 class BurrXII:
     """Burr Type XII amplitude law with scale ``alpha`` and shapes ``c``, ``k``."""
 
+    family: ClassVar[str] = "burr"
     alpha: float
     c: float
     k: float
 
     def __post_init__(self):
-        for name in ("alpha", "c", "k"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ParameterError(
-                    f"BurrXII.{name} must be finite and positive, got {value!r}")
+        _check_parameters(self)
 
     def cdf(self, x):
         """F(x) = 1 - (1 + (x/alpha)^c)^(-k), zero on x <= 0."""
@@ -74,15 +95,12 @@ class BurrXII:
 class Weibull:
     """Weibull amplitude law with scale ``a`` and shape ``b``."""
 
+    family: ClassVar[str] = "weibull"
     a: float
     b: float
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ParameterError(
-                    f"Weibull.{name} must be finite and positive, got {value!r}")
+        _check_parameters(self)
 
     def cdf(self, x):
         """F(x) = 1 - exp(-(x/a)^b), zero on x <= 0."""
@@ -96,6 +114,7 @@ class Weibull:
 
 
 DistributionSpec = BurrXII | Weibull
+FAMILIES = {law.family: law for law in (BurrXII, Weibull)}
 
 
 _CONDITIONS = ("strong", "weak")

@@ -52,7 +52,7 @@ MRC = "mrc"
 TECHNIQUES = (PROBABILITY, DEVIATION, COMBINATION, MRC)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingStats:
     """Per-node reference values extracted from one training frame.
 
@@ -73,7 +73,7 @@ class TrainingStats:
         return self.a_th.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightPair:
     """Evidence scores for symbol 1 (w1) and symbol 0 (w0), node axis first."""
 
@@ -159,8 +159,10 @@ def comb_weights(y_abs, stats: TrainingStats) -> WeightPair:
     a_one = stats.a_one[:, None]
     a_zero = stats.a_zero[:, None]
     a_th = stats.a_th[:, None]
-    w1 = -(d.w1 ** 2) / a_one + (d.w1 ** 2) / a_th * p.w1
-    w0 = -(d.w0 ** 2) / a_zero + (d.w0 ** 2) / a_th * p.w0
+    square = d.w1 ** 2
+    w1 = -square / a_one + square / a_th * p.w1
+    square = d.w0 ** 2
+    w0 = -square / a_zero + square / a_th * p.w0
     return WeightPair(w1=w1, w0=w0)
 
 

@@ -63,7 +63,7 @@ def generate_data_symbols(n: int, rng) -> np.ndarray:
     return (rng.random(n) < 0.5).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReceivedFrame:
     """Received amplitudes of one frame.
 

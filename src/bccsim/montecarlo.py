@@ -16,7 +16,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,7 +45,9 @@ class Scenario:
     The BER points are every (power, training length) pair of
     ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple.
     ``blocks`` is the number of independent (train, transmit) repetitions
-    each point is averaged over.
+    each point is averaged over.  A field of the wrong type or value raises
+    ParameterError naming it; lists are stored as tuples, and a bool is
+    rejected where a number is expected.
     """
 
     nodes: tuple[NodeProfile, ...]
@@ -59,25 +61,58 @@ class Scenario:
     blocks: int = 100
 
     def __post_init__(self):
-        n_t = (self.n_t,) if isinstance(self.n_t, Integral) else self.n_t
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "n_t", tuple(int(v) for v in n_t))
-        object.__setattr__(self, "power_sweep_dbm",
-                           tuple(float(p) for p in self.power_sweep_dbm))
-        object.__setattr__(self, "techniques", tuple(self.techniques))
+        if not isinstance(self.n_t, (list, tuple)):
+            object.__setattr__(self, "n_t", (self.n_t,))
+        for key, check in _ENTRY_CHECKS.items():
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ParameterError(f"{key}: must be a nonempty list, got {values!r}")
+            object.__setattr__(self, key, tuple(check(key, v) for v in values))
+        for key, check in _VALUE_CHECKS.items():
+            object.__setattr__(self, key, check(key, getattr(self, key)))
         _validate_scenario(self)
 
 
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{key}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{key}: must be a number within float range") from None
+
+
+def _node(key: str, value) -> NodeProfile:
+    if not isinstance(value, NodeProfile):
+        raise ParameterError(f"{key}: must be a list of NodeProfile objects, got {value!r}")
+    return value
+
+
+def _technique(key: str, value) -> str:
+    if value not in TECHNIQUES:
+        raise ParameterError(f"{key}: unknown technique {value!r}; known: {list(TECHNIQUES)}")
+    return value
+
+
+# The type check of each field; the sequence fields check every entry.
+_ENTRY_CHECKS = {"nodes": _node, "n_t": _integer, "power_sweep_dbm": _number,
+                 "techniques": _technique}
+_VALUE_CHECKS = {"n_data_symbols": _integer, "seed": _integer, "n0_dbm_per_hz": _number,
+                 "bandwidth_hz": _number, "blocks": _integer}
+
+
 def _check_axis(key: str, values: tuple) -> None:
-    if not values:
-        raise ParameterError(f"{key} must be nonempty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{key} must be strictly increasing, got {values}")
 
 
 def _validate_scenario(s: Scenario) -> None:
-    if not s.nodes:
-        raise ParameterError("nodes must be a nonempty list of receive nodes")
     ids = [n.node_id for n in s.nodes]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"nodes must have unique node_id values, got {ids}")
@@ -93,12 +128,6 @@ def _validate_scenario(s: Scenario) -> None:
         except ParameterError as exc:
             raise ParameterError(f"power_sweep_dbm: {exc}") from None
     _check_axis("power_sweep_dbm", s.power_sweep_dbm)
-    if not s.techniques:
-        raise ParameterError("techniques must be nonempty")
-    unknown = [t for t in s.techniques if t not in TECHNIQUES]
-    if unknown:
-        raise ParameterError(
-            f"techniques contains unknown entries {unknown}; known: {list(TECHNIQUES)}")
     if len(set(s.techniques)) != len(s.techniques):
         raise ParameterError(f"techniques must not repeat, got {s.techniques}")
     if not 0 <= s.seed < 2 ** 64:

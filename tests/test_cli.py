@@ -40,6 +40,7 @@ _INLINE_NODE = st.builds(
          "condition": st.sampled_from(["strong", "weak", "fair"])},
         optional={"node_id": st.one_of(st.integers(), _YAML_VALUES)}),
     st.one_of(st.just({}), _EXTRA_KEYS))
+_REGISTRY_NAMES = [f"f{i}" for i in range(1, 10)]
 _KEY_VALUES = {
     "nodes": st.lists(st.one_of(st.sampled_from([f"f{i}" for i in range(11)]), _INLINE_NODE),
                       max_size=4),
@@ -317,9 +318,20 @@ class TestConfigParsing:
         key: st.one_of(values, _YAML_VALUES) for key, values in _KEY_VALUES.items()}),
         st.one_of(st.just({}), _EXTRA_KEYS))
     def test_any_key_values_load_or_are_rejected(self, doc, extra):
+        # the same values, registry names resolved, go straight to Scenario too
+        scenarios = []
         try:
-            scn = loads_scenario(yaml.safe_dump({**extra, **doc}))
+            scenarios.append(loads_scenario(yaml.safe_dump({**extra, **doc})))
         except ConfigError:
-            return
-        assert isinstance(scn, Scenario)
-        assert loads_scenario(yaml.safe_dump(scenario_to_config(scn))) == scn
+            pass
+        if "nodes" in doc:
+            nodes = doc["nodes"]
+            if isinstance(nodes, list):
+                nodes = [registry_entry(n) if n in _REGISTRY_NAMES else n for n in nodes]
+            try:
+                scenarios.append(Scenario(**{**doc, "nodes": nodes}))
+            except ParameterError:
+                pass
+        for scn in scenarios:
+            assert isinstance(scn, Scenario)
+            assert loads_scenario(yaml.safe_dump(scenario_to_config(scn))) == scn

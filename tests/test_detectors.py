@@ -84,6 +84,14 @@ class TestComputeTrainingStats:
         assert np.all(stats.p11 >= 0.2) and np.all(stats.p11 <= 0.8)
         assert np.all(stats.p00 >= 0.2) and np.all(stats.p00 <= 0.8)
 
+    def test_stats_and_weights_compare_as_objects(self):
+        # array fields have no single truth value, so == is identity
+        rng = np.random.default_rng(5)
+        a, b = random_stats(rng, 3), random_stats(rng, 3)
+        y = rng.random((3, 8))
+        assert a == a and a != b
+        assert dev_weights(y, a) != dev_weights(y, a)
+
     def test_rejects_small_or_non_training_frames(self):
         with pytest.raises(ParameterError):
             compute_training_stats(frame_from_amplitudes([[1.0, 2.0]], 2))

@@ -156,6 +156,13 @@ class TestGenerateReceived:
         b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.h, b.h)
 
+    def test_frames_compare_as_objects(self):
+        # array fields have no single truth value, so == is identity
+        nodes = (registry_entry("f1"), registry_entry("f9"))
+        a, b = (generate_received(training_symbols(4), nodes, dbm_to_watts(10.0), NOISE_W,
+                                  np.random.default_rng(99)) for _ in range(2))
+        assert a == a and a != b
+
     def test_shape_and_frame_fields(self):
         nodes = (registry_entry("f1"), registry_entry("f2"), registry_entry("f3"))
         frame = generate_received(training_symbols(10), nodes, dbm_to_watts(0.0), NOISE_W,

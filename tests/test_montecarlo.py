@@ -1,5 +1,6 @@
 """Monte-Carlo harness: determinism, accounting, limits, regression values."""
 
+import importlib
 import itertools
 import math
 import sys
@@ -11,18 +12,29 @@ import pytest
 
 from bccsim import (
     TECHNIQUES,
+    BurrXII,
     ParameterError,
     Scenario,
+    Weibull,
     make_ber_point,
     preset,
     registry_entry,
     run_scenario,
 )
-from bccsim import montecarlo
+from bccsim import cli, montecarlo
 from bccsim.montecarlo import STREAM_VERSION, _substream
 
 F9 = (registry_entry("f9"),)
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def import_perfbench(name):
+    """Import a perfbench/ module read-only, leaving sys.path as it was."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
 
 
 def single_point(scenario, power_dbm, technique):
@@ -59,6 +71,24 @@ class TestScenarioValidation:
             Scenario(nodes=F9, n_t=())
         with pytest.raises(ParameterError):
             Scenario(nodes=F9 + F9)  # duplicate node ids
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda: Scenario(nodes=F9, n_t=(50.7,)), "n_t"),
+        (lambda: Scenario(nodes=F9, power_sweep_dbm=("10",)), "power_sweep_dbm"),
+        (lambda: Scenario(nodes=F9, power_sweep_dbm=(10 ** 400,)), "power_sweep_dbm"),
+        (lambda: Scenario(nodes=F9, blocks=2.5), "blocks"),
+        (lambda: Scenario(nodes=F9, n_data_symbols=1e3), "n_data_symbols"),
+        (lambda: Scenario(nodes=F9, seed=1.5), "seed"),
+        (lambda: Scenario(nodes=F9, bandwidth_hz="1e5"), "bandwidth_hz"),
+        (lambda: Scenario(nodes=F9, n0_dbm_per_hz=True), "n0_dbm_per_hz"),
+        (lambda: Scenario(nodes=("f1",)), "nodes"),
+        (lambda: BurrXII(True, 1.0, 1.0), "BurrXII.alpha"),
+        (lambda: Weibull("1", 1.0), "Weibull.a"),
+    ], ids=["float-n_t", "str-power", "huge-power", "float-blocks", "float-symbols",
+            "float-seed", "str-bandwidth", "bool-n0", "name-node", "bool-burr", "str-weibull"])
+    def test_wrong_types_raise_naming_the_key(self, make, key):
+        with pytest.raises(ParameterError, match=key):
+            make()
 
     def test_int_n_t_is_a_one_entry_axis(self):
         assert Scenario(nodes=F9, n_t=20).n_t == (20,)
@@ -245,13 +275,32 @@ class TestStreamVersion:
     def test_agrees_with_stream_1_reference(self):
         # fig4 at 10^4 symbols per point, seed 0, checked against the band
         # of 40 stream-1 replicates of every point (perfbench/reference)
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        try:
-            from check import failed_points, load_reference
-        finally:
-            sys.path.remove(str(ROOT / "perfbench"))
+        check = import_perfbench("check")
         scn = replace(preset("fig4"), n_data_symbols=10_000)
-        reference = load_reference(ROOT / "perfbench" / "reference" / "fig4-10000.csv", 10_000)
+        reference = check.load_reference(
+            ROOT / "perfbench" / "reference" / "fig4-10000.csv", 10_000)
         points = run_scenario(scn)
         assert len(points) == len(reference) == 104
-        assert failed_points(points, reference, 10_000, scn.blocks) == {}
+        assert check.failed_points(points, reference, 10_000, scn.blocks) == {}
+
+
+class TestTraceContract:
+    def test_every_traced_layer_is_reached_and_restored(self):
+        # the names perfbench's --trace 1 wraps must exist and be called by a
+        # fig6 run (all nine laws plus MRC), and the wrappers must come off
+        spans = import_perfbench("spans")
+
+        def targets():
+            found = []
+            for path, attr in spans.TARGETS.values():
+                module, _, cls = path.partition(".")
+                owner = importlib.import_module(f"bccsim.{module}")
+                found.append(getattr(getattr(owner, cls) if cls else owner, attr))
+            return found
+
+        originals = targets()
+        scn = replace(preset("fig6"), power_sweep_dbm=(10.0,), n_data_symbols=200, blocks=2)
+        with spans.traced() as tracer:
+            cli.format_csv(run_scenario(scn))
+        spans.check_coverage(tracer)
+        assert all(a is b for a, b in zip(targets(), originals, strict=True))
