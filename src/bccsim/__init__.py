@@ -8,7 +8,7 @@ The package splits into five layers:
 * :mod:`bccsim.link`       -- unit conversions, training/data symbols, and
   the per-slot received-signal model.
 * :mod:`bccsim.detectors`  -- training statistics, the probability /
-  deviation / combination weights, fusion, and the coherent MRC baseline.
+  deviation / combination margins, fusion, and the coherent MRC baseline.
 * :mod:`bccsim.montecarlo` -- seeded, parallel BER estimation over a
   (power x training length) grid.
 * :mod:`bccsim.cli`        -- scenario files, figure presets, CSV output.
@@ -33,16 +33,13 @@ from .detectors import (
     PROBABILITY,
     TECHNIQUES,
     TrainingStats,
-    WeightPair,
-    comb_weights,
     compute_training_stats,
     detect,
-    dev_weights,
     fuse,
+    margins,
     mrc_detect,
-    prob_weights,
 )
-from .errors import ConfigError, DegenerateTrainingError, DomainError, ParameterError
+from .errors import ConfigError, DegenerateTrainingError, ParameterError
 from .link import (
     ReceivedFrame,
     dbm_to_watts,

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "BurrXII",
@@ -43,7 +43,7 @@ __all__ = [
 def _check_uniform(u):
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u < 1.0)):
-        raise DomainError("u must lie in [0, 1)")
+        raise ParameterError("u must lie in [0, 1)")
     return u
 
 

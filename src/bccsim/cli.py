@@ -26,7 +26,7 @@ import yaml
 
 from .channels import registry_name, table1_registry
 from .config import load_scenario, scenario_to_config
-from .errors import ConfigError, DegenerateTrainingError, DomainError, ParameterError
+from .errors import ConfigError, DegenerateTrainingError, ParameterError
 from .montecarlo import BerPoint, run_scenario
 from .presets import PRESET_NAMES, preset
 
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ParameterError, DomainError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateTrainingError as exc:

@@ -1,4 +1,4 @@
-"""Training statistics, per-node detection weights, fusion, and MRC baseline.
+"""Training statistics, per-node detection margins, fusion, and MRC baseline.
 
 All operations are pure and vectorized: per-node inputs are (K, N)
 arrays with the node axis first, so a whole block of data slots is
@@ -6,7 +6,7 @@ detected in one call.  A single slot is a (K, 1) array.
 
 Three noncoherent techniques share the same training phase and the same
 fusion rule but differ in how each node turns a received amplitude into
-a pair of evidence weights:
+a margin, its evidence for symbol 1 minus its evidence for symbol 0:
 
 * probability  -- hard-detect against the amplitude threshold, then score
   both hypotheses with logs of the empirical conditional probabilities.
@@ -15,8 +15,8 @@ a pair of evidence weights:
 * combination  -- squared deviations scaled by the reference amplitudes,
   with the log-probability score as a balancing exponent term.
 
-The coherent baseline is matched-filter combining with perfect per-slot
-channel knowledge.
+The fusion center sums the node margins.  The coherent baseline is
+matched-filter combining with perfect per-slot channel knowledge.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ __all__ = [
     "COMBINATION",
     "MRC",
     "TECHNIQUES",
+    "NONCOHERENT",
     "TrainingStats",
-    "WeightPair",
     "compute_training_stats",
-    "prob_weights",
-    "dev_weights",
-    "comb_weights",
+    "margins",
     "fuse",
     "detect",
     "mrc_detect",
@@ -50,6 +48,7 @@ DEVIATION = "deviation"
 COMBINATION = "combination"
 MRC = "mrc"
 TECHNIQUES = (PROBABILITY, DEVIATION, COMBINATION, MRC)
+NONCOHERENT = (PROBABILITY, DEVIATION, COMBINATION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +70,6 @@ class TrainingStats:
     @property
     def n_nodes(self) -> int:
         return self.a_th.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class WeightPair:
-    """Evidence scores for symbol 1 (w1) and symbol 0 (w0), node axis first."""
-
-    w1: np.ndarray
-    w0: np.ndarray
 
 
 def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
@@ -117,86 +108,63 @@ def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:
     return y
 
 
-def prob_weights(y_abs, stats: TrainingStats) -> WeightPair:
-    """Log-probability weights of the probability technique.
+def margins(technique: str, y_abs, stats: TrainingStats) -> np.ndarray:
+    """Each node's evidence for symbol 1 minus its evidence for symbol 0.
 
-    Each node hard-detects the slot against its amplitude threshold, then
-    scores hypothesis 1 with log(p11) or log(1 - p11) and hypothesis 0
-    with log(1 - p00) or log(p00).  Clamping during training keeps every
-    log argument inside (0, 1), so the weights are always finite.
+    Takes (K, N) amplitudes and returns (K, N) margins:
+
+    * probability  -- hard-detect against a_th; log(p11) - log(1 - p00) when
+      detected, log(1 - p11) - log(p00) otherwise.  Clamping during
+      training keeps every log argument inside (0, 1).
+    * deviation    -- (|y| - A1) - (A0 - |y|).
+    * combination  -- for each hypothesis the squared deviation over the
+      matching reference amplitude, plus the same square over a_th times
+      that hypothesis' log-probability score.  Requires strictly positive
+      reference amplitudes.
     """
-    y = _as_amplitudes(y_abs, stats)
-    detected = y >= stats.a_th[:, None]
-    p11 = stats.p11[:, None]
-    p00 = stats.p00[:, None]
-    w1 = np.where(detected, np.log(p11), np.log1p(-p11))
-    w0 = np.where(detected, np.log1p(-p00), np.log(p00))
-    return WeightPair(w1=w1, w0=w0)
-
-
-def dev_weights(y_abs, stats: TrainingStats) -> WeightPair:
-    """Deviation weights: w1 = |y| - A1 and w0 = A0 - |y| per node."""
-    y = _as_amplitudes(y_abs, stats)
-    w1 = y - stats.a_one[:, None]
-    w0 = stats.a_zero[:, None] - y
-    return WeightPair(w1=w1, w0=w0)
-
-
-def comb_weights(y_abs, stats: TrainingStats) -> WeightPair:
-    """Combination weights built from the deviation and probability weights.
-
-    For each hypothesis the squared deviation weight is divided by the
-    matching reference amplitude, and the same square over the threshold
-    amplitude multiplies the log-probability weight, balancing the two
-    contributions.  Requires strictly positive reference amplitudes.
-    """
-    if np.any(stats.a_one == 0.0) or np.any(stats.a_zero == 0.0) or np.any(stats.a_th == 0.0):
+    if technique not in NONCOHERENT:
+        raise ParameterError(
+            f"unknown noncoherent technique {technique!r}; expected one of "
+            f"{sorted(NONCOHERENT)}")
+    if technique == COMBINATION and (np.any(stats.a_one == 0.0) or np.any(stats.a_zero == 0.0)
+                                     or np.any(stats.a_th == 0.0)):
         raise DegenerateTrainingError(
-            "training produced a zero reference amplitude; combination weights are undefined")
+            "training produced a zero reference amplitude; combination margins are undefined")
     y = _as_amplitudes(y_abs, stats)
-    d = dev_weights(y, stats)
-    p = prob_weights(y, stats)
     a_one = stats.a_one[:, None]
     a_zero = stats.a_zero[:, None]
+    if technique == DEVIATION:
+        return (y - a_one) - (a_zero - y)
     a_th = stats.a_th[:, None]
-    square = d.w1 ** 2
-    w1 = -square / a_one + square / a_th * p.w1
-    square = d.w0 ** 2
-    w0 = -square / a_zero + square / a_th * p.w0
-    return WeightPair(w1=w1, w0=w0)
+    p11 = stats.p11[:, None]
+    p00 = stats.p00[:, None]
+    detected = y >= a_th
+    if technique == PROBABILITY:
+        return np.where(detected, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00))
+    square = (y - a_one) ** 2
+    w1 = -square / a_one + square / a_th * np.where(detected, np.log(p11), np.log1p(-p11))
+    square = (a_zero - y) ** 2
+    w0 = -square / a_zero + square / a_th * np.where(detected, np.log1p(-p00), np.log(p00))
+    return w1 - w0
 
 
-def fuse(weights: WeightPair):
-    """Fusion-center decision: 1 when the summed symbol-1 evidence wins.
+def fuse(node_margins):
+    """Fusion-center decision: 1 when the summed node margins are positive.
 
-    The comparison sums per-node weight differences rather than the two
-    sums separately, so a perfectly balanced weight set cancels to an
-    exact zero; ties resolve to symbol 0.  Takes (K, N) weights and
-    returns an (N,) int array.
+    A perfectly balanced margin set cancels to an exact zero; ties resolve
+    to symbol 0.  Takes (K, N) margins and returns an (N,) int array.
     """
-    w1 = np.asarray(weights.w1, dtype=float)
-    w0 = np.asarray(weights.w0, dtype=float)
-    if w1.shape != w0.shape:
-        raise ParameterError(f"w1 and w0 must have matching shapes, got {w1.shape} and {w0.shape}")
-    if w1.ndim != 2 or w1.shape[0] == 0:
-        raise ParameterError(f"weights must be (K, N) with K >= 1, got shape {w1.shape}")
-    margin = (w1 - w0).sum(axis=0)
-    decision = margin > 0.0
+    m = np.asarray(node_margins, dtype=float)
+    if m.ndim != 2 or m.shape[0] == 0:
+        raise ParameterError(f"margins must be (K, N) with K >= 1, got shape {m.shape}")
+    total = m.sum(axis=0)
+    decision = total > 0.0
     return decision.astype(np.int64)
-
-
-_WEIGHT_FNS = {PROBABILITY: prob_weights, DEVIATION: dev_weights, COMBINATION: comb_weights}
 
 
 def detect(technique: str, y_abs, stats: TrainingStats):
     """Detect the (N,) symbols of a (K, N) block with one noncoherent technique."""
-    try:
-        weight_fn = _WEIGHT_FNS[technique]
-    except KeyError:
-        raise ParameterError(
-            f"unknown noncoherent technique {technique!r}; expected one of "
-            f"{sorted(_WEIGHT_FNS)}") from None
-    return fuse(weight_fn(y_abs, stats))
+    return fuse(margins(technique, y_abs, stats))
 
 
 def mrc_detect(y, h, p_watts: float):

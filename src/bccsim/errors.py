@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class ParameterError(ValueError):
     """A structural parameter (node list, slot count, sweep, ...) is invalid."""
 
@@ -12,7 +8,7 @@ class ParameterError(ValueError):
 class DegenerateTrainingError(RuntimeError):
     """A training frame produced a zero reference amplitude.
 
-    Raised by the combination weights when A_1, A_0 or A_th is exactly
+    Raised by the combination margins when A_1, A_0 or A_th is exactly
     zero, which can only happen when an entire training half-frame was
     received as all zeros (no signal and no noise).
     """

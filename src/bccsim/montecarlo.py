@@ -28,6 +28,7 @@ from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise
 
 __all__ = [
     "STREAM_VERSION",
+    "MAX_N_T",
     "Scenario",
     "BerPoint",
     "make_ber_point",
@@ -37,13 +38,18 @@ __all__ = [
 # Bumped whenever a change makes a seed produce different frames.
 STREAM_VERSION = 2
 
+# Longest training frame a Scenario accepts: 100x the longest preset frame.
+# Every block holds one (K, n_t) frame per training length.
+MAX_N_T = 100_000
+
 
 @dataclass(frozen=True)
 class Scenario:
     """One full experiment: nodes, point grid, budget, seed.
 
     The BER points are every (power, training length) pair of
-    ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple.
+    ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple,
+    and each entry is an even training length in [4, ``MAX_N_T``].
     ``blocks`` is the number of independent (train, transmit) repetitions
     each point is averaged over.  A field of the wrong type or value raises
     ParameterError naming it; lists are stored as tuples, and a bool is
@@ -117,8 +123,8 @@ def _validate_scenario(s: Scenario) -> None:
     if len(set(ids)) != len(ids):
         raise ParameterError(f"nodes must have unique node_id values, got {ids}")
     for v in s.n_t:
-        if v < 4 or v % 2:
-            raise ParameterError(f"n_t entries must be even integers >= 4, got {v}")
+        if v < 4 or v % 2 or v > MAX_N_T:
+            raise ParameterError(f"n_t entries must be even integers in [4, {MAX_N_T}], got {v}")
     _check_axis("n_t", s.n_t)
     if s.n_data_symbols < 1:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")

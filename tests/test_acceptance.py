@@ -23,9 +23,8 @@ from bccsim import (
     TrainingStats,
     compute_training_stats,
     detect,
-    dev_weights,
+    margins,
     preset,
-    prob_weights,
     registry_entry,
     run_scenario,
     table1_registry,
@@ -83,10 +82,8 @@ def test_criterion_02_single_node_equivalence():
     stats = TrainingStats(a_th=0.5 * (a_one[keep] + a_zero[keep]), a_one=a_one[keep],
                           a_zero=a_zero[keep], p11=p11[keep], p00=p00[keep])
     y = y[keep]
-    wp = prob_weights(y[:, None], stats)
-    wd = dev_weights(y[:, None], stats)
-    margin_p = (wp.w1 - wp.w0)[:, 0]
-    margin_d = (wd.w1 - wd.w0)[:, 0]
+    margin_p = margins("probability", y[:, None], stats)[:, 0]
+    margin_d = margins("deviation", y[:, None], stats)[:, 0]
     non_tie = (margin_p != 0.0) & (margin_d != 0.0) & (y != stats.a_th)
     agree = np.array_equal(margin_p[non_tie] > 0, margin_d[non_tie] > 0)
     _report(2, "probability == deviation for K=1 on 10^5 informative non-tie inputs",

@@ -20,7 +20,7 @@ from bccsim import (
 )
 from bccsim import cli
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
-from bccsim.montecarlo import make_ber_point
+from bccsim.montecarlo import MAX_N_T, make_ber_point
 
 # integers up to 2**1100 overflow a float; keys of mixed types do not sort
 _NUMBERS = st.one_of(st.floats(), st.integers(), st.integers(-2 ** 1100, 2 ** 1100))
@@ -52,6 +52,27 @@ _KEY_VALUES = {
     "n0_dbm_per_hz": _NUMBERS,
     "bandwidth_hz": _NUMBERS,
 }
+# Values every key accepts.  About half the generated documents are built
+# from these alone, so that many load and reach the round-trip assertion;
+# the other half mix them with the arbitrary values above.
+_EVEN_N_T = st.integers(2, MAX_N_T // 2).map(lambda v: 2 * v)
+_VALID_VALUES = {
+    "nodes": st.lists(st.sampled_from(_REGISTRY_NAMES), min_size=1, max_size=4, unique=True),
+    "n_t": st.one_of(_EVEN_N_T,
+                     st.lists(_EVEN_N_T, min_size=1, max_size=4, unique=True).map(sorted)),
+    "n_data_symbols": st.integers(1, 10 ** 12),
+    "seed": st.integers(0, 2 ** 64 - 1),
+    "blocks": st.integers(1, 10 ** 6),
+    "techniques": st.lists(st.sampled_from(TECHNIQUES), min_size=1, max_size=4, unique=True),
+    "n0_dbm_per_hz": st.floats(-200.0, 30.0),
+    "bandwidth_hz": st.floats(1.0, 1.0e9),
+}
+_DOCS = st.one_of(
+    st.fixed_dictionaries({"nodes": _VALID_VALUES["nodes"]}, optional={
+        key: values for key, values in _VALID_VALUES.items() if key != "nodes"}),
+    st.fixed_dictionaries({}, optional={
+        key: st.one_of(_VALID_VALUES[key], values, _YAML_VALUES)
+        for key, values in _KEY_VALUES.items()}))
 
 
 class TestCsvContract:
@@ -144,6 +165,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert noise.split(":")[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_t", [10 ** 30, MAX_N_T + 2])
+    def test_n_t_above_the_cap_names_key(self, n_t, tmp_path, capsys):
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(f"nodes: [f1]\npower_sweep_dbm: [10]\nn_data_symbols: 10\nn_t: [{n_t}]\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "n_t" in err and str(MAX_N_T) in err and "Traceback" not in err
+
+    def test_n_t_at_the_cap_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(f"nodes: [f1]\npower_sweep_dbm: [10]\nn_data_symbols: 2\n"
+                       f"techniques: [deviation]\nn_t: [{MAX_N_T}]\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert f"deviation,10.0,{MAX_N_T},2," in capsys.readouterr().out
 
     def test_nt_sweep_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "old.yaml"
@@ -314,9 +350,7 @@ class TestConfigParsing:
         assert len(scn.power_sweep_dbm) == len(powers)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.fixed_dictionaries({}, optional={
-        key: st.one_of(values, _YAML_VALUES) for key, values in _KEY_VALUES.items()}),
-        st.one_of(st.just({}), _EXTRA_KEYS))
+    @given(_DOCS, st.one_of(st.just({}), _EXTRA_KEYS))
     def test_any_key_values_load_or_are_rejected(self, doc, extra):
         # the same values, registry names resolved, go straight to Scenario too
         scenarios = []

@@ -1,4 +1,4 @@
-"""Detection layer: training statistics, the three weight rules, fusion, MRC."""
+"""Detection layer: training statistics, the three margin rules, fusion, MRC."""
 
 import itertools
 import math
@@ -11,16 +11,15 @@ from bccsim import (
     ParameterError,
     ReceivedFrame,
     TrainingStats,
-    WeightPair,
-    comb_weights,
     compute_training_stats,
     detect,
-    dev_weights,
     fuse,
+    margins,
     mrc_detect,
-    prob_weights,
     training_symbols,
 )
+from bccsim.detectors import NONCOHERENT
+
 
 def frame_of(y, x):
     """A frame carrying the given amplitudes; training reads only ``y`` and ``x``."""
@@ -84,13 +83,11 @@ class TestComputeTrainingStats:
         assert np.all(stats.p11 >= 0.2) and np.all(stats.p11 <= 0.8)
         assert np.all(stats.p00 >= 0.2) and np.all(stats.p00 <= 0.8)
 
-    def test_stats_and_weights_compare_as_objects(self):
+    def test_stats_compare_as_objects(self):
         # array fields have no single truth value, so == is identity
         rng = np.random.default_rng(5)
         a, b = random_stats(rng, 3), random_stats(rng, 3)
-        y = rng.random((3, 8))
         assert a == a and a != b
-        assert dev_weights(y, a) != dev_weights(y, a)
 
     def test_rejects_small_or_non_training_frames(self):
         with pytest.raises(ParameterError):
@@ -104,81 +101,79 @@ class TestComputeTrainingStats:
 class TestProbWeights:
     def test_above_threshold(self):
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.7)
-        pair = prob_weights(np.array([[1.3]]), stats)  # 1.3 >= 1.25
-        assert pair.w1[0, 0] == pytest.approx(math.log(0.8), rel=1e-12)
-        assert pair.w0[0, 0] == pytest.approx(math.log(0.3), rel=1e-12)
+        m = margins("probability", np.array([[1.3]]), stats)  # 1.3 >= 1.25
+        assert m[0, 0] == pytest.approx(math.log(0.8) - math.log(0.3), rel=1e-12)
 
     def test_below_threshold(self):
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.7)
-        pair = prob_weights(np.array([[1.2]]), stats)
-        assert pair.w1[0, 0] == pytest.approx(math.log(0.2), rel=1e-12)
-        assert pair.w0[0, 0] == pytest.approx(math.log(0.7), rel=1e-12)
+        m = margins("probability", np.array([[1.2]]), stats)
+        assert m[0, 0] == pytest.approx(math.log(0.2) - math.log(0.7), rel=1e-12)
 
     def test_uninformative_node(self):
         stats = stats_single(2.0, 0.5, p11=0.5, p00=0.5)
-        for y in (0.1, 1.25, 7.0):
-            pair = prob_weights(np.array([[y]]), stats)
-            assert pair.w1[0, 0] == pair.w0[0, 0] == pytest.approx(math.log(0.5), rel=1e-12)
+        m = margins("probability", np.array([[0.1, 1.25, 7.0]]), stats)
+        assert m.tolist() == [[0.0, 0.0, 0.0]]
 
 
 class TestDevWeights:
     def test_zero_points(self):
+        # zero at the threshold, +-(A1 - A0) at the two reference amplitudes
         stats = stats_single(2.0, 0.5, 0.9, 0.9)
-        assert dev_weights(np.array([[2.0]]), stats).w1[0, 0] == 0.0
-        assert dev_weights(np.array([[0.5]]), stats).w0[0, 0] == 0.0
+        m = margins("deviation", np.array([[2.0, 0.5, 1.25]]), stats)
+        assert m.tolist() == [[1.5, -1.5, 0.0]]
 
     def test_direct_substitution(self):
         stats = stats_single(2.0, 0.5, 0.9, 0.9)
-        pair = dev_weights(np.array([[1.5]]), stats)
-        assert pair.w1[0, 0] == -0.5
-        assert pair.w0[0, 0] == -1.0
+        # (1.5 - 2) - (0.5 - 1.5)
+        assert margins("deviation", np.array([[1.5]]), stats)[0, 0] == 0.5
 
 
 class TestCombWeights:
     def test_zero_at_reference_amplitudes(self):
+        # at A1 the symbol-1 term vanishes and at A0 the symbol-0 term does,
+        # so the margin is the other term alone
         stats = stats_single(2.0, 0.5, 0.8, 0.8)
-        assert comb_weights(np.array([[2.0]]), stats).w1[0, 0] == 0.0
-        assert comb_weights(np.array([[0.5]]), stats).w0[0, 0] == 0.0
+        m = margins("combination", np.array([[2.0, 0.5]]), stats)
+        assert m[0, 0] == pytest.approx(2.25 / 0.5 - 2.25 / 1.25 * math.log(0.2), rel=1e-12)
+        assert m[0, 1] == pytest.approx(-2.25 / 2.0 + 2.25 / 1.25 * math.log(0.2), rel=1e-12)
 
     def test_direct_substitution(self):
-        # dev weight 1, A1 = 2, Ath = 1.25, prob weight ln 0.8
+        # deviations 1 and -2.5, A1 = 2, A0 = 0.5, Ath = 1.25, detected
         stats = stats_single(2.0, 0.5, p11=0.8, p00=0.8)
-        pair = comb_weights(np.array([[3.0]]), stats)
-        assert pair.w1[0, 0] == pytest.approx(-0.5 + 0.8 * math.log(0.8), rel=1e-12)
+        m = margins("combination", np.array([[3.0]]), stats)
+        w1 = -0.5 + 0.8 * math.log(0.8)
+        w0 = -6.25 / 0.5 + 6.25 / 1.25 * math.log(0.2)
+        assert m[0, 0] == pytest.approx(w1 - w0, rel=1e-12)
 
     def test_degenerate_training(self):
         stats = stats_single(2.0, 0.0, 0.8, 0.8)
         with pytest.raises(DegenerateTrainingError):
-            comb_weights(np.array([[1.0]]), stats)
+            margins("combination", np.array([[1.0]]), stats)
+        with pytest.raises(DegenerateTrainingError):
+            detect("combination", np.array([[1.0]]), stats)
 
 
 class TestFuse:
     def test_sum_comparison(self):
-        pair = WeightPair(w1=np.array([[-0.5], [-0.5]]), w0=np.array([[-1.0], [-1.0]]))
-        assert fuse(pair).tolist() == [1]
+        assert fuse(np.array([[0.5], [0.5]])).tolist() == [1]
 
     def test_tie_resolves_to_zero(self):
-        pair = WeightPair(w1=np.array([[0.25], [-0.75]]), w0=np.array([[-0.75], [0.25]]))
-        assert fuse(pair).tolist() == [0]
+        assert fuse(np.array([[1.0], [-1.0]])).tolist() == [0]
 
     def test_single_node(self):
-        assert fuse(WeightPair(w1=np.array([[0.3]]), w0=np.array([[-0.1]]))).tolist() == [1]
+        assert fuse(np.array([[0.4]])).tolist() == [1]
 
     def test_vectorized_columns(self):
-        pair = WeightPair(w1=np.array([[1.0, -1.0], [1.0, -1.0]]),
-                          w0=np.array([[0.0, 0.0], [0.0, 0.0]]))
-        assert fuse(pair).tolist() == [1, 0]
+        assert fuse(np.array([[1.0, -1.0], [1.0, -1.0]])).tolist() == [1, 0]
 
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ParameterError):
-            fuse(WeightPair(w1=np.empty((0, 3)), w0=np.empty((0, 3))))
-        with pytest.raises(ParameterError):
-            fuse(WeightPair(w1=np.array([[1.0]]), w0=np.array([[1.0, 2.0]])))
+    def test_rejects_empty(self):
+        with pytest.raises(ParameterError, match=r"K >= 1"):
+            fuse(np.empty((0, 3)))
 
     def test_rejects_non_2d_weights(self):
         for shape in ((), (2,), (2, 3, 1)):
             with pytest.raises(ParameterError, match=r"\(K, N\)"):
-                fuse(WeightPair(w1=np.ones(shape), w0=np.zeros(shape)))
+                fuse(np.ones(shape))
 
 
 class TestDetect:
@@ -200,10 +195,8 @@ class TestDetect:
         n = 20_000
         stats = random_stats(rng, n)
         y = stats.a_th * rng.uniform(0.0, 2.5, size=n)
-        wp = prob_weights(y[:, None], stats)
-        wd = dev_weights(y[:, None], stats)
-        margin_p = (wp.w1 - wp.w0)[:, 0]
-        margin_d = (wd.w1 - wd.w0)[:, 0]
+        margin_p = margins("probability", y[:, None], stats)[:, 0]
+        margin_d = margins("deviation", y[:, None], stats)[:, 0]
         informative = stats.p11 + stats.p00 > 1.0
         non_tie = (margin_p != 0.0) & (margin_d != 0.0) & (y != stats.a_th)
         mask = informative & non_tie
@@ -228,35 +221,52 @@ class TestDetect:
         y = stats.a_th[:, None] * rng.uniform(0.0, 2.5, size=(6, 40))
         base_prob = detect("probability", y, stats)
         base_dev = detect("deviation", y, stats)
-        base_dev_weights = dev_weights(y, stats)
+        base_dev_margins = margins("deviation", y, stats)
         for s in (2.0 ** -10, 2.0, 2.0 ** 13):  # exact binary scalings
             scaled = TrainingStats(a_th=s * stats.a_th, a_one=s * stats.a_one,
                                    a_zero=s * stats.a_zero, p11=stats.p11,
                                    p00=stats.p00)
             assert np.array_equal(detect("probability", s * y, scaled), base_prob)
             assert np.array_equal(detect("deviation", s * y, scaled), base_dev)
-            pair = dev_weights(s * y, scaled)
-            assert np.array_equal(pair.w1, s * base_dev_weights.w1)
-            assert np.array_equal(pair.w0, s * base_dev_weights.w0)
+            assert np.array_equal(margins("deviation", s * y, scaled), s * base_dev_margins)
 
     def test_all_weights_finite(self):
         rng = np.random.default_rng(31)
         stats = random_stats(rng, 5)
         y = np.array([0.0, 1e-12, 1.0, 1e6, 1e30])[None, :] * np.ones((5, 1))
-        for fn in (prob_weights, dev_weights, comb_weights):
-            pair = fn(y, stats)
-            assert np.all(np.isfinite(pair.w1)) and np.all(np.isfinite(pair.w0))
+        for technique in NONCOHERENT:
+            assert np.all(np.isfinite(margins(technique, y, stats)))
+
+    def test_margins_match_the_per_hypothesis_weights(self):
+        # each rule's margin is bit-for-bit its symbol-1 minus its symbol-0 weight
+        rng = np.random.default_rng(37)
+        stats = random_stats(rng, 6)
+        y = stats.a_th[:, None] * rng.uniform(0.0, 2.5, size=(6, 400))
+        a_one, a_zero, a_th = (v[:, None] for v in (stats.a_one, stats.a_zero, stats.a_th))
+        p11, p00 = stats.p11[:, None], stats.p00[:, None]
+        detected = y >= a_th
+        prob = (np.where(detected, np.log(p11), np.log1p(-p11)),
+                np.where(detected, np.log1p(-p00), np.log(p00)))
+        dev = (y - a_one, a_zero - y)
+        comb = (-dev[0] ** 2 / a_one + dev[0] ** 2 / a_th * prob[0],
+                -dev[1] ** 2 / a_zero + dev[1] ** 2 / a_th * prob[1])
+        for technique, (w1, w0) in zip(NONCOHERENT, (prob, dev, comb)):
+            m = margins(technique, y, stats)
+            assert np.array_equal(m, w1 - w0)
+            assert np.array_equal(detect(technique, y, stats),
+                                  ((w1 - w0).sum(axis=0) > 0.0).astype(np.int64))
 
     def test_unknown_technique(self):
-        with pytest.raises(ParameterError):
-            detect("mrc", np.array([[1.0]]), stats_single(2.0, 0.5, 0.8, 0.8))
+        for fn in (margins, detect):
+            with pytest.raises(ParameterError, match="'mrc'"):
+                fn("mrc", np.array([[1.0]]), stats_single(2.0, 0.5, 0.8, 0.8))
 
     def test_rejects_non_2d_amplitudes(self):
         stats = stats_single(2.0, 0.5, 0.8, 0.8)
         for y in (np.float64(1.0), np.array([1.0]), np.ones((1, 2, 1)), np.ones((2, 3))):
-            for fn in (prob_weights, dev_weights, comb_weights):
+            for technique, fn in itertools.product(NONCOHERENT, (margins, detect)):
                 with pytest.raises(ParameterError, match=r"\(K, N\)"):
-                    fn(y, stats)
+                    fn(technique, y, stats)
 
 
 class TestMrcDetect:

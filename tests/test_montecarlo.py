@@ -135,6 +135,19 @@ class TestDeterminism:
         assert STREAM_VERSION == 2  # stream 1 gave 50 errors here
         assert point.error_count == 40
         assert point.symbol_count == 100_000
+        # every technique at K = 9 and K = 6, recorded at the same stream version
+        fig6 = replace(preset("fig6"), power_sweep_dbm=(-14.0, -10.0), n_data_symbols=20_000,
+                       blocks=20, seed=42)
+        assert {(p.technique, p.tx_power_dbm): p.error_count for p in run_scenario(fig6)} == {
+            ("combination", -14.0): 1372, ("combination", -10.0): 99,
+            ("deviation", -14.0): 2947, ("deviation", -10.0): 683,
+            ("mrc", -14.0): 458, ("mrc", -10.0): 21,
+            ("probability", -14.0): 2263, ("probability", -10.0): 548}
+        fig7 = replace(preset("fig7"), n_t=(10, 50), n_data_symbols=20_000, blocks=20, seed=42)
+        assert {(p.technique, p.n_t): p.error_count for p in run_scenario(fig7)} == {
+            ("combination", 10): 2, ("combination", 50): 4,
+            ("deviation", 10): 56, ("deviation", 50): 39,
+            ("probability", 10): 343, ("probability", 50): 92}
 
 
 class TestAccounting:
