@@ -1,8 +1,9 @@
 """Training statistics, per-node detection margins, fusion, and MRC baseline.
 
-All operations are pure and vectorized: per-node inputs are (K, N)
-arrays with the node axis first, so a whole block of data slots is
-detected in one call.  A single slot is a (K, 1) array.
+All operations are pure and vectorized: per-node inputs are (..., K, N)
+arrays with the node axis second to last, so a block of data slots is
+detected in one call, at every index of any leading axes (one per transmit
+power, say) with matching (..., K) statistics.  A single slot is (K, 1).
 
 Three noncoherent techniques share the same training phase and the same
 fusion rule but differ in how each node turns a received amplitude into
@@ -58,7 +59,7 @@ class TrainingStats:
     ``a_th`` is the mean received amplitude over the whole frame, ``a_one``
     and ``a_zero`` the half-frame means over the ones/zeros halves, ``p11``
     and ``p00`` the clamped empirical correct-detection probabilities.
-    All arrays have shape (K,).
+    All arrays have shape (..., K), the leading axes of the frame.
     """
 
     a_th: np.ndarray
@@ -66,10 +67,6 @@ class TrainingStats:
     a_zero: np.ndarray
     p11: np.ndarray
     p00: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.a_th.shape[0]
 
 
 def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
@@ -81,6 +78,7 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     slot is re-detected against the threshold (>= maps to symbol 1) and
     the per-half correct-detection rates are clamped into
     [2/n_t, 1 - 2/n_t] so that downstream log-weights stay finite.
+    (..., K, n_t) amplitudes give (..., K) statistics.
     """
     x = np.asarray(frame.x)
     n_t = x.size
@@ -90,28 +88,28 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     if not (np.all(x[:half] == 1) and np.all(x[half:] == 0)):
         raise ParameterError("frame does not carry the training pattern (ones then zeros)")
     amp = np.abs(frame.y)
-    a_one = amp[:, :half].mean(axis=1)
-    a_zero = amp[:, half:].mean(axis=1)
+    a_one = amp[..., :half].mean(axis=-1)
+    a_zero = amp[..., half:].mean(axis=-1)
     a_th = 0.5 * (a_one + a_zero)
-    detected = amp >= a_th[:, None]
+    detected = amp >= a_th[..., None]
     lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
-    p11 = np.clip(detected[:, :half].mean(axis=1), lo, hi)
-    p00 = np.clip(1.0 - detected[:, half:].mean(axis=1), lo, hi)
+    p11 = np.clip(detected[..., :half].mean(axis=-1), lo, hi)
+    p00 = np.clip(1.0 - detected[..., half:].mean(axis=-1), lo, hi)
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
 def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:
     y = np.asarray(y_abs, dtype=float)
-    if y.ndim != 2 or y.shape[0] != stats.n_nodes:
-        raise ParameterError(
-            f"y_abs must be (K, N) with K = {stats.n_nodes} nodes, got shape {y.shape}")
+    if y.shape[:-1] != stats.a_th.shape:
+        raise ParameterError(f"y_abs must be (K, N), with the leading axes of the (..., K) "
+                             f"statistics {stats.a_th.shape}, got shape {y.shape}")
     return y
 
 
 def margins(technique: str, y_abs, stats: TrainingStats) -> np.ndarray:
     """Each node's evidence for symbol 1 minus its evidence for symbol 0.
 
-    Takes (K, N) amplitudes and returns (K, N) margins:
+    Takes (..., K, N) amplitudes and returns (..., K, N) margins:
 
     * probability  -- hard-detect against a_th; log(p11) - log(1 - p00) when
       detected, log(1 - p11) - log(p00) otherwise.  Clamping during
@@ -131,13 +129,13 @@ def margins(technique: str, y_abs, stats: TrainingStats) -> np.ndarray:
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     y = _as_amplitudes(y_abs, stats)
-    a_one = stats.a_one[:, None]
-    a_zero = stats.a_zero[:, None]
+    a_one = stats.a_one[..., None]
+    a_zero = stats.a_zero[..., None]
     if technique == DEVIATION:
         return (y - a_one) - (a_zero - y)
-    a_th = stats.a_th[:, None]
-    p11 = stats.p11[:, None]
-    p00 = stats.p00[:, None]
+    a_th = stats.a_th[..., None]
+    p11 = stats.p11[..., None]
+    p00 = stats.p00[..., None]
     detected = y >= a_th
     if technique == PROBABILITY:
         return np.where(detected, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00))
@@ -152,18 +150,18 @@ def fuse(node_margins):
     """Fusion-center decision: 1 when the summed node margins are positive.
 
     A perfectly balanced margin set cancels to an exact zero; ties resolve
-    to symbol 0.  Takes (K, N) margins and returns an (N,) int array.
+    to symbol 0.  Takes (..., K, N) margins and returns a (..., N) int array.
     """
     m = np.asarray(node_margins, dtype=float)
-    if m.ndim != 2 or m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-2] == 0:
         raise ParameterError(f"margins must be (K, N) with K >= 1, got shape {m.shape}")
-    total = m.sum(axis=0)
+    total = m.sum(axis=-2)
     decision = total > 0.0
     return decision.astype(np.int64)
 
 
 def detect(technique: str, y_abs, stats: TrainingStats):
-    """Detect the (N,) symbols of a (K, N) block with one noncoherent technique."""
+    """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique."""
     return fuse(margins(technique, y_abs, stats))
 
 
@@ -171,17 +169,19 @@ def mrc_detect(y, h, p_watts: float):
     """Coherent MRC baseline with perfect per-slot channel knowledge.
 
     Matched-filter statistic sum_k h_k*y_k compared against the midpoint
-    threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (K, N)
-    arrays and returns an (N,) int array.
+    threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (..., K, N)
+    ``y``, (K, N) ``h`` and (...) powers and returns a (..., N) int array.
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
-    if y.shape != h.shape or y.ndim != 2 or y.shape[0] == 0:
-        raise ParameterError(
-            f"y and h must be matching (K, N) arrays with K >= 1, got {y.shape} and {h.shape}")
-    if not p_watts >= 0.0:
+    lead = p_watts.shape if isinstance(p_watts, np.ndarray) else ()
+    if y.shape != lead + h.shape or h.ndim != 2 or h.shape[0] == 0:
+        raise ParameterError(f"y and h must be matching (K, N) arrays with K >= 1, and y's "
+                             f"leading axes those of p_watts, got {y.shape} and {h.shape}")
+    if not (np.all(p_watts >= 0.0) if lead else p_watts >= 0.0):
         raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
-    z = (h * y).sum(axis=0)
-    threshold = 0.5 * np.sqrt(p_watts) * (h * h).sum(axis=0)
+    z = (h * y).sum(axis=-2)
+    scale = 0.5 * np.sqrt(p_watts)
+    threshold = (scale[..., None] if lead else scale) * (h * h).sum(axis=0)
     decision = z > threshold
     return decision.astype(np.int64)

@@ -67,10 +67,10 @@ def generate_data_symbols(n: int, rng) -> np.ndarray:
 class ReceivedFrame:
     """Received amplitudes of one frame.
 
-    ``y`` holds one row per node and one column per slot.  ``h`` carries
-    the channel gains that produced it, kept as oracle access for the
-    coherent baseline.  ``x`` is the transmitted symbol sequence, ``noise``
-    the additive noise and ``power_w`` the transmit power in watts.
+    ``y`` holds one row per node and one column per slot, behind the axes of
+    ``power_w``, the transmit power in watts (a float, or an array of powers).
+    ``h`` carries the channel gains, kept as oracle access for the coherent
+    baseline.  ``x`` is the symbol sequence and ``noise`` the additive noise.
     """
 
     y: np.ndarray
@@ -79,11 +79,14 @@ class ReceivedFrame:
     noise: np.ndarray
     power_w: float
 
-    def at_power(self, power_w: float) -> ReceivedFrame:
-        """The same symbols, channel draws and noise received at ``power_w`` watts."""
-        if power_w == self.power_w:
+    def at_power(self, power_w) -> ReceivedFrame:
+        """The same symbols, channel draws and noise at ``power_w`` watts (a float or array)."""
+        amplitude = np.sqrt(power_w)
+        if amplitude.ndim:
+            amplitude = amplitude[..., None, None]
+        elif self.y.ndim == 2 and power_w == self.power_w:
             return self
-        y = np.sqrt(power_w) * self.h * self.x + self.noise
+        y = amplitude * self.h * self.x + self.noise
         return replace(self, y=y, power_w=power_w)
 
 

@@ -21,7 +21,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import MRC, TECHNIQUES, compute_training_stats, detect, mrc_detect
+from .detectors import MRC, TECHNIQUES, TrainingStats, compute_training_stats, detect, mrc_detect
 from .errors import DegenerateTrainingError, ParameterError
 from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
                    training_symbols)
@@ -39,8 +39,11 @@ __all__ = [
 STREAM_VERSION = 2
 
 # Longest training frame a Scenario accepts: 100x the longest preset frame.
-# Every block holds one (K, n_t) frame per training length.
 MAX_N_T = 100_000
+
+# Elements of the (powers, K, slots) array one pass of a block detects at once:
+# 64 KB of float64 per array, so a pass's temporaries stay in cache.
+_PASS_ELEMENTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -183,37 +186,59 @@ def _substream(seed: int, *key: int):
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, *key)))
 
 
+def _errors(decisions, x):
+    """Symbol errors of (N,) or (..., N) decisions against the sent symbols."""
+    return np.count_nonzero(decisions != x, axis=-1 if decisions.ndim > 1 else None)
+
+
+def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x):
+    """Errors of one noncoherent technique per power, -1 where the training is degenerate."""
+    try:
+        return _errors(detect(technique, amplitudes, stats), x)
+    except DegenerateTrainingError:
+        if amplitudes.ndim == 2:
+            return -1
+        fields = vars(stats).values()
+        return [_detect_errors(technique, a, TrainingStats(*(v[i] for v in fields)), x)
+                for i, a in enumerate(amplitudes)]
+
+
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    The data frame is drawn once and rescaled to each (power, n_t) point;
-    each training length has its own frame.  The counts have shape
-    (points, techniques) in grid order and are -1 where the training was
-    degenerate.
+    The data frame is drawn once and rescaled to each power.  Training
+    lengths run one at a time, each on its own frame, and sweep the powers
+    in passes: as many consecutive powers as fit _PASS_ELEMENTS elements of
+    the (powers, K, slots) array, detected in one call per technique, or a
+    lone power as a float with (K, slots) arrays.  MRC runs once per power.
+    The counts have shape (points, techniques) in grid order and are -1
+    where the training was degenerate.
     """
     powers = [dbm_to_watts(p) for p in scenario.power_sweep_dbm]
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
     data = generate_received(x, scenario.nodes, powers[0], variance, rng)
-    training = {n_t: generate_received(training_symbols(n_t), scenario.nodes, powers[0],
-                                       variance, _substream(scenario.seed, block_index, n_t))
-                for n_t in scenario.n_t if set(scenario.techniques) != {MRC}}
-    counts = np.empty((len(powers) * len(scenario.n_t), len(scenario.techniques)),
-                      dtype=np.int64)
-    for i, (power, n_t) in enumerate(product(powers, scenario.n_t)):
-        frame = data.at_power(power)
-        amplitudes = np.abs(frame.y)
-        stats = compute_training_stats(training[n_t].at_power(power)) if training else None
-        for j, technique in enumerate(scenario.techniques):
-            try:
-                decisions = (mrc_detect(frame.y, frame.h, power) if technique == MRC
-                             else detect(technique, amplitudes, stats))
-            except DegenerateTrainingError:
-                counts[i, j] = -1
-            else:
-                counts[i, j] = np.count_nonzero(decisions != x)
-    return counts
+    counts = np.empty((len(scenario.n_t), len(powers), len(scenario.techniques)), dtype=np.int64)
+    noncoherent = set(scenario.techniques) != {MRC}
+    for m, n_t in enumerate(scenario.n_t if noncoherent else scenario.n_t[:1]):
+        training = (generate_received(training_symbols(n_t), scenario.nodes, powers[0], variance,
+                                      _substream(scenario.seed, block_index, n_t))
+                    if noncoherent else None)
+        step = max(1, _PASS_ELEMENTS // (len(scenario.nodes) * max(n_symbols, n_t)))
+        for i in range(0, len(powers), step):
+            at = i if step == 1 else slice(i, i + step)
+            power = powers[at] if step == 1 else np.array(powers[at])
+            frame = data.at_power(power)
+            amplitudes = np.abs(frame.y)
+            stats = compute_training_stats(training.at_power(power)) if training else None
+            for j, technique in enumerate(scenario.techniques):
+                if technique != MRC:
+                    counts[m, at, j] = _detect_errors(technique, amplitudes, stats, x)
+                elif m == 0:  # MRC needs no training: one count serves every length
+                    counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, power), x)
+        del training  # before the next length draws its frame
+    return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:

@@ -12,13 +12,18 @@ from bccsim import (
     ReceivedFrame,
     TrainingStats,
     compute_training_stats,
+    dbm_to_watts,
     detect,
     fuse,
+    generate_data_symbols,
+    generate_received,
     margins,
     mrc_detect,
+    registry_entry,
     training_symbols,
 )
 from bccsim.detectors import NONCOHERENT
+from bccsim.montecarlo import _detect_errors
 
 
 def frame_of(y, x):
@@ -171,7 +176,9 @@ class TestFuse:
             fuse(np.empty((0, 3)))
 
     def test_rejects_non_2d_weights(self):
-        for shape in ((), (2,), (2, 3, 1)):
+        # leading axes are allowed, but a margin array needs a node and a slot axis
+        # and at least one node
+        for shape in ((), (2,), (0, 3), (2, 0, 3)):
             with pytest.raises(ParameterError, match=r"\(K, N\)"):
                 fuse(np.ones(shape))
 
@@ -296,3 +303,66 @@ class TestMrcDetect:
         for shape in ((), (3,), (3, 2, 1)):
             with pytest.raises(ParameterError, match=r"\(K, N\)"):
                 mrc_detect(np.ones(shape), np.ones(shape), 1.0)
+
+
+class TestLeadingAxes:
+    """(P, K, N) input is P independent (K, N) problems, computed bit for bit alike."""
+
+    POWERS = [dbm_to_watts(p) for p in (-14.0, -2.0, 10.0)]
+
+    @staticmethod
+    def frames():
+        nodes = tuple(registry_entry(name) for name in ("f1", "f5", "f9"))
+        rng = np.random.default_rng(41)
+        data = generate_received(generate_data_symbols(300, rng), nodes, 1e-3, 1e-12, rng)
+        training = generate_received(training_symbols(20), nodes, 1e-3, 1e-12, rng)
+        return data, training
+
+    def test_stacked_calls_match_bit_for_bit(self):
+        data, training = self.frames()
+        powers = np.array(self.POWERS)
+        single = [compute_training_stats(training.at_power(p)) for p in self.POWERS]
+        stacked = compute_training_stats(training.at_power(powers))
+        for field in ("a_th", "a_one", "a_zero", "p11", "p00"):
+            assert getattr(stacked, field).shape == (3, 3)
+            assert np.array_equal(getattr(stacked, field),
+                                  np.stack([getattr(s, field) for s in single]))
+        frames = [data.at_power(p) for p in self.POWERS]
+        y = data.at_power(powers).y
+        assert np.array_equal(y, np.stack([f.y for f in frames]))
+        for technique in NONCOHERENT:
+            m = margins(technique, np.abs(y), stacked)
+            expected = [margins(technique, np.abs(f.y), s) for f, s in zip(frames, single)]
+            assert np.array_equal(m, np.stack(expected))
+            assert np.array_equal(fuse(m), np.stack([fuse(e) for e in expected]))
+        assert np.array_equal(mrc_detect(y, data.h, powers),
+                              np.stack([mrc_detect(f.y, f.h, p)
+                                        for f, p in zip(frames, self.POWERS)]))
+
+    def test_leading_axes_must_match(self):
+        data, training = self.frames()
+        stats = compute_training_stats(training.at_power(np.array(self.POWERS)))
+        y = data.at_power(np.array(self.POWERS[:2])).y
+        with pytest.raises(ParameterError, match=r"\(K, N\)"):
+            margins("deviation", np.abs(y), stats)
+        with pytest.raises(ParameterError, match=r"\(K, N\)"):
+            mrc_detect(y, data.h, np.array(self.POWERS))
+        with pytest.raises(ParameterError, match="p_watts"):
+            mrc_detect(y, data.h, np.array([1.0, -1.0]))
+
+    def test_degenerate_power_gives_minus_one_for_that_power_only(self):
+        # two powers' statistics, the first with a zero reference amplitude
+        x = np.array([1, 0, 1, 1, 0])
+        a_one = np.array([[1.0, 2.0], [1.0, 2.0]])
+        a_zero = np.array([[0.0, 0.5], [0.5, 0.5]])
+        ones = np.ones((2, 2))
+        stats = TrainingStats(a_th=0.5 * (a_one + a_zero), a_one=a_one, a_zero=a_zero,
+                              p11=0.9 * ones, p00=0.8 * ones)
+        y = np.stack([np.outer([1.0, 2.0], x) + 0.4] * 2)
+        good = TrainingStats(**{k: v[1] for k, v in vars(stats).items()})
+        expected = np.count_nonzero(detect("combination", y[1], good) != x)
+        assert _detect_errors("combination", y, stats, x) == [-1, expected]
+        assert np.all(_detect_errors("deviation", y, stats, x) >= 0)  # deviation has no A0 term
+        for fn in (margins, detect):
+            with pytest.raises(DegenerateTrainingError):
+                fn("combination", y, stats)

@@ -1,9 +1,11 @@
 """Monte-Carlo harness: determinism, accounting, limits, regression values."""
 
+import hashlib
 import importlib
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from bccsim import (
     run_scenario,
 )
 from bccsim import cli, montecarlo
-from bccsim.montecarlo import STREAM_VERSION, _substream
+from bccsim.montecarlo import STREAM_VERSION, _run_block, _substream
+from bccsim.presets import PRESET_NAMES
 
 F9 = (registry_entry("f9"),)
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,6 +151,84 @@ class TestDeterminism:
             ("combination", 10): 2, ("combination", 50): 4,
             ("deviation", 10): 56, ("deviation", 50): 39,
             ("probability", 10): 343, ("probability", 50): 92}
+
+
+class TestByteIdentity:
+    # sha256 of the CSV of every preset at seed 3 and 4,000 symbols per point,
+    # recorded at stream version 2 before blocks ran their powers in passes
+    PINNED = {
+        "fig3-f1": "b6d6fff59bd4084e9465287d6a97f70e180010c2596eb0ddc55e11d160fc17f8",
+        "fig3-f2": "974b5f2233d00a9814c6a938af1deaf49930673ce4ee157f7794c3fc311fde0a",
+        "fig3-f3": "88670af5dcea4c4e7be84f713a30ec628f74aff04c087cdd22e6213a7edb5c1b",
+        "fig3-f4": "2a646c53ec3f96ed0e67be67b65e01cc51edcc158825e06fe4bd6cbe4f92d0d7",
+        "fig3-f5": "97b5ac05f60a9c64e50f85bd7855e41749cbc7fe5c4a3f2215ee5724af5d0312",
+        "fig3-f6": "36b2a7dbe1f59c8f0797594981951b8b67f20b1792e09e61b7a529ca4d5f002b",
+        "fig3-f7": "eaec470a6b071c63c18ab0a79d5a69d91aa0ffffec9ea5127bc2204dcc418ffa",
+        "fig3-f8": "10710dd5035f77633460fed310cd5e2661f06c04cf6f4ccd166e8f72b903f7f1",
+        "fig3-f9": "2d8f0b0a50f17163f9e13dfbb0a50d067538e5f78a01beae673ee0c4ee76e4e8",
+        "fig4": "7379c7615713261a1f76ce78ccf5e6c474865c08d884d803503cabd8d0c80750",
+        "fig5-weak": "8bc85231e871ef908694834bcc8d19e46e24441b6a9d566ed8ac4df26e7cf1c1",
+        "fig5-strong": "301b6d6b27b6e4010fab9d938f433d4297eeafb0ac3270235965c78909577bea",
+        "fig6": "09ce8eb0924b29721fd81b4390c55dfcb98d56783c216e02920e15a11010e128",
+        "fig7": "c9e1c3ea569c40de60b3c0f2c840fccb5a818b13c00408091a6818c848adf2b2",
+    }
+
+    def test_every_preset_csv_is_pinned(self):
+        assert STREAM_VERSION == 2  # a new stream version records new hashes
+        hashes = {}
+        for name in PRESET_NAMES:
+            csv = cli.format_csv(run_scenario(replace(preset(name), seed=3,
+                                                      n_data_symbols=4000)))
+            hashes[name] = hashlib.sha256(csv.encode()).hexdigest()
+        assert hashes == self.PINNED
+
+
+class TestPowerPasses:
+    SCENARIOS = {
+        "fig4": (replace(preset("fig4"), seed=11), 100),
+        "fig6": (replace(preset("fig6"), power_sweep_dbm=(-14.0, -6.0, 2.0, 10.0), seed=11), 150),
+        "fig7": (replace(preset("fig7"), n_t=(10, 50, 200), seed=11), 400),
+        "grid": (Scenario(nodes=(registry_entry("f1"), registry_entry("f9")),
+                          power_sweep_dbm=(-10.0, 0.0, 10.0), n_t=(10, 20, 50), seed=11), 250),
+        "zero-noise": (Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(0.0, 10.0),
+                                bandwidth_hz=0.0, seed=11), 100),
+    }
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_pass_size_does_not_change_counts(self, name, monkeypatch):
+        # one power per pass, and every power of the block in one pass
+        scenario, slots = self.SCENARIOS[name]
+        runs = []
+        for budget in (1, 2 ** 30):
+            monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", budget)
+            runs.append([_run_block(scenario, b, slots) for b in range(3)])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert runs[0][0].shape == (len(scenario.power_sweep_dbm) * len(scenario.n_t),
+                                    len(scenario.techniques))
+        if name == "zero-noise":
+            assert (runs[0][0][:, scenario.techniques.index("combination")] == -1).all()
+        if "mrc" in scenario.techniques:
+            # MRC runs with the first training length and serves every length
+            j = scenario.techniques.index("mrc")
+            alone = _run_block(replace(scenario, n_t=scenario.n_t[-1:]), 0, slots)[:, j]
+            by_length = runs[0][0][:, j].reshape(len(scenario.power_sweep_dbm), -1)
+            assert (by_length == alone[:, None]).all()
+
+    def test_one_training_frame_at_a_time(self):
+        # four long training frames cost about as much memory as the longest alone
+        def peak(n_t):
+            scenario = Scenario(nodes=F9, power_sweep_dbm=(10.0,), n_t=n_t, seed=1,
+                                techniques=("probability",), n_data_symbols=100, blocks=1)
+            tracemalloc.start()
+            try:
+                _run_block(scenario, 0, 100)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((100,))  # first-call allocations stay out of the comparison
+        alone = peak((100_000,))
+        assert peak((40_000, 60_000, 80_000, 100_000)) <= 1.5 * alone
 
 
 class TestAccounting:
