@@ -165,23 +165,22 @@ def detect(technique: str, y_abs, stats: TrainingStats):
     return fuse(margins(technique, y_abs, stats))
 
 
-def mrc_detect(y, h, p_watts: float):
+def mrc_detect(y, h, p_watts):
     """Coherent MRC baseline with perfect per-slot channel knowledge.
 
     Matched-filter statistic sum_k h_k*y_k compared against the midpoint
     threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (..., K, N)
-    ``y``, (K, N) ``h`` and (...) powers and returns a (..., N) int array.
+    ``y``, (K, N) ``h`` and a float or (...) array of powers; gives (..., N) ints.
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
-    lead = p_watts.shape if isinstance(p_watts, np.ndarray) else ()
-    if y.shape != lead + h.shape or h.ndim != 2 or h.shape[0] == 0:
+    p = np.asarray(p_watts, dtype=float)
+    if y.shape != p.shape + h.shape or h.ndim != 2 or h.shape[0] == 0:
         raise ParameterError(f"y and h must be matching (K, N) arrays with K >= 1, and y's "
                              f"leading axes those of p_watts, got {y.shape} and {h.shape}")
-    if not (np.all(p_watts >= 0.0) if lead else p_watts >= 0.0):
+    if not (p >= 0.0).all():
         raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
     z = (h * y).sum(axis=-2)
-    scale = 0.5 * np.sqrt(p_watts)
-    threshold = (scale[..., None] if lead else scale) * (h * h).sum(axis=0)
+    threshold = (0.5 * np.sqrt(p))[..., None] * (h * h).sum(axis=0)
     decision = z > threshold
     return decision.astype(np.int64)

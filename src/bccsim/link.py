@@ -77,29 +77,29 @@ class ReceivedFrame:
     x: np.ndarray
     h: np.ndarray
     noise: np.ndarray
-    power_w: float
+    power_w: float | np.ndarray
 
     def at_power(self, power_w) -> ReceivedFrame:
-        """The same symbols, channel draws and noise at ``power_w`` watts (a float or array)."""
-        amplitude = np.sqrt(power_w)
-        if amplitude.ndim:
-            amplitude = amplitude[..., None, None]
-        elif self.y.ndim == 2 and power_w == self.power_w:
+        """The same draws at ``power_w`` watts, a float or array; itself at the power it holds."""
+        if np.shape(power_w) == np.shape(self.power_w) and np.equal(power_w, self.power_w).all():
             return self
-        y = amplitude * self.h * self.x + self.noise
-        return replace(self, y=y, power_w=power_w)
+        return replace(self, y=_received(power_w, self.h, self.x, self.noise), power_w=power_w)
 
 
-def generate_received(x, nodes, power_w: float, noise_variance_w: float,
-                      rng) -> ReceivedFrame:
+def _received(power_w, h, x, noise) -> np.ndarray:
+    return np.sqrt(power_w)[..., None, None] * h * x + noise
+
+
+def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
-    Every node and every slot gets a fresh independent channel draw, so
-    no slot can be equalized from a neighbor.  Draw order per call: one
-    uniform block (K, N) for the channels, then one normal block (K, N)
-    for the noise; this makes frames bit-reproducible for a given stream.
+    ``power_w`` is a float or an array of powers.  Every node and every slot
+    gets a fresh independent channel draw, so no slot can be equalized from
+    a neighbor.  Draw order per call: one uniform block (K, N) for the
+    channels, then one normal block (K, N) for the noise, bit-reproducible.
     """
-    if not (0.0 <= power_w < np.inf and 0.0 <= noise_variance_w < np.inf):
+    if not (np.all(0.0 <= power_w) and np.all(power_w < np.inf)
+            and 0.0 <= noise_variance_w < np.inf):
         raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
                              f"got {power_w!r} and {noise_variance_w!r}")
     x = np.asarray(x)
@@ -116,5 +116,5 @@ def generate_received(x, nodes, power_w: float, noise_variance_w: float,
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(u[i])
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    y = np.sqrt(power_w) * h * x + noise
-    return ReceivedFrame(y=y, x=x, h=h, noise=noise, power_w=power_w)
+    return ReceivedFrame(y=_received(power_w, h, x, noise), x=x, h=h, noise=noise,
+                         power_w=power_w)

@@ -12,6 +12,7 @@ order or subset of the grid that is run.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -187,8 +188,8 @@ def _substream(seed: int, *key: int):
 
 
 def _errors(decisions, x):
-    """Symbol errors of (N,) or (..., N) decisions against the sent symbols."""
-    return np.count_nonzero(decisions != x, axis=-1 if decisions.ndim > 1 else None)
+    """Symbol errors of (..., N) 0/1 decisions against the sent 0/1 symbols."""
+    return (decisions ^ x).sum(axis=-1)
 
 
 def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x):
@@ -196,69 +197,68 @@ def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x):
     try:
         return _errors(detect(technique, amplitudes, stats), x)
     except DegenerateTrainingError:
-        if amplitudes.ndim == 2:
-            return -1
+        if len(amplitudes) == 1:
+            return [-1]
         fields = vars(stats).values()
-        return [_detect_errors(technique, a, TrainingStats(*(v[i] for v in fields)), x)
-                for i, a in enumerate(amplitudes)]
+        return [_detect_errors(technique, a[None], TrainingStats(*(v[i, None] for v in fields)),
+                               x)[0] for i, a in enumerate(amplitudes)]
 
 
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    The data frame is drawn once and rescaled to each power.  Training
-    lengths run one at a time, each on its own frame, and sweep the powers
-    in passes: as many consecutive powers as fit _PASS_ELEMENTS elements of
-    the (powers, K, slots) array, detected in one call per technique, or a
-    lone power as a float with (K, slots) arrays.  MRC runs once per power.
-    The counts have shape (points, techniques) in grid order and are -1
-    where the training was degenerate.
+    The powers run in passes of as many consecutive powers as fit
+    _PASS_ELEMENTS elements of a (powers, K, slots) array, slots counting
+    the longer of the data block and the longest training frame.  Each
+    training frame is drawn, reduced to statistics at every pass and dropped
+    before the next is drawn; then the data frame is rescaled and detected
+    once per pass against every length's statistics, MRC once for all lengths.
+    Counts are (points, techniques) in grid order, -1 where training was degenerate.
     """
-    powers = [dbm_to_watts(p) for p in scenario.power_sweep_dbm]
+    step = max(1, _PASS_ELEMENTS // (len(scenario.nodes) * max(n_symbols, *scenario.n_t)))
+    powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
+    passes = [slice(i, i + step) for i in range(0, len(powers), step)]
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+    stats = []  # per training length, one TrainingStats per pass
+    for n_t in scenario.n_t if set(scenario.techniques) != {MRC} else ():
+        training = generate_received(training_symbols(n_t), scenario.nodes, powers[passes[0]],
+                                     variance, _substream(scenario.seed, block_index, n_t))
+        stats.append([compute_training_stats(training.at_power(powers[at])) for at in passes])
+        del training  # before the next length draws its frame
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
-    data = generate_received(x, scenario.nodes, powers[0], variance, rng)
+    data = generate_received(x, scenario.nodes, powers[passes[0]], variance, rng)
     counts = np.empty((len(scenario.n_t), len(powers), len(scenario.techniques)), dtype=np.int64)
-    noncoherent = set(scenario.techniques) != {MRC}
-    for m, n_t in enumerate(scenario.n_t if noncoherent else scenario.n_t[:1]):
-        training = (generate_received(training_symbols(n_t), scenario.nodes, powers[0], variance,
-                                      _substream(scenario.seed, block_index, n_t))
-                    if noncoherent else None)
-        step = max(1, _PASS_ELEMENTS // (len(scenario.nodes) * max(n_symbols, n_t)))
-        for i in range(0, len(powers), step):
-            at = i if step == 1 else slice(i, i + step)
-            power = powers[at] if step == 1 else np.array(powers[at])
-            frame = data.at_power(power)
-            amplitudes = np.abs(frame.y)
-            stats = compute_training_stats(training.at_power(power)) if training else None
-            for j, technique in enumerate(scenario.techniques):
-                if technique != MRC:
-                    counts[m, at, j] = _detect_errors(technique, amplitudes, stats, x)
-                elif m == 0:  # MRC needs no training: one count serves every length
-                    counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, power), x)
-        del training  # before the next length draws its frame
+    for i, at in enumerate(passes):
+        frame = data.at_power(powers[at])
+        amplitudes = np.abs(frame.y)
+        for j, technique in enumerate(scenario.techniques):
+            if technique == MRC:  # needs no training: one count serves every length
+                counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, powers[at]), x)
+            else:
+                counts[:, at, j] = [_detect_errors(technique, amplitudes, s[i], x) for s in stats]
     return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     """BER of every (technique, power, n_t) point of the scenario's grid.
 
-    Blocks are independent; with ``jobs`` > 1 they run in a process pool,
-    and their counts are summed in block order.  A degenerate block drops
-    its symbols from the affected point only; a point left with none is
-    reported as a RuntimeWarning and omitted.  The output is sorted by
-    (technique, power, n_t).
+    Blocks are independent; with ``jobs`` > 1 they run in a process pool no
+    larger than ``jobs``, the blocks or the CPUs, and their counts are summed
+    in block order.  A degenerate block drops its symbols from the affected
+    point only; a point left with none is reported as a RuntimeWarning and
+    omitted.  The output is sorted by (technique, power, n_t).
     """
-    if jobs is not None and jobs < 1:
+    if jobs is not None and _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
     sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
     args = (repeat(scenario), range(len(sizes)), sizes)
-    if jobs in (None, 1) or len(sizes) <= 1:
+    workers = min(jobs or 1, len(sizes), os.cpu_count() or 1)
+    if workers == 1:
         results = map(_run_block, *args)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, *args))
     errors = np.zeros((len(grid), len(scenario.techniques)), dtype=np.int64)
     symbols = np.zeros_like(errors)

@@ -339,6 +339,15 @@ class TestLeadingAxes:
                               np.stack([mrc_detect(f.y, f.h, p)
                                         for f, p in zip(frames, self.POWERS)]))
 
+    def test_a_float_power_is_a_one_power_array(self):
+        data, _ = self.frames()
+        for p in self.POWERS:
+            frame, one = data.at_power(p), data.at_power(np.array([p]))
+            assert frame.y.shape == data.h.shape and one.y.shape == (1,) + data.h.shape
+            assert np.array_equal(frame.y, one.y[0])
+            assert np.array_equal(mrc_detect(frame.y, frame.h, p),
+                                  mrc_detect(one.y, one.h, np.array([p]))[0])
+
     def test_leading_axes_must_match(self):
         data, training = self.frames()
         stats = compute_training_stats(training.at_power(np.array(self.POWERS)))

@@ -7,15 +7,18 @@ import pytest
 
 from bccsim import (
     ParameterError,
+    ReceivedFrame,
     Weibull,
     NodeProfile,
     dbm_to_watts,
     generate_data_symbols,
     generate_received,
     noise_variance,
+    preset,
     registry_entry,
     training_symbols,
 )
+from bccsim.montecarlo import _run_block
 
 
 NOISE_W = noise_variance(-174.0, 1e5)
@@ -203,3 +206,38 @@ class TestAtPower:
         assert np.array_equal(moved.noise, low.noise) and moved.h is low.h
         assert moved.power_w == dbm_to_watts(25.0)
         assert low.at_power(dbm_to_watts(-10.0)) is low
+
+    def test_array_of_powers_matches_stacked_float_draws(self):
+        nodes = (registry_entry("f1"), registry_entry("f9"))
+        x = generate_data_symbols(200, np.random.default_rng(3))
+        powers = [dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)]
+        stacked = generate_received(x, nodes, np.array(powers), NOISE_W, np.random.default_rng(4))
+        singles = [generate_received(x, nodes, p, NOISE_W, np.random.default_rng(4))
+                   for p in powers]
+        assert stacked.y.shape == (3, 2, 200) and stacked.h.shape == (2, 200)
+        assert np.array_equal(stacked.y, np.stack([f.y for f in singles]))
+        # a float and a one-power array give the same bits, (K, N) and (1, K, N)
+        one = singles[0].at_power(np.array(powers[1:2]))
+        assert np.array_equal(one.y, singles[1].y[None])
+        assert np.array_equal(one.at_power(powers[2]).y, singles[2].y)
+        # the held power returns the frame itself, matched by value and shape
+        assert stacked.at_power(np.array(powers)) is stacked
+        assert one.at_power(np.array(powers[1:2])) is one
+        assert one.at_power(powers[1]) is not one and singles[1].at_power(powers[1]) is singles[1]
+
+    def test_a_block_rescales_its_data_frame_once(self, monkeypatch):
+        # fig7 has one power and seven training lengths: the data frame is
+        # rescaled once per pass, not once per training length
+        slots, sizes = 300, []
+        at_power = ReceivedFrame.at_power
+
+        def counted(frame, power_w):
+            sizes.append(frame.x.size)
+            return at_power(frame, power_w)
+
+        monkeypatch.setattr(ReceivedFrame, "at_power", counted)
+        scenario = preset("fig7")
+        _run_block(scenario, 0, slots)
+        assert len(scenario.n_t) == 7 and slots not in scenario.n_t
+        assert sizes.count(slots) == 1
+        assert sorted(n for n in sizes if n != slots) == list(scenario.n_t)

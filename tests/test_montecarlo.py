@@ -196,19 +196,21 @@ class TestPowerPasses:
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_pass_size_does_not_change_counts(self, name, monkeypatch):
-        # one power per pass, and every power of the block in one pass
+        # one power per pass, uneven last passes (700 splits fig4's 26 powers
+        # into 7, 7, 7 and 5; 1,000 splits grid's 3 into 2 and 1), and every
+        # power of the block in one pass
         scenario, slots = self.SCENARIOS[name]
         runs = []
-        for budget in (1, 2 ** 30):
+        for budget in (1, 700, 1000, 2 ** 30):
             monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", budget)
             runs.append([_run_block(scenario, b, slots) for b in range(3)])
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
         assert runs[0][0].shape == (len(scenario.power_sweep_dbm) * len(scenario.n_t),
                                     len(scenario.techniques))
         if name == "zero-noise":
             assert (runs[0][0][:, scenario.techniques.index("combination")] == -1).all()
         if "mrc" in scenario.techniques:
-            # MRC runs with the first training length and serves every length
+            # MRC runs once per pass and serves every training length
             j = scenario.techniques.index("mrc")
             alone = _run_block(replace(scenario, n_t=scenario.n_t[-1:]), 0, slots)[:, j]
             by_length = runs[0][0][:, j].reshape(len(scenario.power_sweep_dbm), -1)
@@ -264,14 +266,18 @@ class TestAccounting:
         scn = small_scenario(blocks=2)
         serial = run_scenario(scn, jobs=1)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         assert run_scenario(scn, jobs=8) == serial
         run_scenario(replace(scn, blocks=5), jobs=3)
         run_scenario(replace(scn, blocks=100, n_data_symbols=3), jobs=8)  # 3 blocks
-        assert pool_sizes == [2, 3, 3]
+        run_scenario(replace(scn, blocks=10), jobs=100_000)  # 4 CPUs
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)  # unknown: serial
+        assert run_scenario(scn, jobs=8) == serial
+        assert pool_sizes == [2, 3, 3, 4]
 
     def test_preconditions(self):
         scn = small_scenario()
-        for jobs in (0, -2):
+        for jobs in (0, -2, 2.5, "2", True):
             with pytest.raises(ParameterError, match="jobs"):
                 run_scenario(scn, jobs=jobs)
 
