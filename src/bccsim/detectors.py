@@ -22,6 +22,7 @@ matched-filter combining with perfect per-slot channel knowledge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "TECHNIQUES",
     "NONCOHERENT",
     "TrainingStats",
+    "Workspace",
     "compute_training_stats",
     "margins",
     "fuse",
@@ -67,6 +69,23 @@ class TrainingStats:
     a_zero: np.ndarray
     p11: np.ndarray
     p00: np.ndarray
+
+
+class Workspace(dict):
+    """Scratch arrays that margins, fuse and detect reuse from call to call.
+
+    Each (name, dtype) array grows to the largest size asked of it, and a smaller
+    call gets a view of its front.  A kernel may return one of these arrays, valid
+    until the workspace's next use, so a workspace is never shared between threads.
+    """
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        """An uninitialised ``shape`` array of ``dtype`` under ``name``."""
+        size = math.prod(shape)
+        array = self.get((name, dtype))
+        if array is None or array.size < size:
+            array = self[name, dtype] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
 
 
 def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
@@ -106,7 +125,7 @@ def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:
     return y
 
 
-def margins(technique: str, y_abs, stats: TrainingStats) -> np.ndarray:
+def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.ndarray:
     """Each node's evidence for symbol 1 minus its evidence for symbol 0.
 
     Takes (..., K, N) amplitudes and returns (..., K, N) margins:
@@ -129,24 +148,35 @@ def margins(technique: str, y_abs, stats: TrainingStats) -> np.ndarray:
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     y = _as_amplitudes(y_abs, stats)
+    take = (Workspace() if workspace is None else workspace).take
     a_one = stats.a_one[..., None]
     a_zero = stats.a_zero[..., None]
     if technique == DEVIATION:
-        return (y - a_one) - (a_zero - y)
+        above = np.subtract(y, a_one, out=take("margin", y.shape))
+        return np.subtract(above, np.subtract(a_zero, y, out=take("scratch", y.shape)), out=above)
     a_th = stats.a_th[..., None]
     p11 = stats.p11[..., None]
     p00 = stats.p00[..., None]
-    detected = y >= a_th
+    detected = np.greater_equal(y, a_th, out=take("detected", y.shape, bool))
     if technique == PROBABILITY:
         return np.where(detected, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00))
-    square = (y - a_one) ** 2
-    w1 = -square / a_one + square / a_th * np.where(detected, np.log(p11), np.log1p(-p11))
-    square = (a_zero - y) ** 2
-    w0 = -square / a_zero + square / a_th * np.where(detected, np.log1p(-p00), np.log(p00))
-    return w1 - w0
+    square = take("square", y.shape)
+    w1 = _evidence(np.subtract(y, a_one, out=square), a_one, a_th,
+                   np.where(detected, np.log(p11), np.log1p(-p11)), take("margin", y.shape))
+    w0 = _evidence(np.subtract(a_zero, y, out=square), a_zero, a_th,
+                   np.where(detected, np.log1p(-p00), np.log(p00)), take("scratch", y.shape))
+    return np.subtract(w1, w0, out=w1)
 
 
-def fuse(node_margins):
+def _evidence(deviation, a_ref, a_th, log_p, out):
+    """-deviation**2 / a_ref + deviation**2 / a_th * log_p into ``out``, squaring in place."""
+    square = np.square(deviation, out=deviation)
+    np.divide(np.negative(square, out=out), a_ref, out=out)
+    return np.add(out, np.multiply(np.divide(square, a_th, out=square), log_p, out=square),
+                  out=out)
+
+
+def fuse(node_margins, workspace=None):
     """Fusion-center decision: 1 when the summed node margins are positive.
 
     A perfectly balanced margin set cancels to an exact zero; ties resolve
@@ -155,14 +185,14 @@ def fuse(node_margins):
     m = np.asarray(node_margins, dtype=float)
     if m.ndim < 2 or m.shape[-2] == 0:
         raise ParameterError(f"margins must be (K, N) with K >= 1, got shape {m.shape}")
-    total = m.sum(axis=-2)
-    decision = total > 0.0
-    return decision.astype(np.int64)
+    take = (Workspace() if workspace is None else workspace).take
+    total = m.sum(axis=-2, out=take("total", m.shape[:-2] + m.shape[-1:]))
+    return np.greater(total, 0.0, out=take("decision", total.shape, np.int64))
 
 
-def detect(technique: str, y_abs, stats: TrainingStats):
+def detect(technique: str, y_abs, stats: TrainingStats, workspace=None):
     """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique."""
-    return fuse(margins(technique, y_abs, stats))
+    return fuse(margins(technique, y_abs, stats, workspace), workspace)
 
 
 def mrc_detect(y, h, p_watts):

@@ -115,6 +115,7 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> Receiv
     h = np.empty(shape)
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(u[i])
+    del u  # before the noise draw, which can then reuse its memory
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
     return ReceivedFrame(y=_received(power_w, h, x, noise), x=x, h=h, noise=noise,
                          power_w=power_w)

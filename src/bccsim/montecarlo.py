@@ -22,7 +22,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import MRC, TECHNIQUES, TrainingStats, compute_training_stats, detect, mrc_detect
+from .detectors import (MRC, TECHNIQUES, TrainingStats, Workspace, compute_training_stats,
+                        detect, mrc_detect)
 from .errors import DegenerateTrainingError, ParameterError
 from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
                    training_symbols)
@@ -192,19 +193,19 @@ def _errors(decisions, x):
     return (decisions ^ x).sum(axis=-1)
 
 
-def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x):
+def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x, workspace=None):
     """Errors of one noncoherent technique per power, -1 where the training is degenerate."""
     try:
-        return _errors(detect(technique, amplitudes, stats), x)
+        return _errors(detect(technique, amplitudes, stats, workspace), x)
     except DegenerateTrainingError:
         if len(amplitudes) == 1:
             return [-1]
         fields = vars(stats).values()
         return [_detect_errors(technique, a[None], TrainingStats(*(v[i, None] for v in fields)),
-                               x)[0] for i, a in enumerate(amplitudes)]
+                               x, workspace)[0] for i, a in enumerate(amplitudes)]
 
 
-def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarray:
+def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
     The powers run in passes of as many consecutive powers as fit
@@ -212,8 +213,9 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarr
     the longer of the data block and the longest training frame.  Each
     training frame is drawn, reduced to statistics at every pass and dropped
     before the next is drawn; then the data frame is rescaled and detected
-    once per pass against every length's statistics, MRC once for all lengths.
-    Counts are (points, techniques) in grid order, -1 where training was degenerate.
+    once per pass against every length's statistics in ``workspace``, MRC once
+    for all lengths.  Counts are (points, techniques) in grid order, -1 where
+    training was degenerate.
     """
     step = max(1, _PASS_ELEMENTS // (len(scenario.nodes) * max(n_symbols, *scenario.n_t)))
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
@@ -231,40 +233,47 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int) -> np.ndarr
     counts = np.empty((len(scenario.n_t), len(powers), len(scenario.techniques)), dtype=np.int64)
     for i, at in enumerate(passes):
         frame = data.at_power(powers[at])
-        amplitudes = np.abs(frame.y)
+        amplitudes = np.abs(frame.y, out=workspace.take("amplitudes", frame.y.shape))
         for j, technique in enumerate(scenario.techniques):
             if technique == MRC:  # needs no training: one count serves every length
                 counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, powers[at]), x)
             else:
-                counts[:, at, j] = [_detect_errors(technique, amplitudes, s[i], x) for s in stats]
+                counts[:, at, j] = [_detect_errors(technique, amplitudes, s[i], x, workspace)
+                                    for s in stats]
     return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
+
+
+def _run_blocks(scenario: Scenario, first: int, sizes: list[int]):
+    """Summed error and symbol counts of consecutive blocks from ``first``, in one workspace."""
+    workspace, errors, symbols = Workspace(), 0, 0
+    for block_index, size in enumerate(sizes, first):
+        counts = _run_block(scenario, block_index, size, workspace)
+        errors, symbols = errors + np.maximum(counts, 0), symbols + (counts >= 0) * size
+    return errors, symbols
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     """BER of every (technique, power, n_t) point of the scenario's grid.
 
     Blocks are independent; with ``jobs`` > 1 they run in a process pool no
-    larger than ``jobs``, the blocks or the CPUs, and their counts are summed
-    in block order.  A degenerate block drops its symbols from the affected
-    point only; a point left with none is reported as a RuntimeWarning and
-    omitted.  The output is sorted by (technique, power, n_t).
+    larger than ``jobs``, the blocks or the CPUs, each worker summing the counts
+    of one contiguous run of blocks.  A degenerate block drops its symbols from
+    the affected point only; a point left with none is reported as a
+    RuntimeWarning and omitted.  The output is sorted by (technique, power, n_t).
     """
     if jobs is not None and _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
     sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
-    args = (repeat(scenario), range(len(sizes)), sizes)
     workers = min(jobs or 1, len(sizes), os.cpu_count() or 1)
+    firsts = [len(sizes) * i // workers for i in range(workers)]
+    args = (repeat(scenario), firsts, [sizes[a:b] for a, b in zip(firsts, firsts[1:] + [None])])
     if workers == 1:
-        results = map(_run_block, *args)
+        totals = map(_run_blocks, *args)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block, *args))
-    errors = np.zeros((len(grid), len(scenario.techniques)), dtype=np.int64)
-    symbols = np.zeros_like(errors)
-    for size, counts in zip(sizes, results):
-        errors += np.maximum(counts, 0)
-        symbols += (counts >= 0) * size
+            totals = list(pool.map(_run_blocks, *args))
+    errors, symbols = (sum(parts) for parts in zip(*totals))
     points = []
     for (i, (power, n_t)), (j, technique) in product(enumerate(grid),
                                                      enumerate(scenario.techniques)):

@@ -22,8 +22,15 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
-from bccsim.detectors import NONCOHERENT
+from bccsim.detectors import NONCOHERENT, Workspace
 from bccsim.montecarlo import _detect_errors
+
+
+def poison(workspace):
+    """Fill every scratch array with 0xFF bytes (NaN, -1, True), so a stale read shows."""
+    for array in workspace.values():
+        array.view(np.uint8).fill(0xFF)
+    return workspace
 
 
 def frame_of(y, x):
@@ -330,11 +337,25 @@ class TestLeadingAxes:
         frames = [data.at_power(p) for p in self.POWERS]
         y = data.at_power(powers).y
         assert np.array_equal(y, np.stack([f.y for f in frames]))
+        # one workspace reused by every call, poisoned before each; the last
+        # two powers stand for a shorter last pass, computed in views of it
+        workspace = Workspace()
+        for technique in NONCOHERENT:
+            detect(technique, np.abs(y), stacked, workspace)
+        arrays = {key: id(array) for key, array in workspace.items()}
+        last = TrainingStats(*(v[1:] for v in vars(stacked).values()))
         for technique in NONCOHERENT:
             m = margins(technique, np.abs(y), stacked)
             expected = [margins(technique, np.abs(f.y), s) for f, s in zip(frames, single)]
             assert np.array_equal(m, np.stack(expected))
             assert np.array_equal(fuse(m), np.stack([fuse(e) for e in expected]))
+            assert np.array_equal(margins(technique, np.abs(y), stacked, poison(workspace)), m)
+            assert np.array_equal(fuse(m, poison(workspace)), fuse(m))
+            assert np.array_equal(detect(technique, np.abs(y), stacked, poison(workspace)),
+                                  fuse(m))
+            assert np.array_equal(detect(technique, np.abs(y[1:]), last, poison(workspace)),
+                                  fuse(m[1:]))
+        assert {key: id(array) for key, array in workspace.items()} == arrays
         assert np.array_equal(mrc_detect(y, data.h, powers),
                               np.stack([mrc_detect(f.y, f.h, p)
                                         for f, p in zip(frames, self.POWERS)]))
@@ -371,6 +392,11 @@ class TestLeadingAxes:
         good = TrainingStats(**{k: v[1] for k, v in vars(stats).items()})
         expected = np.count_nonzero(detect("combination", y[1], good) != x)
         assert _detect_errors("combination", y, stats, x) == [-1, expected]
+        # the one-power retry through a workspace grown by a one-power pass
+        workspace = Workspace()
+        detect("combination", y[1:], TrainingStats(**{k: v[1:] for k, v in vars(stats).items()}),
+               workspace)
+        assert _detect_errors("combination", y, stats, x, poison(workspace)) == [-1, expected]
         assert np.all(_detect_errors("deviation", y, stats, x) >= 0)  # deviation has no A0 term
         for fn in (margins, detect):
             with pytest.raises(DegenerateTrainingError):

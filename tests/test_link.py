@@ -18,6 +18,7 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
+from bccsim.detectors import Workspace
 from bccsim.montecarlo import _run_block
 
 
@@ -237,7 +238,7 @@ class TestAtPower:
 
         monkeypatch.setattr(ReceivedFrame, "at_power", counted)
         scenario = preset("fig7")
-        _run_block(scenario, 0, slots)
+        _run_block(scenario, 0, slots, Workspace())
         assert len(scenario.n_t) == 7 and slots not in scenario.n_t
         assert sizes.count(slots) == 1
         assert sorted(n for n in sizes if n != slots) == list(scenario.n_t)

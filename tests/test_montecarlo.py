@@ -6,7 +6,9 @@ import itertools
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from bccsim import (
     run_scenario,
 )
 from bccsim import cli, montecarlo
+from bccsim.detectors import Workspace
 from bccsim.montecarlo import STREAM_VERSION, _run_block, _substream
 from bccsim.presets import PRESET_NAMES
 
@@ -45,6 +48,23 @@ def single_point(scenario, power_dbm, technique):
     (point,) = run_scenario(replace(scenario, power_sweep_dbm=(power_dbm,),
                                     techniques=(technique,)))
     return point
+
+
+class InlinePool:
+    """In-process stand-in for ProcessPoolExecutor: appends its size to ``opened``,
+    starts no process."""
+
+    def __init__(self, opened, max_workers):
+        opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def small_scenario(**overrides):
@@ -125,6 +145,22 @@ class TestDeterminism:
         scn = small_scenario()
         assert run_scenario(scn, jobs=1) == run_scenario(scn, jobs=3)
 
+    def test_concurrent_runs_keep_their_own_scratch(self):
+        # numpy releases the GIL inside its kernels, so runs in threads would
+        # corrupt each other's counts if they shared scratch arrays
+        scn = small_scenario(nodes=tuple(registry_entry(f"f{i}") for i in range(1, 10)),
+                             techniques=TECHNIQUES, n_data_symbols=20_000, blocks=4)
+        serial = run_scenario(scn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_scenario, scn) for _ in range(4)]
+                runs = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == serial for run in runs)
+
     def test_single_point_matches_sweep_row(self):
         scn = small_scenario()
         rows = {(p.technique, p.tx_power_dbm): p for p in run_scenario(scn)}
@@ -203,7 +239,7 @@ class TestPowerPasses:
         runs = []
         for budget in (1, 700, 1000, 2 ** 30):
             monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", budget)
-            runs.append([_run_block(scenario, b, slots) for b in range(3)])
+            runs.append([_run_block(scenario, b, slots, Workspace()) for b in range(3)])
         assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
         assert runs[0][0].shape == (len(scenario.power_sweep_dbm) * len(scenario.n_t),
                                     len(scenario.techniques))
@@ -212,9 +248,58 @@ class TestPowerPasses:
         if "mrc" in scenario.techniques:
             # MRC runs once per pass and serves every training length
             j = scenario.techniques.index("mrc")
-            alone = _run_block(replace(scenario, n_t=scenario.n_t[-1:]), 0, slots)[:, j]
+            longest = replace(scenario, n_t=scenario.n_t[-1:])
+            alone = _run_block(longest, 0, slots, Workspace())[:, j]
             by_length = runs[0][0][:, j].reshape(len(scenario.power_sweep_dbm), -1)
             assert (by_length == alone[:, None]).all()
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.filterwarnings("ignore:skipping BER point")
+    def test_blocks_sharing_a_workspace_count_as_fresh_blocks(self, name, monkeypatch):
+        # uneven blocks (1,001 symbols in 251, 250, 250 and 250 slots) and
+        # uneven passes (1,800 splits fig4's 26 powers into 7, 7, 7 and 5)
+        # leave a worker's workspace arrays of many shapes; one run of all
+        # four blocks, and runs of 1, 1 and 2 blocks on three workers, must
+        # count what fresh blocks count
+        scenario = replace(self.SCENARIOS[name][0], n_data_symbols=1001, blocks=4)
+        sizes = montecarlo._block_sizes(scenario.n_data_symbols, scenario.blocks)
+        assert sizes == [251, 250, 250, 250]
+        monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", 1800)
+        fresh = [_run_block(scenario, b, n, Workspace()) for b, n in enumerate(sizes)]
+        errors = sum(np.maximum(c, 0) for c in fresh)
+        symbols = sum((c >= 0) * n for c, n in zip(fresh, sizes))
+        grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
+        expected = {(t, p, n_t): (errors[i, j], symbols[i, j])
+                    for (i, (p, n_t)), (j, t) in itertools.product(
+                        enumerate(grid), enumerate(scenario.techniques)) if symbols[i, j]}
+        pool_sizes = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        for jobs in (1, 3):
+            points = run_scenario(scenario, jobs=jobs)
+            assert {(p.technique, p.tx_power_dbm, p.n_t): (p.error_count, p.symbol_count)
+                    for p in points} == expected
+        assert pool_sizes == [3]
+
+    def test_blocks_sharing_a_workspace_allocate_little(self):
+        # the second of two fig7 blocks (K=6, 10^4 slots, seven training
+        # lengths) reuses the first one's arrays, so its fresh allocations
+        # peak near 210 B per slot; allocating its temporaries takes about 450
+        scenario = replace(preset("fig7"), n_data_symbols=2 * 10 ** 4, blocks=2, seed=1)
+        workspace = Workspace()
+        tracemalloc.start()
+        try:
+            _run_block(scenario, 0, 10 ** 4, workspace)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _run_block(scenario, 1, 10 ** 4, workspace)
+            assert tracemalloc.get_traced_memory()[1] - before <= 320 * 10 ** 4
+            del workspace
+            before = tracemalloc.get_traced_memory()[0]
+            run_scenario(scenario)  # its workspace goes with it
+            assert tracemalloc.get_traced_memory()[0] - before <= 64 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_one_training_frame_at_a_time(self):
         # four long training frames cost about as much memory as the longest alone
@@ -223,7 +308,7 @@ class TestPowerPasses:
                                 techniques=("probability",), n_data_symbols=100, blocks=1)
             tracemalloc.start()
             try:
-                _run_block(scenario, 0, 100)
+                _run_block(scenario, 0, 100, Workspace())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -249,23 +334,9 @@ class TestAccounting:
     def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
         # an in-process stand-in records the pool size and starts no process
         pool_sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         scn = small_scenario(blocks=2)
         serial = run_scenario(scn, jobs=1)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         assert run_scenario(scn, jobs=8) == serial
         run_scenario(replace(scn, blocks=5), jobs=3)
