@@ -70,22 +70,36 @@ class TrainingStats:
     p11: np.ndarray
     p00: np.ndarray
 
+    def __getitem__(self, index) -> TrainingStats:
+        """The statistics at ``index`` of the leading axes, every field indexed alike."""
+        return TrainingStats(*(v[index] for v in vars(self).values()))
+
 
 class Workspace(dict):
     """Scratch arrays that margins, fuse and detect reuse from call to call.
 
     Each (name, dtype) array grows to the largest size asked of it, and a smaller
-    call gets a view of its front.  A kernel may return one of these arrays, valid
+    call gets a view of its front, made once per shape and cached beside the
+    arrays until the array grows.  A kernel may return one of these arrays, valid
     until the workspace's next use, so a workspace is never shared between threads.
     """
 
-    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+    def __init__(self):
+        super().__init__()
+        self._views = {}
+
+    def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised ``shape`` array of ``dtype`` under ``name``."""
-        size = math.prod(shape)
-        array = self.get((name, dtype))
-        if array is None or array.size < size:
-            array = self[name, dtype] = np.empty(size, dtype)
-        return array[:size].reshape(shape)
+        view = self._views.get((name, dtype, shape))
+        if view is None:
+            size = math.prod(shape)
+            array = self.get((name, dtype))
+            if array is None or array.size < size:
+                array = self[name, dtype] = np.empty(size, dtype)
+                self._views = {key: v for key, v in self._views.items()
+                               if key[:2] != (name, dtype)}
+            view = self._views[name, dtype, shape] = array[:size].reshape(shape)
+        return view
 
 
 def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
@@ -143,8 +157,8 @@ def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.n
         raise ParameterError(
             f"unknown noncoherent technique {technique!r}; expected one of "
             f"{sorted(NONCOHERENT)}")
-    if technique == COMBINATION and (np.any(stats.a_one == 0.0) or np.any(stats.a_zero == 0.0)
-                                     or np.any(stats.a_th == 0.0)):
+    if technique == COMBINATION and not (stats.a_one.all() and stats.a_zero.all()
+                                         and stats.a_th.all()):
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     y = _as_amplitudes(y_abs, stats)

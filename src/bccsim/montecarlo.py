@@ -31,6 +31,7 @@ from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise
 __all__ = [
     "STREAM_VERSION",
     "MAX_N_T",
+    "MAX_POWERS",
     "Scenario",
     "BerPoint",
     "make_ber_point",
@@ -43,8 +44,12 @@ STREAM_VERSION = 2
 # Longest training frame a Scenario accepts: 100x the longest preset frame.
 MAX_N_T = 100_000
 
-# Elements of the (powers, K, slots) array one pass of a block detects at once:
-# 64 KB of float64 per array, so a pass's temporaries stay in cache.
+# Most powers a Scenario sweeps: about 400x the preset sweeps' 26.
+MAX_POWERS = 10_000
+
+# Elements of the (powers, K, slots) array one pass of a block detects, or of
+# a training frame reduces, at once: 64 KB of float64 per array, so a pass's
+# temporaries stay in cache.
 _PASS_ELEMENTS = 2 ** 13
 
 
@@ -54,7 +59,8 @@ class Scenario:
 
     The BER points are every (power, training length) pair of
     ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple,
-    and each entry is an even training length in [4, ``MAX_N_T``].
+    each entry is an even training length in [4, ``MAX_N_T``], and the
+    sweep has at most ``MAX_POWERS`` powers.
     ``blocks`` is the number of independent (train, transmit) repetitions
     each point is averaged over.  A field of the wrong type or value raises
     ParameterError naming it; lists are stored as tuples, and a bool is
@@ -131,6 +137,9 @@ def _validate_scenario(s: Scenario) -> None:
         if v < 4 or v % 2 or v > MAX_N_T:
             raise ParameterError(f"n_t entries must be even integers in [4, {MAX_N_T}], got {v}")
     _check_axis("n_t", s.n_t)
+    if len(s.power_sweep_dbm) > MAX_POWERS:
+        raise ParameterError(f"power_sweep_dbm: at most {MAX_POWERS} powers, "
+                             f"got {len(s.power_sweep_dbm)}")
     if s.n_data_symbols < 1:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
     for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
@@ -200,46 +209,61 @@ def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x, workspac
     except DegenerateTrainingError:
         if len(amplitudes) == 1:
             return [-1]
-        fields = vars(stats).values()
-        return [_detect_errors(technique, a[None], TrainingStats(*(v[i, None] for v in fields)),
-                               x, workspace)[0] for i, a in enumerate(amplitudes)]
+        return [_detect_errors(technique, a[None], stats[i, None], x, workspace)[0]
+                for i, a in enumerate(amplitudes)]
+
+
+def _passes(count: int, elements: int) -> list[slice]:
+    """Consecutive slices of ``count`` powers, each as many as fit _PASS_ELEMENTS
+    elements of a (powers, ``elements``) array, at least one."""
+    step = max(1, _PASS_ELEMENTS // elements)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _training_stats(scenario: Scenario, block_index: int, n_t: int, powers,
+                    variance: float) -> TrainingStats:
+    """(powers, K) statistics of one block's training frame of length ``n_t``.
+
+    The frame is reduced in passes sized by the frame alone, one
+    compute_training_stats call per pass, and the passes' rows are joined.
+    """
+    passes = _passes(len(powers), len(scenario.nodes) * n_t)
+    frame = generate_received(training_symbols(n_t), scenario.nodes, powers[passes[0]],
+                              variance, _substream(scenario.seed, block_index, n_t))
+    parts = [vars(compute_training_stats(frame.at_power(powers[at]))).values() for at in passes]
+    return TrainingStats(*map(np.concatenate, zip(*parts)))
 
 
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    The powers run in passes of as many consecutive powers as fit
-    _PASS_ELEMENTS elements of a (powers, K, slots) array, slots counting
-    the longer of the data block and the longest training frame.  Each
-    training frame is drawn, reduced to statistics at every pass and dropped
-    before the next is drawn; then the data frame is rescaled and detected
-    once per pass against every length's statistics in ``workspace``, MRC once
-    for all lengths.  Counts are (points, techniques) in grid order, -1 where
-    training was degenerate.
+    Each training length's frame is drawn, reduced to (powers, K) statistics
+    in training passes sized by that frame and dropped before the next is
+    drawn.  Then the data frame is rescaled and detected in data passes of as
+    many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
+    slots) array: once per pass against each length's rows of statistics, in
+    ``workspace``, and MRC once for all lengths.  Counts are (points,
+    techniques) in grid order, -1 where training was degenerate.
     """
-    step = max(1, _PASS_ELEMENTS // (len(scenario.nodes) * max(n_symbols, *scenario.n_t)))
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
-    passes = [slice(i, i + step) for i in range(0, len(powers), step)]
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-    stats = []  # per training length, one TrainingStats per pass
-    for n_t in scenario.n_t if set(scenario.techniques) != {MRC} else ():
-        training = generate_received(training_symbols(n_t), scenario.nodes, powers[passes[0]],
-                                     variance, _substream(scenario.seed, block_index, n_t))
-        stats.append([compute_training_stats(training.at_power(powers[at])) for at in passes])
-        del training  # before the next length draws its frame
+    stats = [_training_stats(scenario, block_index, n_t, powers, variance)
+             for n_t in (scenario.n_t if set(scenario.techniques) != {MRC} else ())]
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
+    passes = _passes(len(powers), len(scenario.nodes) * n_symbols)
     data = generate_received(x, scenario.nodes, powers[passes[0]], variance, rng)
     counts = np.empty((len(scenario.n_t), len(powers), len(scenario.techniques)), dtype=np.int64)
-    for i, at in enumerate(passes):
+    for at in passes:
         frame = data.at_power(powers[at])
         amplitudes = np.abs(frame.y, out=workspace.take("amplitudes", frame.y.shape))
+        rows = [s[at] for s in stats]
         for j, technique in enumerate(scenario.techniques):
             if technique == MRC:  # needs no training: one count serves every length
                 counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, powers[at]), x)
             else:
-                counts[:, at, j] = [_detect_errors(technique, amplitudes, s[i], x, workspace)
-                                    for s in stats]
+                counts[:, at, j] = [_detect_errors(technique, amplitudes, s, x, workspace)
+                                    for s in rows]
     return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
 
 

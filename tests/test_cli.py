@@ -20,7 +20,8 @@ from bccsim import (
 )
 from bccsim import cli
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
-from bccsim.montecarlo import MAX_N_T, make_ber_point
+from bccsim.config import _parse_sweep
+from bccsim.montecarlo import MAX_N_T, MAX_POWERS, make_ber_point
 
 # integers up to 2**1100 overflow a float; keys of mixed types do not sort
 _NUMBERS = st.one_of(st.floats(), st.integers(), st.integers(-2 ** 1100, 2 ** 1100))
@@ -181,6 +182,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 0
         assert f"deviation,10.0,{MAX_N_T},2," in capsys.readouterr().out
 
+    def test_sweep_above_the_cap_names_key(self, tmp_path, capsys):
+        # -1000 .. 1500 dBm in quarter steps is MAX_POWERS + 1 powers
+        cfg = tmp_path / "wide.yaml"
+        cfg.write_text("nodes: [f1]\npower_sweep_dbm: {start: -1000, stop: 1500, step: 0.25}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "power_sweep_dbm" in err and str(MAX_POWERS) in err and "Traceback" not in err
+
     def test_nt_sweep_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "old.yaml"
         cfg.write_text("nodes: [f1]\npower_sweep_dbm: [10]\nnt_sweep: [10, 20]\n")
@@ -284,6 +293,23 @@ class TestConfigParsing:
         scn = loads_scenario(
             "nodes: [f1]\npower_sweep_dbm: {start: -20, stop: 30, step: 10}\n")
         assert scn.power_sweep_dbm == (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0)
+
+    def test_sweep_mapping_is_counted_against_the_cap(self):
+        sweep = "{start: -1000, stop: %s, step: 0.25}"
+        scn = loads_scenario(f"nodes: [f1]\npower_sweep_dbm: {sweep % 1499.75}\n")
+        assert len(scn.power_sweep_dbm) == MAX_POWERS
+        assert scn.power_sweep_dbm[-1] == 1499.75
+        # the mapping is counted before it is expanded, not left to Scenario
+        with pytest.raises(ConfigError, match=f"power_sweep_dbm: at most {MAX_POWERS} powers, "
+                                              f"got {MAX_POWERS + 1}"):
+            _parse_sweep({"start": -1000, "stop": 1500, "step": 0.25})
+
+    def test_power_list_is_capped(self):
+        powers = [-1000 + 0.25 * i for i in range(MAX_POWERS + 1)]
+        assert len(Scenario(nodes=(registry_entry("f1"),),
+                            power_sweep_dbm=powers[:-1]).power_sweep_dbm) == MAX_POWERS
+        with pytest.raises(ParameterError, match="power_sweep_dbm"):
+            Scenario(nodes=(registry_entry("f1"),), power_sweep_dbm=powers)
 
     def test_inline_nodes(self):
         scn = loads_scenario(

@@ -312,6 +312,25 @@ class TestMrcDetect:
                 mrc_detect(np.ones(shape), np.ones(shape), 1.0)
 
 
+class TestWorkspace:
+    def test_take_reuses_one_view_per_shape_until_the_array_grows(self):
+        workspace = Workspace()
+        small = workspace.take("margin", (2, 3))
+        flags = workspace.take("margin", (2, 3), bool)
+        assert workspace.take("margin", (2, 3)) is small
+        flat = workspace.take("margin", (6,))
+        assert flat is not small and np.shares_memory(flat, small)
+        assert not np.shares_memory(flags, small)
+        workspace.take("margin", (4, 5))  # the float array grows
+        grown = workspace["margin", float]
+        for shape, stale in (((2, 3), small), ((6,), flat)):
+            view = workspace.take("margin", shape)
+            assert view.shape == shape and np.shares_memory(view, grown)
+            assert not np.shares_memory(view, stale)
+        assert workspace.take("margin", (2, 3), bool) is flags  # another dtype keeps its views
+        assert list(workspace) == [("margin", float), ("margin", bool)]
+
+
 class TestLeadingAxes:
     """(P, K, N) input is P independent (K, N) problems, computed bit for bit alike."""
 

@@ -26,8 +26,8 @@ from bccsim import (
     run_scenario,
 )
 from bccsim import cli, montecarlo
-from bccsim.detectors import Workspace
-from bccsim.montecarlo import STREAM_VERSION, _run_block, _substream
+from bccsim.detectors import Workspace, compute_training_stats
+from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _substream
 from bccsim.presets import PRESET_NAMES
 
 F9 = (registry_entry("f9"),)
@@ -316,6 +316,39 @@ class TestPowerPasses:
         peak((100,))  # first-call allocations stay out of the comparison
         alone = peak((100_000,))
         assert peak((40_000, 60_000, 80_000, 100_000)) <= 1.5 * alone
+
+    def test_a_fig6_block_reduces_its_training_frame_in_two_passes(self, monkeypatch):
+        # training passes are sized by the (powers, 9, 50) training frame:
+        # 8,192 // 450 = 18 powers per pass, so 26 powers take 2 calls
+        # where one-power data passes would take 26
+        calls = []
+
+        def counted(frame):
+            calls.append(frame.y.shape)
+            return compute_training_stats(frame)
+
+        monkeypatch.setattr(montecarlo, "compute_training_stats", counted)
+        step = montecarlo._PASS_ELEMENTS // (9 * 50)
+        _run_block(replace(preset("fig6"), seed=11), 0, 1000, Workspace())
+        assert len(calls) == math.ceil(26 / step) == 2
+        assert calls == [(18, 9, 50), (8, 9, 50)]
+
+    def test_training_passes_never_stack_a_long_frame(self):
+        # a training frame longer than _PASS_ELEMENTS is reduced one power at a
+        # time, so 26 powers cost about what one does, not 26 frames
+        def peak(powers):
+            scenario = Scenario(nodes=F9, power_sweep_dbm=powers, n_t=MAX_N_T, seed=1,
+                                techniques=("deviation",), n_data_symbols=100, blocks=1)
+            tracemalloc.start()
+            try:
+                _run_block(scenario, 0, 100, Workspace())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((10.0,))  # first-call allocations stay out of the comparison
+        alone = peak((10.0,))
+        assert peak(tuple(float(p) for p in range(-20, 31, 2))) <= 1.5 * alone
 
 
 class TestAccounting:
