@@ -152,6 +152,9 @@ def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.n
       matching reference amplitude, plus the same square over a_th times
       that hypothesis' log-probability score.  Requires strictly positive
       reference amplitudes.
+
+    The hard decision is an int64 mask, all ones where |y| >= a_th, that picks
+    each log-probability score with bit operations in place (``_select``).
     """
     if technique not in NONCOHERENT:
         raise ParameterError(
@@ -171,21 +174,36 @@ def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.n
     a_th = stats.a_th[..., None]
     p11 = stats.p11[..., None]
     p00 = stats.p00[..., None]
-    detected = np.greater_equal(y, a_th, out=take("detected", y.shape, bool))
+    mask = np.greater_equal(y, a_th, out=take("mask", y.shape, np.int64))
+    np.negative(mask, out=mask)
     if technique == PROBABILITY:
-        return np.where(detected, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00))
+        return _select(mask, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00), mask)
     square = take("square", y.shape)
-    w1 = _evidence(np.subtract(y, a_one, out=square), a_one, a_th,
-                   np.where(detected, np.log(p11), np.log1p(-p11)), take("margin", y.shape))
-    w0 = _evidence(np.subtract(a_zero, y, out=square), a_zero, a_th,
-                   np.where(detected, np.log1p(-p00), np.log(p00)), take("scratch", y.shape))
+    log_p = _select(mask, np.log(p11), np.log1p(-p11), take("scratch", y.shape))
+    w1 = _evidence(np.subtract(y, a_one, out=square), a_one, a_th, log_p,
+                   take("margin", y.shape))
+    log_p = _select(mask, np.log1p(-p00), np.log(p00), mask)
+    w0 = _evidence(np.subtract(a_zero, y, out=square), a_zero, a_th, log_p,
+                   take("scratch", y.shape))
     return np.subtract(w1, w0, out=w1)
+
+
+def _select(mask, if_one, if_zero, out):
+    """``np.where(mask, if_one, if_zero)`` into ``out``, which may be ``mask``, branch-free.
+
+    ``mask`` holds int64 words of all ones or all zeros, so (mask & (one ^ zero)) ^
+    zero over the float tables' int64 views copies one table entry's 64 bits whole,
+    signed zeros and NaN payloads included.  Returns ``out`` as floats.
+    """
+    one, zero = if_one.view(np.int64), if_zero.view(np.int64)
+    bits = np.bitwise_and(mask, one ^ zero, out=out.view(np.int64))
+    return np.bitwise_xor(bits, zero, out=bits).view(float)
 
 
 def _evidence(deviation, a_ref, a_th, log_p, out):
     """-deviation**2 / a_ref + deviation**2 / a_th * log_p into ``out``, squaring in place."""
     square = np.square(deviation, out=deviation)
-    np.divide(np.negative(square, out=out), a_ref, out=out)
+    np.divide(square, -a_ref, out=out)  # (-square) / a_ref bit for bit: IEEE sign symmetry
     return np.add(out, np.multiply(np.divide(square, a_th, out=square), log_p, out=square),
                   out=out)
 

@@ -225,13 +225,16 @@ def _training_stats(scenario: Scenario, block_index: int, n_t: int, powers,
     """(powers, K) statistics of one block's training frame of length ``n_t``.
 
     The frame is reduced in passes sized by the frame alone, one
-    compute_training_stats call per pass, and the passes' rows are joined.
+    compute_training_stats call per pass, and the passes' rows are joined;
+    the statistics of a frame that fits one pass are returned as they are.
     """
     passes = _passes(len(powers), len(scenario.nodes) * n_t)
     frame = generate_received(training_symbols(n_t), scenario.nodes, powers[passes[0]],
                               variance, _substream(scenario.seed, block_index, n_t))
-    parts = [vars(compute_training_stats(frame.at_power(powers[at]))).values() for at in passes]
-    return TrainingStats(*map(np.concatenate, zip(*parts)))
+    parts = [compute_training_stats(frame.at_power(powers[at])) for at in passes]
+    if len(parts) == 1:
+        return parts[0]
+    return TrainingStats(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
 
 
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:

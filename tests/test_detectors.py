@@ -22,7 +22,8 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
-from bccsim.detectors import NONCOHERENT, Workspace
+from bccsim.detectors import (COMBINATION, DEVIATION, NONCOHERENT, PROBABILITY, Workspace,
+                              _select)
 from bccsim.montecarlo import _detect_errors
 
 
@@ -50,11 +51,29 @@ def stats_single(a_one, a_zero, p11, p00):
 
 
 def random_stats(rng, k, n_t=50):
+    """Random statistics of ``k`` nodes; a tuple ``k`` gives (..., K) statistics."""
     a_one = rng.lognormal(mean=0.0, sigma=1.0, size=k)
     a_zero = a_one * rng.uniform(0.02, 0.98, size=k)
     lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
     return TrainingStats(a_th=0.5 * (a_one + a_zero), a_one=a_one, a_zero=a_zero,
                          p11=rng.uniform(lo, hi, size=k), p00=rng.uniform(lo, hi, size=k))
+
+
+def reference_weights(y, stats):
+    """Each rule's (symbol-1, symbol-0) weights of (..., K, N) ``y``, written out with np.where."""
+    a_one, a_zero, a_th, p11, p00 = (getattr(stats, field)[..., None]
+                                     for field in ("a_one", "a_zero", "a_th", "p11", "p00"))
+    detected = y >= a_th
+    prob = (np.where(detected, np.log(p11), np.log1p(-p11)),
+            np.where(detected, np.log1p(-p00), np.log(p00)))
+    dev = (y - a_one, a_zero - y)
+    comb = (-dev[0] ** 2 / a_one + dev[0] ** 2 / a_th * prob[0],
+            -dev[1] ** 2 / a_zero + dev[1] ** 2 / a_th * prob[1])
+    return dict(zip(NONCOHERENT, (prob, dev, comb)))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestComputeTrainingStats:
@@ -256,19 +275,36 @@ class TestDetect:
         rng = np.random.default_rng(37)
         stats = random_stats(rng, 6)
         y = stats.a_th[:, None] * rng.uniform(0.0, 2.5, size=(6, 400))
-        a_one, a_zero, a_th = (v[:, None] for v in (stats.a_one, stats.a_zero, stats.a_th))
-        p11, p00 = stats.p11[:, None], stats.p00[:, None]
-        detected = y >= a_th
-        prob = (np.where(detected, np.log(p11), np.log1p(-p11)),
-                np.where(detected, np.log1p(-p00), np.log(p00)))
-        dev = (y - a_one, a_zero - y)
-        comb = (-dev[0] ** 2 / a_one + dev[0] ** 2 / a_th * prob[0],
-                -dev[1] ** 2 / a_zero + dev[1] ** 2 / a_th * prob[1])
-        for technique, (w1, w0) in zip(NONCOHERENT, (prob, dev, comb)):
+        for technique, (w1, w0) in reference_weights(y, stats).items():
             m = margins(technique, y, stats)
             assert np.array_equal(m, w1 - w0)
             assert np.array_equal(detect(technique, y, stats),
                                   ((w1 - w0).sum(axis=0) > 0.0).astype(np.int64))
+
+    def test_one_workspace_through_every_technique_and_pass_shape(self):
+        # the mask and scratch arrays are reused in place from technique to
+        # technique and from pass to pass, as a worker's block loop reuses them
+        rng = np.random.default_rng(47)
+        workspace = Workspace()
+        for shape in ((3, 6, 400), (2, 6, 250), (4, 6, 500)):
+            stats = random_stats(rng, shape[:2])
+            y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=shape)
+            weights = reference_weights(y, stats)
+            for technique in (PROBABILITY, DEVIATION, COMBINATION, PROBABILITY):
+                w1, w0 = weights[technique]
+                assert same_bits(margins(technique, y, stats, workspace), w1 - w0)
+                assert np.array_equal(detect(technique, y, stats, workspace),
+                                      ((w1 - w0).sum(axis=-2) > 0.0).astype(np.int64))
+
+    def test_workspace_holds_four_full_size_arrays(self):
+        # mask, scratch, square and margin, plus the (P, N) node sum and decisions
+        rng = np.random.default_rng(53)
+        stats = random_stats(rng, (3, 6))
+        y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=(3, 6, 400))
+        workspace = Workspace()
+        for technique in NONCOHERENT:
+            detect(technique, y, stats, workspace)
+        assert sum(a.nbytes for a in workspace.values()) <= 4 * y.nbytes + 2 * 3 * 400 * 8
 
     def test_unknown_technique(self):
         for fn in (margins, detect):
@@ -329,6 +365,27 @@ class TestWorkspace:
             assert not np.shares_memory(view, stale)
         assert workspace.take("margin", (2, 3), bool) is flags  # another dtype keeps its views
         assert list(workspace) == [("margin", float), ("margin", bool)]
+
+
+class TestSelect:
+    # signed zeros, infinities, quiet and signalling NaNs with payloads, subnormals
+    ENTRIES = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                        0xFFF0000000000000, 0x7FF8000000000000, 0xFFF800000000BEEF,
+                        0x7FF0000000000ABC, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                        0x3FF8000000000000], dtype=np.uint64).view(float)
+
+    def test_matches_np_where_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        if_one = self.ENTRIES.reshape(2, 5, 1)
+        if_zero = np.roll(self.ENTRIES, 1).reshape(2, 5, 1)  # pairs -0.0 with 0.0
+        detected = rng.random((2, 5, 300)) < 0.5
+        expected = np.where(detected, if_one, if_zero)
+        mask = -detected.astype(np.int64)
+        out = np.empty(detected.shape)
+        assert same_bits(_select(mask, if_one, if_zero, out), expected)
+        assert same_bits(_select(mask, if_zero, if_one, out), np.where(detected, if_zero, if_one))
+        in_place = _select(mask, if_one, if_zero, mask)
+        assert np.shares_memory(in_place, mask) and same_bits(in_place, expected)
 
 
 class TestLeadingAxes:
