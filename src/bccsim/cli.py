@@ -141,8 +141,6 @@ def _run_command(args) -> int:
     if overrides:
         scenario = replace(scenario, **overrides)
 
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     points = run_scenario(scenario, jobs=args.jobs)
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")

@@ -151,7 +151,9 @@ def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.n
     * combination  -- for each hypothesis the squared deviation over the
       matching reference amplitude, plus the same square over a_th times
       that hypothesis' log-probability score.  Requires strictly positive
-      reference amplitudes.
+      reference amplitudes and raises DegenerateTrainingError otherwise, a
+      guard for direct callers: run_scenario never passes zero-noise
+      statistics to combination.
 
     The hard decision is an int64 mask, all ones where |y| >= a_th, that picks
     each log-probability score with bit operations in place (``_select``).

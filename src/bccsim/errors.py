@@ -9,8 +9,9 @@ class DegenerateTrainingError(RuntimeError):
     """A training frame produced a zero reference amplitude.
 
     Raised by the combination margins when A_1, A_0 or A_th is exactly
-    zero, which can only happen when an entire training half-frame was
-    received as all zeros (no signal and no noise).
+    zero, which needs an entire training half-frame received as zeros: A_0
+    is 0 exactly when the noise variance is.  A guard for direct callers;
+    run_scenario never passes such statistics.
     """
 
 

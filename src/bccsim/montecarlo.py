@@ -15,16 +15,16 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product, repeat
 from numbers import Integral, Real
 
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import (MRC, TECHNIQUES, TrainingStats, Workspace, compute_training_stats,
-                        detect, mrc_detect)
-from .errors import DegenerateTrainingError, ParameterError
+from .detectors import (COMBINATION, MRC, TECHNIQUES, TrainingStats, Workspace,
+                        compute_training_stats, detect, mrc_detect)
+from .errors import ParameterError
 from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
                    training_symbols)
 
@@ -202,17 +202,6 @@ def _errors(decisions, x):
     return (decisions ^ x).sum(axis=-1)
 
 
-def _detect_errors(technique: str, amplitudes, stats: TrainingStats, x, workspace=None):
-    """Errors of one noncoherent technique per power, -1 where the training is degenerate."""
-    try:
-        return _errors(detect(technique, amplitudes, stats, workspace), x)
-    except DegenerateTrainingError:
-        if len(amplitudes) == 1:
-            return [-1]
-        return [_detect_errors(technique, a[None], stats[i, None], x, workspace)[0]
-                for i, a in enumerate(amplitudes)]
-
-
 def _passes(count: int, elements: int) -> list[slice]:
     """Consecutive slices of ``count`` powers, each as many as fit _PASS_ELEMENTS
     elements of a (powers, ``elements``) array, at least one."""
@@ -246,7 +235,8 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
     many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
     slots) array: once per pass against each length's rows of statistics, in
     ``workspace``, and MRC once for all lengths.  Counts are (points,
-    techniques) in grid order, -1 where training was degenerate.
+    techniques) in grid order.  Combination on a zero-noise scenario raises
+    DegenerateTrainingError; run_scenario never asks for it.
     """
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
@@ -265,18 +255,16 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
             if technique == MRC:  # needs no training: one count serves every length
                 counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, powers[at]), x)
             else:
-                counts[:, at, j] = [_detect_errors(technique, amplitudes, s, x, workspace)
+                counts[:, at, j] = [_errors(detect(technique, amplitudes, s, workspace), x)
                                     for s in rows]
     return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
 
 
-def _run_blocks(scenario: Scenario, first: int, sizes: list[int]):
-    """Summed error and symbol counts of consecutive blocks from ``first``, in one workspace."""
-    workspace, errors, symbols = Workspace(), 0, 0
-    for block_index, size in enumerate(sizes, first):
-        counts = _run_block(scenario, block_index, size, workspace)
-        errors, symbols = errors + np.maximum(counts, 0), symbols + (counts >= 0) * size
-    return errors, symbols
+def _run_blocks(scenario: Scenario, first: int, sizes: list[int]) -> np.ndarray:
+    """Summed error counts of consecutive blocks from ``first``, in one workspace."""
+    workspace = Workspace()
+    return sum(_run_block(scenario, block_index, size, workspace)
+               for block_index, size in enumerate(sizes, first))
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
@@ -284,14 +272,28 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
 
     Blocks are independent; with ``jobs`` > 1 they run in a process pool no
     larger than ``jobs``, the blocks or the CPUs, each worker summing the counts
-    of one contiguous run of blocks.  A degenerate block drops its symbols from
-    the affected point only; a point left with none is reported as a
-    RuntimeWarning and omitted.  The output is sorted by (technique, power, n_t).
+    of one contiguous run of blocks.  Every point reports ``n_data_symbols``
+    symbols, and the output is sorted by (technique, power, n_t).
+
+    Combination needs nonzero training references, and the zeros half-frame's
+    mean |noise| A0 is exactly 0 in every block when N0*B/2 is 0, positive
+    otherwise.  So with zero noise each combination point is a RuntimeWarning and
+    omitted, and [] is returned, drawing nothing, when no other technique is left.
     """
     if jobs is not None and _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
     sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
+    if (COMBINATION in scenario.techniques
+            and noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz) == 0.0):
+        for power, n_t in grid:
+            warnings.warn(f"skipping BER point: technique {COMBINATION!r} at {power} dBm, "
+                          f"n_t={n_t}: all {len(sizes)} training blocks were degenerate",
+                          RuntimeWarning, stacklevel=2)
+        techniques = tuple(t for t in scenario.techniques if t != COMBINATION)
+        if not techniques:
+            return []
+        scenario = replace(scenario, techniques=techniques)
     workers = min(jobs or 1, len(sizes), os.cpu_count() or 1)
     firsts = [len(sizes) * i // workers for i in range(workers)]
     args = (repeat(scenario), firsts, [sizes[a:b] for a, b in zip(firsts, firsts[1:] + [None])])
@@ -300,15 +302,8 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             totals = list(pool.map(_run_blocks, *args))
-    errors, symbols = (sum(parts) for parts in zip(*totals))
-    points = []
-    for (i, (power, n_t)), (j, technique) in product(enumerate(grid),
-                                                     enumerate(scenario.techniques)):
-        if symbols[i, j]:
-            points.append(make_ber_point(technique, power, n_t,
-                                         int(errors[i, j]), int(symbols[i, j])))
-        else:
-            warnings.warn(f"skipping BER point: technique {technique!r} at {power} dBm, "
-                          f"n_t={n_t}: all {len(sizes)} training blocks were degenerate",
-                          RuntimeWarning, stacklevel=2)
+    errors = sum(totals)
+    points = [make_ber_point(technique, power, n_t, int(errors[i, j]), scenario.n_data_symbols)
+              for (i, (power, n_t)), (j, technique) in product(enumerate(grid),
+                                                               enumerate(scenario.techniques))]
     return sorted(points, key=lambda p: (p.technique, p.tx_power_dbm, p.n_t))

@@ -147,6 +147,11 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "n_t" in capsys.readouterr().err
 
+    def test_zero_jobs_names_key(self, capsys):
+        assert main(["run", "--preset", "fig4", "--jobs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "jobs" in err and "Traceback" not in err
+
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block
         cfg = tmp_path / "bad.yaml"

@@ -17,10 +17,13 @@ import pytest
 from bccsim import (
     TECHNIQUES,
     BurrXII,
+    DegenerateTrainingError,
     ParameterError,
     Scenario,
     Weibull,
+    dbm_to_watts,
     make_ber_point,
+    noise_variance,
     preset,
     registry_entry,
     run_scenario,
@@ -227,7 +230,8 @@ class TestPowerPasses:
         "grid": (Scenario(nodes=(registry_entry("f1"), registry_entry("f9")),
                           power_sweep_dbm=(-10.0, 0.0, 10.0), n_t=(10, 20, 50), seed=11), 250),
         "zero-noise": (Scenario(nodes=(registry_entry("f2"),), power_sweep_dbm=(0.0, 10.0),
-                                bandwidth_hz=0.0, seed=11), 100),
+                                bandwidth_hz=0.0, techniques=("probability", "deviation", "mrc"),
+                                seed=11), 100),
     }
 
     @pytest.mark.parametrize("name", SCENARIOS)
@@ -243,8 +247,6 @@ class TestPowerPasses:
         assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
         assert runs[0][0].shape == (len(scenario.power_sweep_dbm) * len(scenario.n_t),
                                     len(scenario.techniques))
-        if name == "zero-noise":
-            assert (runs[0][0][:, scenario.techniques.index("combination")] == -1).all()
         if "mrc" in scenario.techniques:
             # MRC runs once per pass and serves every training length
             j = scenario.techniques.index("mrc")
@@ -254,7 +256,6 @@ class TestPowerPasses:
             assert (by_length == alone[:, None]).all()
 
     @pytest.mark.parametrize("name", SCENARIOS)
-    @pytest.mark.filterwarnings("ignore:skipping BER point")
     def test_blocks_sharing_a_workspace_count_as_fresh_blocks(self, name, monkeypatch):
         # uneven blocks (1,001 symbols in 251, 250, 250 and 250 slots) and
         # uneven passes (1,800 splits fig4's 26 powers into 7, 7, 7 and 5)
@@ -266,12 +267,11 @@ class TestPowerPasses:
         assert sizes == [251, 250, 250, 250]
         monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", 1800)
         fresh = [_run_block(scenario, b, n, Workspace()) for b, n in enumerate(sizes)]
-        errors = sum(np.maximum(c, 0) for c in fresh)
-        symbols = sum((c >= 0) * n for c, n in zip(fresh, sizes))
+        errors = sum(fresh)
         grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
-        expected = {(t, p, n_t): (errors[i, j], symbols[i, j])
+        expected = {(t, p, n_t): (errors[i, j], 1001)
                     for (i, (p, n_t)), (j, t) in itertools.product(
-                        enumerate(grid), enumerate(scenario.techniques)) if symbols[i, j]}
+                        enumerate(grid), enumerate(scenario.techniques))}
         pool_sizes = []
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
@@ -381,7 +381,7 @@ class TestAccounting:
 
     def test_preconditions(self):
         scn = small_scenario()
-        for jobs in (0, -2, 2.5, "2", True):
+        for jobs in (0, -1, -2, 2.5, "2", True):
             with pytest.raises(ParameterError, match="jobs"):
                 run_scenario(scn, jobs=jobs)
 
@@ -419,6 +419,52 @@ class TestDegenerateLimits:
         assert len(points) == 4
         for point in points:
             assert abs(point.ber - 0.5) < 0.02
+
+
+class TestZeroNoiseRule:
+    """A0, the zeros half-frame's mean |noise|, is 0 exactly when N0*B/2 is,
+    which is why run_scenario can decide combination's degeneracy per scenario."""
+
+    NODES = preset("fig6").nodes  # all nine channel laws
+
+    @staticmethod
+    def references(scenario, n_t):
+        powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
+        variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+        for b in range(5):
+            yield montecarlo._training_stats(scenario, b, n_t, powers, variance)
+
+    @pytest.mark.parametrize("n_t", [4, 50, 1000])
+    def test_zero_noise_zeros_reference_is_exactly_zero(self, n_t):
+        scn = Scenario(nodes=self.NODES, bandwidth_hz=0.0,
+                       power_sweep_dbm=(float("-inf"),) + Scenario.power_sweep_dbm)
+        for stats in self.references(scn, n_t):
+            assert stats.a_zero.shape == (27, 9) and (stats.a_zero == 0.0).all()
+        with pytest.raises(DegenerateTrainingError):  # the guard stays loud in a block
+            _run_block(replace(scn, techniques=("combination",)), 0, 100, Workspace())
+
+    @pytest.mark.parametrize("n0", [-174.0, -3200.0])  # default and subnormal variance
+    def test_noisy_references_are_positive(self, n0):
+        scn = Scenario(nodes=self.NODES, n_t=(4, 50), n0_dbm_per_hz=n0,
+                       power_sweep_dbm=(float("-inf"), -20.0, 30.0), techniques=("combination",))
+        assert 0.0 < noise_variance(n0, scn.bandwidth_hz) < 1e-15
+        for n_t in scn.n_t:
+            for stats in self.references(scn, n_t):
+                assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
+        for b in range(5):
+            assert _run_block(scn, b, 100, Workspace()).shape == (6, 1)
+
+    def test_zero_noise_combination_alone_draws_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew a frame")
+
+        monkeypatch.setattr(montecarlo, "generate_received", fail)
+        scn = Scenario(nodes=F9, bandwidth_hz=0.0, techniques=("combination",),
+                       n_t=(10, 50), n_data_symbols=30, blocks=3)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert run_scenario(scn) == []
+        assert len(caught) == 26 * 2
+        assert all("all 3 training blocks were degenerate" in str(w.message) for w in caught)
 
 
 class TestSweepShapes:
