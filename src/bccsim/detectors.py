@@ -23,6 +23,7 @@ matched-filter combining with perfect per-slot channel knowledge.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,15 @@ __all__ = [
     "TECHNIQUES",
     "NONCOHERENT",
     "TrainingStats",
+    "MarginTables",
+    "MrcTables",
     "Workspace",
     "compute_training_stats",
+    "margin_tables",
     "margins",
     "fuse",
     "detect",
+    "mrc_tables",
     "mrc_detect",
 ]
 
@@ -75,6 +80,23 @@ class TrainingStats:
         return TrainingStats(*(v[index] for v in vars(self).values()))
 
 
+class MarginTables(namedtuple("MarginTables", "a_one a_zero a_th neg_a_one neg_a_zero margin_flip "
+                              "margin_zero one_flip one_zero zero_flip zero_zero degenerate")):
+    """What margins reads of (..., K) statistics, derived once by ``margin_tables``."""
+
+    def rows(self, index) -> MarginTables:
+        """The tables at ``index`` of the leading axes, as a block's pass reads them."""
+        return MarginTables._make([v[index] for v in self])
+
+
+class MrcTables(namedtuple("MrcTables", "h energy half_root")):
+    """What mrc_detect reads of gains and powers, derived once by ``mrc_tables``."""
+
+    def rows(self, index) -> MrcTables:
+        """The tables at ``index`` of the powers' axes, as a block's pass reads them."""
+        return MrcTables(self.h, self.energy, self.half_root[index])
+
+
 class Workspace(dict):
     """Scratch arrays that margins, fuse and detect reuse from call to call.
 
@@ -82,11 +104,13 @@ class Workspace(dict):
     call gets a view of its front, made once per shape and cached beside the
     arrays until the array grows.  A kernel may return one of these arrays, valid
     until the workspace's next use, so a workspace is never shared between threads.
+    ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 
     def __init__(self):
         super().__init__()
         self._views = {}
+        self.mask_of = None
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised ``shape`` array of ``dtype`` under ``name``."""
@@ -131,15 +155,21 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
-def _as_amplitudes(y_abs, stats: TrainingStats) -> np.ndarray:
-    y = np.asarray(y_abs, dtype=float)
-    if y.shape[:-1] != stats.a_th.shape:
-        raise ParameterError(f"y_abs must be (K, N), with the leading axes of the (..., K) "
-                             f"statistics {stats.a_th.shape}, got shape {y.shape}")
-    return y
+def margin_tables(stats: TrainingStats) -> MarginTables:
+    """(..., K, 1) tables of A1, A0, a_th, -A1, -A0, then probability's margins and
+    combination's symbol-1 and symbol-0 log-probabilities as ``_pair`` gives them to
+    ``_select``, and (...) flags where a reference amplitude is zero."""
+    a_one, a_zero, a_th, p11, p00 = (getattr(stats, name)[..., None]
+                                     for name in ("a_one", "a_zero", "a_th", "p11", "p00"))
+    log_p11, log_q11 = np.log(p11), np.log1p(-p11)
+    log_q00, log_p00 = np.log1p(-p00), np.log(p00)
+    usable = np.concatenate([stats.a_one, stats.a_zero, stats.a_th], axis=-1).all(axis=-1)
+    return MarginTables(a_one, a_zero, a_th, -a_one, -a_zero,
+                        *_pair(log_p11 - log_q00, log_q11 - log_p00), *_pair(log_p11, log_q11),
+                        *_pair(log_q00, log_p00), ~usable)
 
 
-def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.ndarray:
+def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     """Each node's evidence for symbol 1 minus its evidence for symbol 0.
 
     Takes (..., K, N) amplitudes and returns (..., K, N) margins:
@@ -155,57 +185,67 @@ def margins(technique: str, y_abs, stats: TrainingStats, workspace=None) -> np.n
       guard for direct callers: run_scenario never passes zero-noise
       statistics to combination.
 
-    The hard decision is an int64 mask, all ones where |y| >= a_th, that picks
-    each log-probability score with bit operations in place (``_select``).
+    ``stats`` are TrainingStats or their ``margin_tables``.  The hard decision, an
+    int64 mask of all ones where |y| >= a_th, picks each log-probability score with
+    bit operations (``_select``).  A call on the same amplitude and table objects as
+    the workspace's last probability call reuses its mask, so amplitudes rewritten
+    in place need fresh tables, as each pass of a block slices its own.
     """
     if technique not in NONCOHERENT:
         raise ParameterError(
             f"unknown noncoherent technique {technique!r}; expected one of "
             f"{sorted(NONCOHERENT)}")
-    if technique == COMBINATION and not (stats.a_one.all() and stats.a_zero.all()
-                                         and stats.a_th.all()):
+    tables = stats if isinstance(stats, MarginTables) else margin_tables(stats)
+    if technique == COMBINATION and tables.degenerate.any():
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
-    y = _as_amplitudes(y_abs, stats)
-    take = (Workspace() if workspace is None else workspace).take
-    a_one = stats.a_one[..., None]
-    a_zero = stats.a_zero[..., None]
+    y = np.asarray(y_abs, dtype=float)
+    if y.shape[:-1] != tables.a_th.shape[:-1]:
+        raise ParameterError(f"y_abs must be (K, N), with the leading axes of the (..., K) "
+                             f"statistics {tables.a_th.shape[:-1]}, got shape {y.shape}")
+    workspace = Workspace() if workspace is None else workspace
+    take = workspace.take
     if technique == DEVIATION:
-        above = np.subtract(y, a_one, out=take("margin", y.shape))
-        return np.subtract(above, np.subtract(a_zero, y, out=take("scratch", y.shape)), out=above)
-    a_th = stats.a_th[..., None]
-    p11 = stats.p11[..., None]
-    p00 = stats.p00[..., None]
-    mask = np.greater_equal(y, a_th, out=take("mask", y.shape, np.int64))
-    np.negative(mask, out=mask)
+        above = np.subtract(y, tables.a_one, out=take("margin", y.shape))
+        return np.subtract(above, np.subtract(tables.a_zero, y, out=take("scratch", y.shape)),
+                           out=above)
+    mask, source = take("mask", y.shape, np.int64), workspace.mask_of
+    if not (source and source[0] is y and source[1] is tables):
+        np.negative(np.greater_equal(y, tables.a_th, out=mask), out=mask)
+    workspace.mask_of = (y, tables) if technique == PROBABILITY else None
     if technique == PROBABILITY:
-        return _select(mask, np.log(p11) - np.log1p(-p00), np.log1p(-p11) - np.log(p00), mask)
+        return _select(mask, tables.margin_flip, tables.margin_zero, take("margin", y.shape))
     square = take("square", y.shape)
-    log_p = _select(mask, np.log(p11), np.log1p(-p11), take("scratch", y.shape))
-    w1 = _evidence(np.subtract(y, a_one, out=square), a_one, a_th, log_p,
-                   take("margin", y.shape))
-    log_p = _select(mask, np.log1p(-p00), np.log(p00), mask)
-    w0 = _evidence(np.subtract(a_zero, y, out=square), a_zero, a_th, log_p,
-                   take("scratch", y.shape))
+    log_p = _select(mask, tables.one_flip, tables.one_zero, take("scratch", y.shape))
+    w1 = _evidence(np.subtract(y, tables.a_one, out=square), tables.neg_a_one, tables.a_th,
+                   log_p, take("margin", y.shape))
+    log_p = _select(mask, tables.zero_flip, tables.zero_zero, mask)
+    w0 = _evidence(np.subtract(tables.a_zero, y, out=square), tables.neg_a_zero, tables.a_th,
+                   log_p, take("scratch", y.shape))
     return np.subtract(w1, w0, out=w1)
 
 
-def _select(mask, if_one, if_zero, out):
-    """``np.where(mask, if_one, if_zero)`` into ``out``, which may be ``mask``, branch-free.
+def _pair(if_one, if_zero):
+    """The int64 bits (if_one ^ if_zero, if_zero) of two float tables, for ``_select``."""
+    zero = if_zero.view(np.int64)
+    return if_one.view(np.int64) ^ zero, zero
 
-    ``mask`` holds int64 words of all ones or all zeros, so (mask & (one ^ zero)) ^
-    zero over the float tables' int64 views copies one table entry's 64 bits whole,
-    signed zeros and NaN payloads included.  Returns ``out`` as floats.
+
+def _select(mask, flip, zero, out):
+    """``np.where(mask, one, zero)`` into ``out``, which may be ``mask``, branch-free.
+
+    ``mask`` holds int64 words of all ones or all zeros and (flip, zero) is
+    ``_pair(one, zero)``, so (mask & flip) ^ zero copies one table entry's 64 bits
+    whole, signed zeros and NaN payloads included.  Returns ``out`` as floats.
     """
-    one, zero = if_one.view(np.int64), if_zero.view(np.int64)
-    bits = np.bitwise_and(mask, one ^ zero, out=out.view(np.int64))
+    bits = np.bitwise_and(mask, flip, out=out.view(np.int64))
     return np.bitwise_xor(bits, zero, out=bits).view(float)
 
 
-def _evidence(deviation, a_ref, a_th, log_p, out):
+def _evidence(deviation, neg_a_ref, a_th, log_p, out):
     """-deviation**2 / a_ref + deviation**2 / a_th * log_p into ``out``, squaring in place."""
     square = np.square(deviation, out=deviation)
-    np.divide(square, -a_ref, out=out)  # (-square) / a_ref bit for bit: IEEE sign symmetry
+    np.divide(square, neg_a_ref, out=out)  # (-square) / a_ref bit for bit: IEEE sign symmetry
     return np.add(out, np.multiply(np.divide(square, a_th, out=square), log_p, out=square),
                   out=out)
 
@@ -224,27 +264,36 @@ def fuse(node_margins, workspace=None):
     return np.greater(total, 0.0, out=take("decision", total.shape, np.int64))
 
 
-def detect(technique: str, y_abs, stats: TrainingStats, workspace=None):
+def detect(technique: str, y_abs, stats, workspace=None):
     """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique."""
     return fuse(margins(technique, y_abs, stats, workspace), workspace)
 
 
-def mrc_detect(y, h, p_watts):
+def mrc_tables(h, p_watts) -> MrcTables:
+    """The (K, N) gains, sum_k h_k^2 per slot and sqrt(P)/2 as a (..., 1) column."""
+    h, p = np.asarray(h, dtype=float), np.asarray(p_watts, dtype=float)
+    if h.ndim != 2 or h.shape[0] == 0:
+        raise ParameterError(f"h must be a (K, N) array with K >= 1, got shape {h.shape}")
+    if not (p >= 0.0).all():
+        raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
+    return MrcTables(h, (h * h).sum(axis=0), (0.5 * np.sqrt(p))[..., None])
+
+
+def mrc_detect(y, h, p_watts=None, workspace=None):
     """Coherent MRC baseline with perfect per-slot channel knowledge.
 
     Matched-filter statistic sum_k h_k*y_k compared against the midpoint
     threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (..., K, N)
-    ``y``, (K, N) ``h`` and a float or (...) array of powers; gives (..., N) ints.
+    ``y``, (K, N) ``h`` and a float or (...) array of powers, or as ``h`` their
+    ``mrc_tables``; gives (..., N) ints.
     """
+    tables = h if isinstance(h, MrcTables) else mrc_tables(h, p_watts)
     y = np.asarray(y, dtype=float)
-    h = np.asarray(h, dtype=float)
-    p = np.asarray(p_watts, dtype=float)
-    if y.shape != p.shape + h.shape or h.ndim != 2 or h.shape[0] == 0:
-        raise ParameterError(f"y and h must be matching (K, N) arrays with K >= 1, and y's "
-                             f"leading axes those of p_watts, got {y.shape} and {h.shape}")
-    if not (p >= 0.0).all():
-        raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
-    z = (h * y).sum(axis=-2)
-    threshold = (0.5 * np.sqrt(p))[..., None] * (h * h).sum(axis=0)
-    decision = z > threshold
-    return decision.astype(np.int64)
+    if y.shape != tables.half_root.shape[:-1] + tables.h.shape:
+        raise ParameterError(f"y and h must be matching (K, N) arrays, and y's leading axes "
+                             f"those of p_watts, got {y.shape} and {tables.h.shape}")
+    take = (Workspace() if workspace is None else workspace).take
+    z = np.multiply(tables.h, y, out=take("scratch", y.shape)).sum(
+        axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
+    threshold = np.multiply(tables.half_root, tables.energy, out=take("threshold", z.shape))
+    return np.greater(z, threshold, out=take("decision", z.shape, np.int64))

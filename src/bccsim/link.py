@@ -10,6 +10,7 @@ variance N0*B/2.  Powers and variances are plain floats in watts;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +84,21 @@ class ReceivedFrame:
         """The same draws at ``power_w`` watts, a float or array; itself at the power it holds."""
         if np.shape(power_w) == np.shape(self.power_w) and np.equal(power_w, self.power_w).all():
             return self
-        return replace(self, y=_received(power_w, self.h, self.x, self.noise), power_w=power_w)
+        return replace(self, y=self.received(power_w), power_w=power_w)
 
+    def received(self, power_w, out=None) -> np.ndarray:
+        """``y`` at ``power_w`` watts, into ``out`` if given, from h * x kept after first use.
 
-def _received(power_w, h, x, noise) -> np.ndarray:
-    return np.sqrt(power_w)[..., None, None] * h * x + noise
+        As x is 0 or 1, sqrt(P) * (h * x) has the bits of sqrt(P) * h * x unless
+        sqrt(P) * h overflows, where x = 0 then gives the noise instead of NaN.
+        """
+        y = np.multiply(np.sqrt(power_w)[..., None, None], self.signal, out=out)
+        return np.add(y, self.noise, out=y)
+
+    @cached_property
+    def signal(self) -> np.ndarray:
+        """h * x, the noiseless amplitudes at 1 W."""
+        return self.h * self.x
 
 
 def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> ReceivedFrame:
@@ -117,5 +128,6 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> Receiv
         h[i] = node.dist.inverse_cdf(u[i])
     del u  # before the noise draw, which can then reuse its memory
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    return ReceivedFrame(y=_received(power_w, h, x, noise), x=x, h=h, noise=noise,
-                         power_w=power_w)
+    # received's arithmetic, in one expression that frees h * x before adding the noise
+    y = np.sqrt(power_w)[..., None, None] * (h * x) + noise
+    return ReceivedFrame(y=y, x=x, h=h, noise=noise, power_w=power_w)

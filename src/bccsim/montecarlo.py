@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import NodeProfile
 from .detectors import (COMBINATION, MRC, TECHNIQUES, TrainingStats, Workspace,
-                        compute_training_stats, detect, mrc_detect)
+                        compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
 from .errors import ParameterError
 from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
                    training_symbols)
@@ -48,8 +48,9 @@ MAX_N_T = 100_000
 MAX_POWERS = 10_000
 
 # Elements of the (powers, K, slots) array one pass of a block detects, or of
-# a training frame reduces, at once: 64 KB of float64 per array, so a pass's
-# temporaries stay in cache.
+# a training frame reduces, at once: 64 KB of float64 per array.  Wider passes
+# are faster but hold more: on fig6-j1, 2^15 gave about 1.25x decisions/s for
+# 1.0 MB (2.5%) more peak RSS, and 2^16 the same for 3.1 MB (7.9%).
 _PASS_ELEMENTS = 2 ** 13
 
 
@@ -198,8 +199,8 @@ def _substream(seed: int, *key: int):
 
 
 def _errors(decisions, x):
-    """Symbol errors of (..., N) 0/1 decisions against the sent 0/1 symbols."""
-    return (decisions ^ x).sum(axis=-1)
+    """Symbol errors of (..., N) 0/1 decisions against the sent 0/1 symbols, XORed in place."""
+    return np.bitwise_xor(decisions, x, out=decisions).sum(axis=-1)
 
 
 def _passes(count: int, elements: int) -> list[slice]:
@@ -230,34 +231,40 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
     """Error counts of one (train, transmit) block at every grid point and technique.
 
     Each training length's frame is drawn, reduced to (powers, K) statistics
-    in training passes sized by that frame and dropped before the next is
-    drawn.  Then the data frame is rescaled and detected in data passes of as
-    many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
-    slots) array: once per pass against each length's rows of statistics, in
-    ``workspace``, and MRC once for all lengths.  Counts are (points,
-    techniques) in grid order.  Combination on a zero-noise scenario raises
-    DegenerateTrainingError; run_scenario never asks for it.
+    in training passes sized by that frame, and dropped before the next is
+    drawn; its margin tables, and MRC's of the data frame, are derived once.
+    The data frame is detected in data passes of as many consecutive powers as
+    fit _PASS_ELEMENTS elements of a (powers, K, slots) array, the first as drawn
+    and each later one rescaled into ``workspace``: |y| once, each technique once
+    per training length on its slice of the tables (combination last, reusing
+    probability's hard decision), and MRC once for all lengths.  Counts are
+    (points, techniques) in grid order.  Combination on a zero-noise scenario
+    raises DegenerateTrainingError; run_scenario never asks for it.
     """
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-    stats = [_training_stats(scenario, block_index, n_t, powers, variance)
-             for n_t in (scenario.n_t if set(scenario.techniques) != {MRC} else ())]
+    techniques = scenario.techniques
+    tables = [margin_tables(_training_stats(scenario, block_index, n_t, powers, variance))
+              for n_t in (scenario.n_t if set(techniques) != {MRC} else ())]
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
     passes = _passes(len(powers), len(scenario.nodes) * n_symbols)
     data = generate_received(x, scenario.nodes, powers[passes[0]], variance, rng)
-    counts = np.empty((len(scenario.n_t), len(powers), len(scenario.techniques)), dtype=np.int64)
+    coherent = mrc_tables(data.h, powers) if MRC in techniques else None
+    noncoherent = sorted((j for j, t in enumerate(techniques) if t != MRC),
+                         key=lambda j: techniques[j] == COMBINATION)
+    counts = np.empty((len(scenario.n_t), len(powers), len(techniques)), dtype=np.int64)
     for at in passes:
-        frame = data.at_power(powers[at])
-        amplitudes = np.abs(frame.y, out=workspace.take("amplitudes", frame.y.shape))
-        rows = [s[at] for s in stats]
-        for j, technique in enumerate(scenario.techniques):
-            if technique == MRC:  # needs no training: one count serves every length
-                counts[:, at, j] = _errors(mrc_detect(frame.y, frame.h, powers[at]), x)
-            else:
-                counts[:, at, j] = [_errors(detect(technique, amplitudes, s, workspace), x)
-                                    for s in rows]
-    return counts.swapaxes(0, 1).reshape(-1, len(scenario.techniques))
+        y = data.y if at == passes[0] else data.received(
+            powers[at], workspace.take("received", powers[at].shape + data.h.shape))
+        amplitudes = np.abs(y, out=workspace.take("amplitudes", y.shape))
+        for i, rows in enumerate(t.rows(at) for t in tables):
+            for j in noncoherent:
+                counts[i, at, j] = _errors(detect(techniques[j], amplitudes, rows, workspace), x)
+        if coherent is not None:  # MRC needs no training: one count serves every length
+            decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
+            counts[:, at, techniques.index(MRC)] = _errors(decisions, x)
+    return counts.swapaxes(0, 1).reshape(-1, len(techniques))
 
 
 def _run_blocks(scenario: Scenario, first: int, sizes: list[int]) -> np.ndarray:

@@ -23,7 +23,7 @@ from bccsim import (
     training_symbols,
 )
 from bccsim.detectors import (COMBINATION, DEVIATION, NONCOHERENT, PROBABILITY, Workspace,
-                              _select)
+                              _pair, _select, margin_tables, mrc_tables)
 
 
 def poison(workspace):
@@ -381,9 +381,10 @@ class TestSelect:
         expected = np.where(detected, if_one, if_zero)
         mask = -detected.astype(np.int64)
         out = np.empty(detected.shape)
-        assert same_bits(_select(mask, if_one, if_zero, out), expected)
-        assert same_bits(_select(mask, if_zero, if_one, out), np.where(detected, if_zero, if_one))
-        in_place = _select(mask, if_one, if_zero, mask)
+        assert same_bits(_select(mask, *_pair(if_one, if_zero), out), expected)
+        assert same_bits(_select(mask, *_pair(if_zero, if_one), out),
+                         np.where(detected, if_zero, if_one))
+        in_place = _select(mask, *_pair(if_one, if_zero), mask)
         assert np.shares_memory(in_place, mask) and same_bits(in_place, expected)
 
 
@@ -470,3 +471,51 @@ class TestLeadingAxes:
         for fn in (margins, detect):
             with pytest.raises(DegenerateTrainingError):
                 fn("combination", y, stats)
+
+
+class TestSlicedTables:
+    """A block derives its tables once and each pass slices them: no second kernel."""
+
+    PASSES = (slice(0, 2), slice(2, 4), slice(4, 5))
+
+    def test_each_pass_reads_what_its_own_statistics_give(self):
+        # (5, K) statistics cut into passes of 2, 2 and 1 powers, with a signed
+        # zero reference at power 1 (combination fails that pass on both paths),
+        # subnormal references and amplitudes, and p11, p00 at the clamp limits
+        # of n_t = 50 and n_t = 4; amplitudes include exact ties with a_th.
+        # Probability leaves its mask for combination, which consumes it, so the
+        # probability after it must build its own
+        rng = np.random.default_rng(59)
+        stats = random_stats(rng, (5, 4))
+        stats.a_one[1, 0], stats.a_zero[1, 2], stats.a_th[1, 3] = 0.0, -0.0, 0.0
+        stats.a_zero[3, 1], stats.a_th[3, 2], stats.a_one[4, 0] = 5e-324, 2e-310, 1e-320
+        stats.p11[2], stats.p00[2], stats.p11[3], stats.p00[3] = 0.04, 0.96, 0.96, 0.04
+        stats.p11[4] = stats.p00[4] = 0.5
+        y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=(5, 4, 300))
+        y[..., :7] = stats.a_th[..., None]
+        y[..., 7:10] = (0.0, 5e-324, 1e-310)
+        tables, workspace = margin_tables(stats), Workspace()
+        with np.errstate(all="ignore"):  # subnormal references overflow combination
+            for at in self.PASSES:
+                amplitudes, rows = np.ascontiguousarray(y[at]), tables.rows(at)
+                for technique in (PROBABILITY, DEVIATION, COMBINATION, PROBABILITY):
+                    if technique == COMBINATION and at.start == 0:
+                        for s in (rows, stats[at]):
+                            with pytest.raises(DegenerateTrainingError):
+                                margins(technique, amplitudes, s, workspace)
+                        continue
+                    fresh = margins(technique, y[at], stats[at])
+                    assert same_bits(margins(technique, amplitudes, rows, workspace), fresh)
+                    if technique == PROBABILITY:  # combination reuses this pass's mask
+                        assert workspace.mask_of[0] is amplitudes
+                        assert workspace.mask_of[1] is rows
+
+    def test_mrc_reads_what_its_own_powers_give(self):
+        rng = np.random.default_rng(61)
+        h = rng.lognormal(size=(4, 300))
+        powers = np.array([0.0, 5e-324, 1e-3, 2.0, 1e300])
+        y = np.sqrt(powers)[:, None, None] * h * (rng.random(300) < 0.5) + rng.normal(size=300)
+        tables, workspace = mrc_tables(h, powers), Workspace()
+        for at in self.PASSES:
+            assert np.array_equal(mrc_detect(y[at], tables.rows(at), None, workspace),
+                                  mrc_detect(y[at], h, powers[at]))

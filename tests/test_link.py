@@ -1,6 +1,7 @@
 """Physical-layer model: unit bridges, symbol frames, received signals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,18 +228,25 @@ class TestAtPower:
         assert one.at_power(powers[1]) is not one and singles[1].at_power(powers[1]) is singles[1]
 
     def test_a_block_rescales_its_data_frame_once(self, monkeypatch):
-        # fig7 has one power and seven training lengths: the data frame is
-        # rescaled once per pass, not once per training length
-        slots, sizes = 300, []
-        at_power = ReceivedFrame.at_power
+        # fig7 at two powers has seven training lengths and two one-power data
+        # passes: the data frame is rescaled once, for its second pass, not once
+        # per training length; each training frame goes through at_power once per
+        # training pass (n_t = 1,000 takes two, and is rescaled for the second)
+        slots, sizes, rescaled = 800, [], []
+        at_power, received = ReceivedFrame.at_power, ReceivedFrame.received
 
         def counted(frame, power_w):
             sizes.append(frame.x.size)
             return at_power(frame, power_w)
 
+        def counted_rescale(frame, power_w, out=None):
+            rescaled.append(frame.x.size)
+            return received(frame, power_w, out)
+
         monkeypatch.setattr(ReceivedFrame, "at_power", counted)
-        scenario = preset("fig7")
+        monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
+        scenario = replace(preset("fig7"), power_sweep_dbm=(4.0, 10.0))
         _run_block(scenario, 0, slots, Workspace())
         assert len(scenario.n_t) == 7 and slots not in scenario.n_t
-        assert sizes.count(slots) == 1
-        assert sorted(n for n in sizes if n != slots) == list(scenario.n_t)
+        assert rescaled == [1000, slots]
+        assert sorted(sizes) == [*scenario.n_t, 1000]

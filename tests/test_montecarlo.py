@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from bccsim import (
     DegenerateTrainingError,
     ParameterError,
     Scenario,
+    ReceivedFrame,
     Weibull,
     dbm_to_watts,
     make_ber_point,
@@ -28,7 +29,7 @@ from bccsim import (
     registry_entry,
     run_scenario,
 )
-from bccsim import cli, montecarlo
+from bccsim import cli, detectors, montecarlo
 from bccsim.detectors import Workspace, compute_training_stats
 from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _substream
 from bccsim.presets import PRESET_NAMES
@@ -300,6 +301,58 @@ class TestPowerPasses:
             assert tracemalloc.get_traced_memory()[0] - before <= 64 * 1024
         finally:
             tracemalloc.stop()
+
+    def test_fig6_blocks_sharing_a_workspace_allocate_little(self):
+        # the second of two fig6 blocks (K=9, 1,000 slots, 26 one-power data
+        # passes) allocates its frames but no per-pass arrays: its traced peak
+        # reads about 410 B per slot, where rescaling each pass into fresh
+        # arrays read 536
+        scenario = replace(preset("fig6"), n_data_symbols=2000, blocks=2, seed=1)
+        workspace = Workspace()
+        tracemalloc.start()
+        try:
+            _run_block(scenario, 0, 1000, workspace)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _run_block(scenario, 1, 1000, workspace)
+            assert tracemalloc.get_traced_memory()[1] - before <= 450 * 1000
+        finally:
+            tracemalloc.stop()
+
+    def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
+        # two training lengths and 26 one-power data passes: each length's
+        # margin tables, the data frame's h * x and MRC's h . h are derived
+        # once per block, and the frame is rescaled once per pass after the first
+        scenario = replace(preset("fig6"), n_t=(10, 50), seed=11)
+        expected = _run_block(scenario, 0, 1000, Workspace())
+        calls, signals, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], []
+        for name in calls:
+            def counted(*args, name=name, original=getattr(detectors, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(detectors, name, counted)
+            monkeypatch.setattr(montecarlo, name, counted)
+        signal, received = ReceivedFrame.signal, ReceivedFrame.received
+
+        def counted_signal(frame):
+            signals.append(frame.x.size)
+            return signal.func(frame)
+
+        def counted_received(frame, power_w, out=None):
+            rescaled.append(frame.x.size)
+            return received(frame, power_w, out)
+
+        spy = cached_property(counted_signal)
+        spy.__set_name__(ReceivedFrame, "signal")
+        monkeypatch.setattr(ReceivedFrame, "signal", spy)
+        monkeypatch.setattr(ReceivedFrame, "received", counted_received)
+        assert len(montecarlo._passes(26, 9 * 1000)) == 26
+        assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
+        assert calls == {"margin_tables": 2, "mrc_tables": 1}
+        # n_t = 50 takes two training passes of 18 and 8 powers, n_t = 10 one
+        assert signals == [50, 1000]
+        assert rescaled == [50] + [1000] * 25
 
     def test_one_training_frame_at_a_time(self):
         # four long training frames cost about as much memory as the longest alone
