@@ -11,8 +11,8 @@ Every preset and scenario file is one Scenario, so ``run`` writes one
 CSV and ``preset`` one YAML document that ``--config`` loads back.
 ``run`` emits one CSV row per BER point, sorted by (technique, power,
 n_t).  Identical seeds produce byte-identical CSV regardless of the
-worker count.  A bad scenario, an unreadable ``--config`` file or an
-unwritable ``--out`` path exits 2 with a message naming the key or flag.
+worker count.  A bad scenario, an unreadable ``--config`` file, an unwritable
+``--out`` path or a budget too big for memory exits 2, naming the key or flag.
 """
 
 from __future__ import annotations
@@ -133,15 +133,15 @@ def _run_command(args) -> int:
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out}: no such directory")
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.symbols is not None:
-        overrides["n_data_symbols"] = args.symbols
-    if overrides:
-        scenario = replace(scenario, **overrides)
-
-    points = run_scenario(scenario, jobs=args.jobs)
+    overrides = {"seed": args.seed, "n_data_symbols": args.symbols}
+    scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    try:
+        points = run_scenario(scenario, jobs=args.jobs)
+    except MemoryError:
+        n, blocks = scenario.n_data_symbols, scenario.blocks
+        raise ParameterError(f"n_data_symbols: {n} symbols in blocks: {blocks} make "
+                             f"{-(-n // min(blocks, n))} slots per block, too many to fit "
+                             "in memory") from None
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")
     _write(format_csv(points), args.out)

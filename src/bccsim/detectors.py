@@ -6,15 +6,15 @@ detected in one call, at every index of any leading axes (one per transmit
 power, say) with matching (..., K) statistics.  A single slot is (K, 1).
 
 Three noncoherent techniques share the same training phase and the same
-fusion rule but differ in how each node turns a received amplitude into
-a margin, its evidence for symbol 1 minus its evidence for symbol 0:
+fusion rule.  Each turns a node's amplitude |y| into a margin, its evidence
+for symbol 1 minus its evidence for symbol 0, a polynomial in |y| whose
+coefficients the hard decision |y| >= a_th picks from the training statistics:
 
-* probability  -- hard-detect against the amplitude threshold, then score
-  both hypotheses with logs of the empirical conditional probabilities.
-* deviation    -- signed distances between the amplitude and the two
-  half-frame mean amplitudes.
-* combination  -- squared deviations scaled by the reference amplitudes,
-  with the log-probability score as a balancing exponent term.
+* probability  -- degree 0: the log-probability scores of the hard decision.
+* deviation    -- degree 1: the signed distances to the two half-frame mean
+  amplitudes, so the fused test is sum_k |y_k| > sum_k a_th,k.
+* combination  -- degree 2: squared deviations weighted by the reference
+  amplitudes and the log-probability scores.
 
 The fusion center sums the node margins.  The coherent baseline is
 matched-filter combining with perfect per-slot channel knowledge.
@@ -80,9 +80,9 @@ class TrainingStats:
         return TrainingStats(*(v[index] for v in vars(self).values()))
 
 
-class MarginTables(namedtuple("MarginTables", "a_one a_zero a_th neg_a_one neg_a_zero margin_flip "
-                              "margin_zero one_flip one_zero zero_flip zero_zero degenerate")):
-    """What margins reads of (..., K) statistics, derived once by ``margin_tables``."""
+class MarginTables(namedtuple("MarginTables", "a_one a_zero a_th th_sum margin_flip margin_zero "
+                              "one_flip one_zero zero_flip zero_zero degenerate")):
+    """What margins and detect read of (..., K) statistics, derived once by ``margin_tables``."""
 
     def rows(self, index) -> MarginTables:
         """The tables at ``index`` of the leading axes, as a block's pass reads them."""
@@ -156,73 +156,77 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
 
 
 def margin_tables(stats: TrainingStats) -> MarginTables:
-    """(..., K, 1) tables of A1, A0, a_th, -A1, -A0, then probability's margins and
-    combination's symbol-1 and symbol-0 log-probabilities as ``_pair`` gives them to
-    ``_select``, and (...) flags where a reference amplitude is zero."""
+    """(..., K, 1) tables of A1, A0 and a_th, the (..., 1) node sum of a_th in node order
+    (as numpy adds the node rows of |y| for N > 1), probability's margins, combination's
+    alpha1 and alpha0 as ``_pair`` gives them to ``_select``, and (...) flags of a zero
+    reference.  The alphas read each reference as at least 2**-1000, far below any
+    trained amplitude, so none overflows."""
     a_one, a_zero, a_th, p11, p00 = (getattr(stats, name)[..., None]
                                      for name in ("a_one", "a_zero", "a_th", "p11", "p00"))
     log_p11, log_q11 = np.log(p11), np.log1p(-p11)
     log_q00, log_p00 = np.log1p(-p00), np.log(p00)
     usable = np.concatenate([stats.a_one, stats.a_zero, stats.a_th], axis=-1).all(axis=-1)
-    return MarginTables(a_one, a_zero, a_th, -a_one, -a_zero,
-                        *_pair(log_p11 - log_q00, log_q11 - log_p00), *_pair(log_p11, log_q11),
-                        *_pair(log_q00, log_p00), ~usable)
+    th, one, zero = (np.maximum(a, 2.0 ** -1000) for a in (a_th, a_one, a_zero))
+    inv_one, inv_zero = 1.0 / one, 1.0 / zero
+    return MarginTables(a_one, a_zero, a_th, np.cumsum(stats.a_th, axis=-1)[..., -1:],
+                        *_pair(log_p11 - log_q00, log_q11 - log_p00),
+                        *_pair(log_p11 / th - inv_one, log_q11 / th - inv_one),
+                        *_pair(log_q00 / th - inv_zero, log_p00 / th - inv_zero), ~usable)
 
 
 def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     """Each node's evidence for symbol 1 minus its evidence for symbol 0.
 
-    Takes (..., K, N) amplitudes and returns (..., K, N) margins:
+    Takes (..., K, N) amplitudes and returns (..., K, N) margins, each a
+    polynomial in |y| whose coefficients the hard decision d = (|y| >= a_th) picks:
 
-    * probability  -- hard-detect against a_th; log(p11) - log(1 - p00) when
-      detected, log(1 - p11) - log(p00) otherwise.  Clamping during
-      training keeps every log argument inside (0, 1).
-    * deviation    -- (|y| - A1) - (A0 - |y|).
-    * combination  -- for each hypothesis the squared deviation over the
-      matching reference amplitude, plus the same square over a_th times
-      that hypothesis' log-probability score.  Requires strictly positive
-      reference amplitudes and raises DegenerateTrainingError otherwise, a
-      guard for direct callers: run_scenario never passes zero-noise
-      statistics to combination.
+    * probability  -- log(p11) - log(1 - p00) when detected, log(1 - p11) -
+      log(p00) otherwise; training's clamping keeps each log argument in (0, 1).
+    * deviation    -- 2 (|y| - a_th), that is (|y| - A1) - (A0 - |y|).
+    * combination  -- alpha1(d) (|y| - A1)**2 - alpha0(d) (|y| - A0)**2 with
+      alpha_i(d) = L_i(d) / a_th - 1 / A_i, L_i(d) symbol i's log-probability score:
+      w1 - w0 with w_i = -(|y| - A_i)**2 / A_i + (|y| - A_i)**2 / a_th * L_i(d).
+      Raises DegenerateTrainingError on a zero reference amplitude (a guard for
+      direct callers: run_scenario never gives it zero-noise statistics).
 
     ``stats`` are TrainingStats or their ``margin_tables``.  The hard decision, an
-    int64 mask of all ones where |y| >= a_th, picks each log-probability score with
-    bit operations (``_select``).  A call on the same amplitude and table objects as
-    the workspace's last probability call reuses its mask, so amplitudes rewritten
-    in place need fresh tables, as each pass of a block slices its own.
+    int64 mask of all ones where |y| >= a_th, picks each coefficient by ``_select``.
+    A call on the same amplitude and table objects as the workspace's last probability
+    call reuses its mask, so amplitudes rewritten in place need fresh tables.
     """
-    if technique not in NONCOHERENT:
-        raise ParameterError(
-            f"unknown noncoherent technique {technique!r}; expected one of "
-            f"{sorted(NONCOHERENT)}")
-    tables = stats if isinstance(stats, MarginTables) else margin_tables(stats)
+    y, tables = _checked(technique, y_abs, stats)
     if technique == COMBINATION and tables.degenerate.any():
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
-    y = np.asarray(y_abs, dtype=float)
-    if y.shape[:-1] != tables.a_th.shape[:-1]:
-        raise ParameterError(f"y_abs must be (K, N), with the leading axes of the (..., K) "
-                             f"statistics {tables.a_th.shape[:-1]}, got shape {y.shape}")
     workspace = Workspace() if workspace is None else workspace
-    take = workspace.take
+    margin = workspace.take("margin", y.shape)
     if technique == DEVIATION:
-        above = np.subtract(y, tables.a_one, out=take("margin", y.shape))
-        return np.subtract(above, np.subtract(tables.a_zero, y, out=take("scratch", y.shape)),
-                           out=above)
-    mask, source = take("mask", y.shape, np.int64), workspace.mask_of
+        return np.multiply(np.subtract(y, tables.a_th, out=margin), 2.0, out=margin)
+    mask, source = workspace.take("mask", y.shape, np.int64), workspace.mask_of
     if not (source and source[0] is y and source[1] is tables):
         np.negative(np.greater_equal(y, tables.a_th, out=mask), out=mask)
     workspace.mask_of = (y, tables) if technique == PROBABILITY else None
     if technique == PROBABILITY:
-        return _select(mask, tables.margin_flip, tables.margin_zero, take("margin", y.shape))
-    square = take("square", y.shape)
-    log_p = _select(mask, tables.one_flip, tables.one_zero, take("scratch", y.shape))
-    w1 = _evidence(np.subtract(y, tables.a_one, out=square), tables.neg_a_one, tables.a_th,
-                   log_p, take("margin", y.shape))
-    log_p = _select(mask, tables.zero_flip, tables.zero_zero, mask)
-    w0 = _evidence(np.subtract(tables.a_zero, y, out=square), tables.neg_a_zero, tables.a_th,
-                   log_p, take("scratch", y.shape))
-    return np.subtract(w1, w0, out=w1)
+        return _select(mask, tables.margin_flip, tables.margin_zero, margin)
+    scratch = workspace.take("scratch", y.shape)
+    alpha = _select(mask, tables.one_flip, tables.one_zero, scratch)
+    np.multiply(np.square(np.subtract(y, tables.a_one, out=margin), out=margin), alpha, out=margin)
+    alpha = _select(mask, tables.zero_flip, tables.zero_zero, mask)
+    other = np.square(np.subtract(y, tables.a_zero, out=scratch), out=scratch)
+    return np.subtract(margin, np.multiply(other, alpha, out=other), out=margin)
+
+
+def _checked(technique: str, y_abs, stats):
+    """(..., K, N) amplitudes as floats and the tables of ``stats``, checked to match."""
+    if technique not in NONCOHERENT:
+        raise ParameterError(f"unknown noncoherent technique {technique!r}; "
+                             f"expected one of {sorted(NONCOHERENT)}")
+    tables = stats if isinstance(stats, MarginTables) else margin_tables(stats)
+    y = np.asarray(y_abs, dtype=float)
+    if y.shape[:-1] != tables.a_th.shape[:-1] or y.shape[-2:-1] == (0,):
+        raise ParameterError(f"y_abs must be (K, N) with K >= 1, with the leading axes of the "
+                             f"(..., K) statistics {tables.a_th.shape[:-1]}, got shape {y.shape}")
+    return y, tables
 
 
 def _pair(if_one, if_zero):
@@ -242,14 +246,6 @@ def _select(mask, flip, zero, out):
     return np.bitwise_xor(bits, zero, out=bits).view(float)
 
 
-def _evidence(deviation, neg_a_ref, a_th, log_p, out):
-    """-deviation**2 / a_ref + deviation**2 / a_th * log_p into ``out``, squaring in place."""
-    square = np.square(deviation, out=deviation)
-    np.divide(square, neg_a_ref, out=out)  # (-square) / a_ref bit for bit: IEEE sign symmetry
-    return np.add(out, np.multiply(np.divide(square, a_th, out=square), log_p, out=square),
-                  out=out)
-
-
 def fuse(node_margins, workspace=None):
     """Fusion-center decision: 1 when the summed node margins are positive.
 
@@ -265,8 +261,17 @@ def fuse(node_margins, workspace=None):
 
 
 def detect(technique: str, y_abs, stats, workspace=None):
-    """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique."""
-    return fuse(margins(technique, y_abs, stats, workspace), workspace)
+    """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique.
+
+    Deviation compares the node sum of |y| with ``th_sum``: its summed margins
+    2 (|y_k| - a_th,k) are positive when that sum is larger.  The others ``fuse``.
+    """
+    if technique != DEVIATION:
+        return fuse(margins(technique, y_abs, stats, workspace), workspace)
+    y, tables = _checked(technique, y_abs, stats)
+    take = (Workspace() if workspace is None else workspace).take
+    total = y.sum(axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
+    return np.greater(total, tables.th_sum, out=take("decision", total.shape, np.int64))
 
 
 def mrc_tables(h, p_watts) -> MrcTables:

@@ -152,6 +152,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "jobs" in err and "Traceback" not in err
 
+    def test_budget_beyond_memory_names_keys(self, monkeypatch, capsys):
+        # the run's MemoryError is stood in for, so nothing is allocated
+        def out_of_memory(scenario, jobs=None):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+        args = ["run", "--preset", "fig4", "--symbols", str(10 ** 14)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "n_data_symbols" in err and "blocks" in err and "Traceback" not in err
+        assert f"{10 ** 12} slots per block" in err
+
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block
         cfg = tmp_path / "bad.yaml"

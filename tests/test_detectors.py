@@ -71,6 +71,28 @@ def reference_weights(y, stats):
     return dict(zip(NONCOHERENT, (prob, dev, comb)))
 
 
+def coefficient_margins(y, stats):
+    """Each rule's margin of (..., K, N) ``y`` in coefficient form, written out with np.where:
+    the coefficients of a polynomial in |y| of the rule's own degree, picked by the hard
+    decision, in the order of operations ``margins`` evaluates."""
+    a_one, a_zero, a_th, p11, p00 = (getattr(stats, field)[..., None]
+                                     for field in ("a_one", "a_zero", "a_th", "p11", "p00"))
+    detected = y >= a_th
+    alpha1 = np.where(detected, np.log(p11) / a_th - 1.0 / a_one,
+                      np.log1p(-p11) / a_th - 1.0 / a_one)
+    alpha0 = np.where(detected, np.log1p(-p00) / a_th - 1.0 / a_zero,
+                      np.log(p00) / a_th - 1.0 / a_zero)
+    return {PROBABILITY: np.where(detected, np.log(p11) - np.log1p(-p00),
+                                  np.log1p(-p11) - np.log(p00)),
+            DEVIATION: (y - a_th) * 2.0,
+            COMBINATION: (y - a_one) ** 2 * alpha1 - (y - a_zero) ** 2 * alpha0}
+
+
+def close_to_paper_form(m, w1, w0):
+    """|m - (w1 - w0)| <= 1e-12 (|w1| + |w0|) everywhere."""
+    return np.all(np.abs(m - (w1 - w0)) <= 1e-12 * (np.abs(w1) + np.abs(w0)))
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -270,13 +292,16 @@ class TestDetect:
             assert np.all(np.isfinite(margins(technique, y, stats)))
 
     def test_margins_match_the_per_hypothesis_weights(self):
-        # each rule's margin is bit-for-bit its symbol-1 minus its symbol-0 weight
+        # each rule's margin is bit for bit its coefficient form, and its symbol-1
+        # minus its symbol-0 weight to rounding; the decisions are the paper form's
         rng = np.random.default_rng(37)
         stats = random_stats(rng, 6)
         y = stats.a_th[:, None] * rng.uniform(0.0, 2.5, size=(6, 400))
+        coefficient = coefficient_margins(y, stats)
         for technique, (w1, w0) in reference_weights(y, stats).items():
             m = margins(technique, y, stats)
-            assert np.array_equal(m, w1 - w0)
+            assert same_bits(m, coefficient[technique])
+            assert close_to_paper_form(m, w1, w0)
             assert np.array_equal(detect(technique, y, stats),
                                   ((w1 - w0).sum(axis=0) > 0.0).astype(np.int64))
 
@@ -288,22 +313,26 @@ class TestDetect:
         for shape in ((3, 6, 400), (2, 6, 250), (4, 6, 500)):
             stats = random_stats(rng, shape[:2])
             y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=shape)
-            weights = reference_weights(y, stats)
+            weights, coefficient = reference_weights(y, stats), coefficient_margins(y, stats)
             for technique in (PROBABILITY, DEVIATION, COMBINATION, PROBABILITY):
                 w1, w0 = weights[technique]
-                assert same_bits(margins(technique, y, stats, workspace), w1 - w0)
+                m = margins(technique, y, stats, workspace)
+                assert same_bits(m, coefficient[technique]) and close_to_paper_form(m, w1, w0)
                 assert np.array_equal(detect(technique, y, stats, workspace),
                                       ((w1 - w0).sum(axis=-2) > 0.0).astype(np.int64))
 
-    def test_workspace_holds_four_full_size_arrays(self):
-        # mask, scratch, square and margin, plus the (P, N) node sum and decisions
+    def test_workspace_holds_three_full_size_arrays(self):
+        # mask, scratch and margin, plus the (P, N) node sum and decisions;
+        # deviation alone needs only the last two
         rng = np.random.default_rng(53)
         stats = random_stats(rng, (3, 6))
         y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=(3, 6, 400))
         workspace = Workspace()
+        detect(DEVIATION, y, stats, workspace)
+        assert sum(a.nbytes for a in workspace.values()) <= 2 * 3 * 400 * 8
         for technique in NONCOHERENT:
             detect(technique, y, stats, workspace)
-        assert sum(a.nbytes for a in workspace.values()) <= 4 * y.nbytes + 2 * 3 * 400 * 8
+        assert sum(a.nbytes for a in workspace.values()) <= 3 * y.nbytes + 2 * 3 * 400 * 8
 
     def test_unknown_technique(self):
         for fn in (margins, detect):
@@ -316,6 +345,68 @@ class TestDetect:
             for technique, fn in itertools.product(NONCOHERENT, (margins, detect)):
                 with pytest.raises(ParameterError, match=r"\(K, N\)"):
                     fn(technique, y, stats)
+        no_nodes = TrainingStats(*(np.empty(0) for _ in range(5)))
+        for technique in NONCOHERENT:  # deviation's node sum included
+            with pytest.raises(ParameterError, match=r"K >= 1"):
+                detect(technique, np.empty((0, 3)), no_nodes)
+
+
+class TestCoefficientForm:
+    """The coefficient form decides as the paper form; its tables never overflow."""
+
+    def test_detect_decides_as_the_paper_form(self):
+        # 10^6 decisions per technique over K = 1, 2, 6 and 9 nodes, four powers
+        # each: one power with p11, p00 at the n_t = 50 clamp limits, one the other
+        # way round, one at the n_t = 4 limit 1/2; a fifth of the amplitudes tie
+        # exactly with a_th and a twentieth are 0.  Where every node of a slot
+        # ties, deviation's sum_k |y_k| equals sum_k a_th,k and decides 0, while
+        # the paper form's margin there is the rounding error of A1 + A0 in a_th,
+        # of either sign; everywhere else all three techniques decide alike
+        rng = np.random.default_rng(67)
+        workspace, decisions = Workspace(), 0
+        for k in (1, 2, 6, 9):
+            stats = random_stats(rng, (4, k))
+            stats.p11[1], stats.p00[1], stats.p11[2], stats.p00[2] = 0.04, 0.96, 0.96, 0.04
+            stats.p11[3] = stats.p00[3] = 0.5
+            y = stats.a_th[..., None] * rng.uniform(0.0, 2.5, size=(4, k, 62_500))
+            threshold = np.broadcast_to(stats.a_th[..., None], y.shape)
+            ties = rng.random(y.shape) < 0.2
+            y[ties] = threshold[ties]
+            y[rng.random(y.shape) < 0.05] = 0.0
+            every_node_ties = (y == threshold).all(axis=-2)
+            tables = margin_tables(stats)
+            for technique, (w1, w0) in reference_weights(y, stats).items():
+                paper = ((w1 - w0).sum(axis=-2) > 0.0).astype(np.int64)
+                got = detect(technique, y, tables, workspace)
+                if technique == DEVIATION:
+                    assert not got[every_node_ties].any()
+                    got[every_node_ties] = paper[every_node_ties]
+                assert np.array_equal(got, paper)
+            decisions += every_node_ties.size
+        assert decisions >= 10 ** 6
+
+    @pytest.mark.parametrize("reference", [0.0, -0.0, 5e-324, 1e-310, 2.0 ** -1000])
+    def test_tables_of_tiny_references_raise_no_floating_point_error(self, reference):
+        # a zero, signed-zero or subnormal reference at each of A1, A0 and a_th in
+        # turn; the alphas stay finite, and combination rejects zero references
+        rng = np.random.default_rng(71)
+        for field in ("a_one", "a_zero", "a_th"):
+            stats = random_stats(rng, (2, 3))
+            getattr(stats, field)[1, 1] = reference
+            with np.errstate(all="raise"):
+                tables = margin_tables(stats)
+            for flip, zero in ((tables.one_flip, tables.one_zero),
+                               (tables.zero_flip, tables.zero_zero)):
+                for alpha in (flip ^ zero, zero):  # its value if detected, and if not
+                    assert np.isfinite(alpha.view(float)).all()
+            y = np.ones((2, 3, 5))
+            if reference == 0.0:
+                for s in (stats, tables):
+                    with pytest.raises(DegenerateTrainingError):
+                        margins(COMBINATION, y, s)
+                    with pytest.raises(DegenerateTrainingError):
+                        detect(COMBINATION, y, s)
+                assert margins(COMBINATION, y[:1], tables.rows(slice(0, 1))).shape == (1, 3, 5)
 
 
 class TestMrcDetect:
