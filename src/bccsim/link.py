@@ -9,7 +9,7 @@ variance N0*B/2.  Powers and variances are plain floats in watts;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,22 +69,16 @@ class ReceivedFrame:
     """Received amplitudes of one frame.
 
     ``y`` holds one row per node and one column per slot, behind the axes of
-    ``power_w``, the transmit power in watts (a float, or an array of powers).
-    ``h`` carries the channel gains, kept as oracle access for the coherent
-    baseline.  ``x`` is the symbol sequence and ``noise`` the additive noise.
+    the transmit powers it was drawn at.  ``h`` carries the channel gains,
+    kept as oracle access for the coherent baseline.  ``x`` is the symbol
+    sequence and ``noise`` the additive noise; ``received`` gives ``y`` at
+    other powers from the same draws.
     """
 
     y: np.ndarray
     x: np.ndarray
     h: np.ndarray
     noise: np.ndarray
-    power_w: float | np.ndarray
-
-    def at_power(self, power_w) -> ReceivedFrame:
-        """The same draws at ``power_w`` watts, a float or array; itself at the power it holds."""
-        if np.shape(power_w) == np.shape(self.power_w) and np.equal(power_w, self.power_w).all():
-            return self
-        return replace(self, y=self.received(power_w), power_w=power_w)
 
     def received(self, power_w, out=None) -> np.ndarray:
         """``y`` at ``power_w`` watts, into ``out`` if given, from h * x kept after first use.
@@ -130,4 +124,4 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> Receiv
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
     # received's arithmetic, in one expression that frees h * x before adding the noise
     y = np.sqrt(power_w)[..., None, None] * (h * x) + noise
-    return ReceivedFrame(y=y, x=x, h=h, noise=noise, power_w=power_w)
+    return ReceivedFrame(y=y, x=x, h=h, noise=noise)

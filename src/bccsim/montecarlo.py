@@ -22,7 +22,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import (COMBINATION, MRC, TECHNIQUES, TrainingStats, Workspace,
+from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
                         compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
 from .errors import ParameterError
 from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
@@ -155,6 +155,10 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"seed must fit an unsigned 64-bit integer, got {s.seed}")
     if s.blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {s.blocks}")
+    slots = -(-s.n_data_symbols // min(s.blocks, s.n_data_symbols))
+    if len(s.nodes) * slots * 8 > 2 ** 63 - 1:  # bytes of a block's (K, slots) float64 array
+        raise ParameterError(f"n_data_symbols: {s.n_data_symbols} symbols in blocks: {s.blocks} "
+                             f"make {slots} slots per block, too many for numpy to address")
     try:
         noise_variance(s.n0_dbm_per_hz, s.bandwidth_hz)
     except ParameterError as exc:
@@ -187,12 +191,6 @@ def make_ber_point(technique: str, tx_power_dbm: float, n_t: int,
                     ber=ber, ci95=ci95)
 
 
-def _block_sizes(total: int, blocks: int) -> list[int]:
-    n_blocks = min(blocks, total)
-    base, extra = divmod(total, n_blocks)
-    return [base + 1 if i < extra else base for i in range(n_blocks)]
-
-
 def _substream(seed: int, *key: int):
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, *key)))
@@ -203,28 +201,35 @@ def _errors(decisions, x):
     return np.bitwise_xor(decisions, x, out=decisions).sum(axis=-1)
 
 
-def _passes(count: int, elements: int) -> list[slice]:
-    """Consecutive slices of ``count`` powers, each as many as fit _PASS_ELEMENTS
-    elements of a (powers, ``elements``) array, at least one."""
-    step = max(1, _PASS_ELEMENTS // elements)
-    return [slice(i, i + step) for i in range(0, count, step)]
+def _passes(x, nodes, powers, variance: float, rng, workspace):
+    """The frame ``x`` sends over ``nodes``, drawn at the first pass's powers, and its passes:
+    (slice of ``powers``, amplitudes) pairs of as many consecutive powers as fit _PASS_ELEMENTS
+    elements of a (powers, K, slots) array, at least one, the first with the frame's ``y`` and
+    each later one with the frame rescaled into ``workspace``."""
+    step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
+    frame = generate_received(x, nodes, powers[:step], variance, rng)
+
+    def passes():
+        yield slice(0, step), frame.y
+        for i in range(step, len(powers), step):
+            at = slice(i, i + step)
+            yield at, frame.received(powers[at],
+                                     workspace.take("received", powers[at].shape + frame.h.shape))
+
+    return frame, passes()
 
 
-def _training_stats(scenario: Scenario, block_index: int, n_t: int, powers,
-                    variance: float) -> TrainingStats:
+def _training_stats(scenario: Scenario, block_index: int, n_t: int, powers, variance: float,
+                    workspace) -> TrainingStats:
     """(powers, K) statistics of one block's training frame of length ``n_t``.
 
     The frame is reduced in passes sized by the frame alone, one
-    compute_training_stats call per pass, and the passes' rows are joined;
-    the statistics of a frame that fits one pass are returned as they are.
+    compute_training_stats call per pass, and the passes' rows are joined.
     """
-    passes = _passes(len(powers), len(scenario.nodes) * n_t)
-    frame = generate_received(training_symbols(n_t), scenario.nodes, powers[passes[0]],
-                              variance, _substream(scenario.seed, block_index, n_t))
-    parts = [compute_training_stats(frame.at_power(powers[at])) for at in passes]
-    if len(parts) == 1:
-        return parts[0]
-    return TrainingStats(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
+    frame, passes = _passes(training_symbols(n_t), scenario.nodes, powers, variance,
+                            _substream(scenario.seed, block_index, n_t), workspace)
+    parts = [vars(compute_training_stats(replace(frame, y=y))).values() for _, y in passes]
+    return TrainingStats(*map(np.concatenate, zip(*parts)))
 
 
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:
@@ -233,45 +238,42 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
     Each training length's frame is drawn, reduced to (powers, K) statistics
     in training passes sized by that frame, and dropped before the next is
     drawn; its margin tables, and MRC's of the data frame, are derived once.
-    The data frame is detected in data passes of as many consecutive powers as
-    fit _PASS_ELEMENTS elements of a (powers, K, slots) array, the first as drawn
-    and each later one rescaled into ``workspace``: |y| once, each technique once
-    per training length on its slice of the tables (combination last, reusing
-    probability's hard decision), and MRC once for all lengths.  Counts are
-    (points, techniques) in grid order.  Combination on a zero-noise scenario
-    raises DegenerateTrainingError; run_scenario never asks for it.
+    The data frame is detected in data passes sized by it: |y| once, each
+    technique once per training length on its slice of the tables (in
+    NONCOHERENT order, so combination reuses probability's hard decision),
+    and MRC once for all lengths.  Counts are (points, techniques) in grid
+    order.  Combination on a zero-noise scenario raises
+    DegenerateTrainingError; run_scenario never asks for it.
     """
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
     variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
     techniques = scenario.techniques
-    tables = [margin_tables(_training_stats(scenario, block_index, n_t, powers, variance))
+    tables = [margin_tables(_training_stats(scenario, block_index, n_t, powers, variance,
+                                            workspace))
               for n_t in (scenario.n_t if set(techniques) != {MRC} else ())]
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
-    passes = _passes(len(powers), len(scenario.nodes) * n_symbols)
-    data = generate_received(x, scenario.nodes, powers[passes[0]], variance, rng)
+    data, passes = _passes(x, scenario.nodes, powers, variance, rng, workspace)
     coherent = mrc_tables(data.h, powers) if MRC in techniques else None
-    noncoherent = sorted((j for j, t in enumerate(techniques) if t != MRC),
-                         key=lambda j: techniques[j] == COMBINATION)
-    counts = np.empty((len(scenario.n_t), len(powers), len(techniques)), dtype=np.int64)
-    for at in passes:
-        y = data.y if at == passes[0] else data.received(
-            powers[at], workspace.take("received", powers[at].shape + data.h.shape))
+    noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
+    counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
+    for at, y in passes:
         amplitudes = np.abs(y, out=workspace.take("amplitudes", y.shape))
         for i, rows in enumerate(t.rows(at) for t in tables):
-            for j in noncoherent:
-                counts[i, at, j] = _errors(detect(techniques[j], amplitudes, rows, workspace), x)
+            for j, technique in noncoherent:
+                counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
-            counts[:, at, techniques.index(MRC)] = _errors(decisions, x)
-    return counts.swapaxes(0, 1).reshape(-1, len(techniques))
+            counts[at, :, techniques.index(MRC)] = _errors(decisions, x)[:, None]
+    return counts.reshape(-1, len(techniques))
 
 
-def _run_blocks(scenario: Scenario, first: int, sizes: list[int]) -> np.ndarray:
-    """Summed error counts of consecutive blocks from ``first``, in one workspace."""
+def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
+    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, the
+    n_data_symbols slots dealt evenly over the blocks and the remainder to the first ones."""
+    base, extra = divmod(scenario.n_data_symbols, min(scenario.blocks, scenario.n_data_symbols))
     workspace = Workspace()
-    return sum(_run_block(scenario, block_index, size, workspace)
-               for block_index, size in enumerate(sizes, first))
+    return sum(_run_block(scenario, b, base + (b < extra), workspace) for b in range(first, stop))
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
@@ -290,20 +292,20 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     if jobs is not None and _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
-    sizes = _block_sizes(scenario.n_data_symbols, scenario.blocks)
+    n_blocks = min(scenario.blocks, scenario.n_data_symbols)
     if (COMBINATION in scenario.techniques
             and noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz) == 0.0):
         for power, n_t in grid:
             warnings.warn(f"skipping BER point: technique {COMBINATION!r} at {power} dBm, "
-                          f"n_t={n_t}: all {len(sizes)} training blocks were degenerate",
+                          f"n_t={n_t}: all {n_blocks} training blocks were degenerate",
                           RuntimeWarning, stacklevel=2)
         techniques = tuple(t for t in scenario.techniques if t != COMBINATION)
         if not techniques:
             return []
         scenario = replace(scenario, techniques=techniques)
-    workers = min(jobs or 1, len(sizes), os.cpu_count() or 1)
-    firsts = [len(sizes) * i // workers for i in range(workers)]
-    args = (repeat(scenario), firsts, [sizes[a:b] for a, b in zip(firsts, firsts[1:] + [None])])
+    workers = min(jobs or 1, n_blocks, os.cpu_count() or 1)
+    bounds = [n_blocks * i // workers for i in range(workers + 1)]
+    args = (repeat(scenario), bounds[:-1], bounds[1:])
     if workers == 1:
         totals = map(_run_blocks, *args)
     else:

@@ -53,7 +53,7 @@ def test_criterion_01_threshold_is_half_frame_midpoint():
     for n_t in (4, 10, 50, 128):
         y = rng.lognormal(mean=0.0, sigma=2.0, size=(2500, n_t))
         frame = ReceivedFrame(y=y, x=training_symbols(n_t), h=np.ones_like(y),
-                              noise=np.zeros_like(y), power_w=1e-3)
+                              noise=np.zeros_like(y))
         stats = compute_training_stats(frame)
         rel = np.abs(stats.a_th - 0.5 * (stats.a_one + stats.a_zero)) / stats.a_th
         worst = max(worst, float(rel.max()))

@@ -152,6 +152,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "jobs" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("symbols", ["922337203685477580700", str(10 ** 30)])
+    def test_budget_numpy_cannot_address_names_keys(self, symbols, capsys):
+        # rejected with the scenario, before anything is allocated
+        assert main(["run", "--preset", "fig4", "--symbols", symbols]) == 2
+        err = capsys.readouterr().err
+        assert "n_data_symbols" in err and "blocks" in err and "Traceback" not in err
+
     def test_budget_beyond_memory_names_keys(self, monkeypatch, capsys):
         # the run's MemoryError is stood in for, so nothing is allocated
         def out_of_memory(scenario, jobs=None):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,12 @@ def poison(workspace):
 
 def frame_of(y, x):
     """A frame carrying the given amplitudes; training reads only ``y`` and ``x``."""
-    return ReceivedFrame(y=y, x=x, h=np.ones_like(y), noise=np.zeros_like(y), power_w=1e-3)
+    return ReceivedFrame(y=y, x=x, h=np.ones_like(y), noise=np.zeros_like(y))
+
+
+def rescaled(frame, power_w):
+    """``frame`` with its amplitudes at ``power_w``, as a block's training pass reads it."""
+    return replace(frame, y=frame.received(power_w))
 
 
 def frame_from_amplitudes(y_rows, n_t):
@@ -495,15 +501,15 @@ class TestLeadingAxes:
     def test_stacked_calls_match_bit_for_bit(self):
         data, training = self.frames()
         powers = np.array(self.POWERS)
-        single = [compute_training_stats(training.at_power(p)) for p in self.POWERS]
-        stacked = compute_training_stats(training.at_power(powers))
+        single = [compute_training_stats(rescaled(training, p)) for p in self.POWERS]
+        stacked = compute_training_stats(rescaled(training, powers))
         for field in ("a_th", "a_one", "a_zero", "p11", "p00"):
             assert getattr(stacked, field).shape == (3, 3)
             assert np.array_equal(getattr(stacked, field),
                                   np.stack([getattr(s, field) for s in single]))
-        frames = [data.at_power(p) for p in self.POWERS]
-        y = data.at_power(powers).y
-        assert np.array_equal(y, np.stack([f.y for f in frames]))
+        ys = [data.received(p) for p in self.POWERS]
+        y = data.received(powers)
+        assert np.array_equal(y, np.stack(ys))
         # one workspace reused by every call, poisoned before each; the last
         # two powers stand for a shorter last pass, computed in views of it
         workspace = Workspace()
@@ -513,7 +519,7 @@ class TestLeadingAxes:
         last = TrainingStats(*(v[1:] for v in vars(stacked).values()))
         for technique in NONCOHERENT:
             m = margins(technique, np.abs(y), stacked)
-            expected = [margins(technique, np.abs(f.y), s) for f, s in zip(frames, single)]
+            expected = [margins(technique, np.abs(f), s) for f, s in zip(ys, single)]
             assert np.array_equal(m, np.stack(expected))
             assert np.array_equal(fuse(m), np.stack([fuse(e) for e in expected]))
             assert np.array_equal(margins(technique, np.abs(y), stacked, poison(workspace)), m)
@@ -524,22 +530,22 @@ class TestLeadingAxes:
                                   fuse(m[1:]))
         assert {key: id(array) for key, array in workspace.items()} == arrays
         assert np.array_equal(mrc_detect(y, data.h, powers),
-                              np.stack([mrc_detect(f.y, f.h, p)
-                                        for f, p in zip(frames, self.POWERS)]))
+                              np.stack([mrc_detect(f, data.h, p)
+                                        for f, p in zip(ys, self.POWERS)]))
 
     def test_a_float_power_is_a_one_power_array(self):
         data, _ = self.frames()
         for p in self.POWERS:
-            frame, one = data.at_power(p), data.at_power(np.array([p]))
-            assert frame.y.shape == data.h.shape and one.y.shape == (1,) + data.h.shape
-            assert np.array_equal(frame.y, one.y[0])
-            assert np.array_equal(mrc_detect(frame.y, frame.h, p),
-                                  mrc_detect(one.y, one.h, np.array([p]))[0])
+            y, one = data.received(p), data.received(np.array([p]))
+            assert y.shape == data.h.shape and one.shape == (1,) + data.h.shape
+            assert np.array_equal(y, one[0])
+            assert np.array_equal(mrc_detect(y, data.h, p),
+                                  mrc_detect(one, data.h, np.array([p]))[0])
 
     def test_leading_axes_must_match(self):
         data, training = self.frames()
-        stats = compute_training_stats(training.at_power(np.array(self.POWERS)))
-        y = data.at_power(np.array(self.POWERS[:2])).y
+        stats = compute_training_stats(rescaled(training, np.array(self.POWERS)))
+        y = data.received(np.array(self.POWERS[:2]))
         with pytest.raises(ParameterError, match=r"\(K, N\)"):
             margins("deviation", np.abs(y), stats)
         with pytest.raises(ParameterError, match=r"\(K, N\)"):

@@ -19,6 +19,7 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
+from bccsim import montecarlo
 from bccsim.detectors import Workspace
 from bccsim.montecarlo import _run_block
 
@@ -173,7 +174,7 @@ class TestGenerateReceived:
         frame = generate_received(training_symbols(10), nodes, dbm_to_watts(0.0), NOISE_W,
                                   np.random.default_rng(1))
         assert frame.y.shape == frame.h.shape == frame.noise.shape == (3, 10)
-        assert frame.power_w == dbm_to_watts(0.0) and frame.x.tolist() == [1] * 5 + [0] * 5
+        assert frame.x.tolist() == [1] * 5 + [0] * 5
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
@@ -196,18 +197,19 @@ class TestGenerateReceived:
 
 
 class TestAtPower:
+    """ReceivedFrame.received: a frame's amplitudes at other powers, from the same draws."""
+
     def test_matches_a_frame_drawn_at_that_power(self):
         # the draws do not depend on the power, so rescaling one frame gives
-        # bit for bit the frame that the same stream draws at another power
+        # bit for bit the amplitudes that the same stream draws at another power
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
         low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, np.random.default_rng(4))
         high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, np.random.default_rng(4))
-        moved = low.at_power(dbm_to_watts(25.0))
-        assert np.array_equal(moved.y, high.y)
-        assert np.array_equal(moved.noise, low.noise) and moved.h is low.h
-        assert moved.power_w == dbm_to_watts(25.0)
-        assert low.at_power(dbm_to_watts(-10.0)) is low
+        noise, y = low.noise.copy(), low.y.copy()
+        assert np.array_equal(low.received(dbm_to_watts(25.0)), high.y)
+        assert np.array_equal(low.received(dbm_to_watts(-10.0)), low.y)
+        assert np.array_equal(low.noise, noise) and np.array_equal(low.y, y)
 
     def test_array_of_powers_matches_stacked_float_draws(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
@@ -218,35 +220,41 @@ class TestAtPower:
                    for p in powers]
         assert stacked.y.shape == (3, 2, 200) and stacked.h.shape == (2, 200)
         assert np.array_equal(stacked.y, np.stack([f.y for f in singles]))
+        assert np.array_equal(singles[0].received(np.array(powers)), stacked.y)
         # a float and a one-power array give the same bits, (K, N) and (1, K, N)
-        one = singles[0].at_power(np.array(powers[1:2]))
-        assert np.array_equal(one.y, singles[1].y[None])
-        assert np.array_equal(one.at_power(powers[2]).y, singles[2].y)
-        # the held power returns the frame itself, matched by value and shape
-        assert stacked.at_power(np.array(powers)) is stacked
-        assert one.at_power(np.array(powers[1:2])) is one
-        assert one.at_power(powers[1]) is not one and singles[1].at_power(powers[1]) is singles[1]
+        assert np.array_equal(singles[0].received(np.array(powers[1:2])), singles[1].y[None])
+        assert np.array_equal(stacked.received(powers[2]), singles[2].y)
+
+    def test_writes_into_out_and_returns_it(self):
+        nodes = (registry_entry("f1"), registry_entry("f9"))
+        x = generate_data_symbols(200, np.random.default_rng(3))
+        frame = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W,
+                                  np.random.default_rng(4))
+        powers = np.array([dbm_to_watts(p) for p in (4.0, 25.0)])
+        out = np.full((2, 2, 200), np.nan)
+        assert frame.received(powers, out) is out
+        assert np.array_equal(out, frame.received(powers))
 
     def test_a_block_rescales_its_data_frame_once(self, monkeypatch):
         # fig7 at two powers has seven training lengths and two one-power data
-        # passes: the data frame is rescaled once, for its second pass, not once
-        # per training length; each training frame goes through at_power once per
-        # training pass (n_t = 1,000 takes two, and is rescaled for the second)
-        slots, sizes, rescaled = 800, [], []
-        at_power, received = ReceivedFrame.at_power, ReceivedFrame.received
+        # passes: each frame is drawn once, and the data frame is rescaled once,
+        # for its second pass, not once per training length; of the training
+        # frames only n_t = 1,000 takes two passes, and is rescaled for the second
+        slots, drawn, rescaled = 800, [], []
+        received = ReceivedFrame.received
 
-        def counted(frame, power_w):
-            sizes.append(frame.x.size)
-            return at_power(frame, power_w)
+        def counted(x, *args):
+            drawn.append(x.size)
+            return generate_received(x, *args)
 
         def counted_rescale(frame, power_w, out=None):
             rescaled.append(frame.x.size)
             return received(frame, power_w, out)
 
-        monkeypatch.setattr(ReceivedFrame, "at_power", counted)
+        monkeypatch.setattr(montecarlo, "generate_received", counted)
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
         scenario = replace(preset("fig7"), power_sweep_dbm=(4.0, 10.0))
         _run_block(scenario, 0, slots, Workspace())
         assert len(scenario.n_t) == 7 and slots not in scenario.n_t
+        assert drawn == [*scenario.n_t, slots]
         assert rescaled == [1000, slots]
-        assert sorted(sizes) == [*scenario.n_t, 1000]

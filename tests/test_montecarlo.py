@@ -125,6 +125,16 @@ class TestScenarioValidation:
         scn = Scenario(nodes=F9, power_sweep_dbm=(float("-inf"),))
         assert scn.power_sweep_dbm == (float("-inf"),)
 
+    def test_blocks_numpy_cannot_address_raise_naming_the_keys(self):
+        # one (K, slots) float64 array of a block must have at most 2**63 - 1
+        # bytes: 2**62 symbols in 4 blocks make 2**63, in 8 blocks 2**62
+        for n, blocks in ((922337203685477580700, 100), (10 ** 30, 100), (2 ** 62, 4)):
+            with pytest.raises(ParameterError, match="n_data_symbols.*blocks"):
+                Scenario(nodes=F9, n_data_symbols=n, blocks=blocks)
+        assert Scenario(nodes=F9, n_data_symbols=2 ** 62, blocks=8).n_data_symbols == 2 ** 62
+        with pytest.raises(ParameterError, match="n_data_symbols"):
+            Scenario(nodes=F9 + (registry_entry("f1"),), n_data_symbols=2 ** 62, blocks=8)
+
 
 class TestBerPoint:
     def test_ci_matches_independent_binomial_computation(self):
@@ -264,8 +274,7 @@ class TestPowerPasses:
         # four blocks, and runs of 1, 1 and 2 blocks on three workers, must
         # count what fresh blocks count
         scenario = replace(self.SCENARIOS[name][0], n_data_symbols=1001, blocks=4)
-        sizes = montecarlo._block_sizes(scenario.n_data_symbols, scenario.blocks)
-        assert sizes == [251, 250, 250, 250]
+        sizes = [251, 250, 250, 250]
         monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", 1800)
         fresh = [_run_block(scenario, b, n, Workspace()) for b, n in enumerate(sizes)]
         errors = sum(fresh)
@@ -273,14 +282,40 @@ class TestPowerPasses:
         expected = {(t, p, n_t): (errors[i, j], 1001)
                     for (i, (p, n_t)), (j, t) in itertools.product(
                         enumerate(grid), enumerate(scenario.techniques))}
-        pool_sizes = []
+        pool_sizes, planned = [], []
+
+        def recorded(scenario, block_index, n_symbols, workspace):
+            planned.append(n_symbols)
+            return _run_block(scenario, block_index, n_symbols, workspace)
+
+        monkeypatch.setattr(montecarlo, "_run_block", recorded)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         for jobs in (1, 3):
             points = run_scenario(scenario, jobs=jobs)
             assert {(p.technique, p.tx_power_dbm, p.n_t): (p.error_count, p.symbol_count)
                     for p in points} == expected
-        assert pool_sizes == [3]
+        assert pool_sizes == [3] and planned == sizes * 2
+
+    def test_a_block_plan_holds_nothing_per_block(self, monkeypatch):
+        # 10**7 one-slot blocks: each block's size comes from its index, so
+        # nothing is built per block before the first one runs
+        class FirstBlock(Exception):
+            pass
+
+        def first_block(*args):
+            raise FirstBlock
+
+        monkeypatch.setattr(montecarlo, "_run_block", first_block)
+        scenario = Scenario(nodes=F9, power_sweep_dbm=(10.0,), techniques=("probability",),
+                            n_data_symbols=10 ** 7, blocks=10 ** 7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                run_scenario(scenario)
+            assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+        finally:
+            tracemalloc.stop()
 
     def test_blocks_sharing_a_workspace_allocate_little(self):
         # the second of two fig7 blocks (K=6, 10^4 slots, seven training
@@ -322,7 +357,7 @@ class TestPowerPasses:
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
         # two training lengths and 26 one-power data passes: each length's
         # margin tables, the data frame's h * x and MRC's h . h are derived
-        # once per block, and the frame is rescaled once per pass after the first
+        # once per block, and each frame is rescaled once per pass after the first
         scenario = replace(preset("fig6"), n_t=(10, 50), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
         calls, signals, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], []
@@ -347,7 +382,7 @@ class TestPowerPasses:
         spy.__set_name__(ReceivedFrame, "signal")
         monkeypatch.setattr(ReceivedFrame, "signal", spy)
         monkeypatch.setattr(ReceivedFrame, "received", counted_received)
-        assert len(montecarlo._passes(26, 9 * 1000)) == 26
+        assert 9 * 1000 > montecarlo._PASS_ELEMENTS  # one power per data pass
         assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
         assert calls == {"margin_tables": 2, "mrc_tables": 1}
         # n_t = 50 takes two training passes of 18 and 8 powers, n_t = 10 one
@@ -485,7 +520,7 @@ class TestZeroNoiseRule:
         powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
         for b in range(5):
-            yield montecarlo._training_stats(scenario, b, n_t, powers, variance)
+            yield montecarlo._training_stats(scenario, b, n_t, powers, variance, Workspace())
 
     @pytest.mark.parametrize("n_t", [4, 50, 1000])
     def test_zero_noise_zeros_reference_is_exactly_zero(self, n_t):
