@@ -138,10 +138,9 @@ def _run_command(args) -> int:
     try:
         points = run_scenario(scenario, jobs=args.jobs)
     except MemoryError:
-        n, blocks = scenario.n_data_symbols, scenario.blocks
-        raise ParameterError(f"n_data_symbols: {n} symbols in blocks: {blocks} make "
-                             f"{-(-n // min(blocks, n))} slots per block, too many to fit "
-                             "in memory") from None
+        raise ParameterError(f"n_data_symbols: {scenario.n_data_symbols} symbols in blocks: "
+                             f"{scenario.blocks} make {scenario.block_slots(0)} slots per "
+                             "block, too many to fit in memory") from None
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")
     _write(format_csv(points), args.out)

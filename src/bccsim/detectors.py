@@ -104,6 +104,8 @@ class Workspace(dict):
     call gets a view of its front, made once per shape and cached beside the
     arrays until the array grows.  A kernel may return one of these arrays, valid
     until the workspace's next use, so a workspace is never shared between threads.
+    A block also draws or rescales each pass of a frame into "received" and takes |y| there
+    in place when one power of the frame fits a pass; a larger frame stays in its own array.
     ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 

@@ -95,13 +95,13 @@ class ReceivedFrame:
         return self.h * self.x
 
 
-def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> ReceivedFrame:
+def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
-    ``power_w`` is a float or an array of powers.  Every node and every slot
-    gets a fresh independent channel draw, so no slot can be equalized from
-    a neighbor.  Draw order per call: one uniform block (K, N) for the
-    channels, then one normal block (K, N) for the noise, bit-reproducible.
+    ``power_w`` is a float or an array of powers; ``y`` goes into ``out`` if
+    given.  Every node and slot gets a fresh independent channel draw, so no
+    slot can be equalized from a neighbor.  Draw order per call: one uniform
+    block (K, N) for the channels, then one normal block (K, N) for the noise.
     """
     if not (np.all(0.0 <= power_w) and np.all(power_w < np.inf)
             and 0.0 <= noise_variance_w < np.inf):
@@ -122,6 +122,6 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng) -> Receiv
         h[i] = node.dist.inverse_cdf(u[i])
     del u  # before the noise draw, which can then reuse its memory
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    # received's arithmetic, in one expression that frees h * x before adding the noise
-    y = np.sqrt(power_w)[..., None, None] * (h * x) + noise
-    return ReceivedFrame(y=y, x=x, h=h, noise=noise)
+    # received's arithmetic, freeing h * x before adding the noise
+    y = np.multiply(np.sqrt(power_w)[..., None, None], h * x, out=out)
+    return ReceivedFrame(y=np.add(y, noise, out=y), x=x, h=h, noise=noise)

@@ -47,11 +47,10 @@ MAX_N_T = 100_000
 # Most powers a Scenario sweeps: about 400x the preset sweeps' 26.
 MAX_POWERS = 10_000
 
-# Elements of the (powers, K, slots) array one pass of a block detects, or of
-# a training frame reduces, at once: 64 KB of float64 per array.  Wider passes
-# are faster but hold more: on fig6-j1, 2^15 gave about 1.25x decisions/s for
-# 1.0 MB (2.5%) more peak RSS, and 2^16 the same for 3.1 MB (7.9%).
-_PASS_ELEMENTS = 2 ** 13
+# Elements of the (powers, K, slots) array one pass of a block detects, or of a
+# training frame reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
+# wider passes are faster but hold more; BENCH_width.json measures 2^15 against 2^13.
+_PASS_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,16 @@ class Scenario:
         for key, check in _VALUE_CHECKS.items():
             object.__setattr__(self, key, check(key, getattr(self, key)))
         _validate_scenario(self)
+
+    @property
+    def block_count(self) -> int:
+        """The blocks that run: ``blocks``, or one per symbol if there are fewer symbols."""
+        return min(self.blocks, self.n_data_symbols)
+
+    def block_slots(self, index: int) -> int:
+        """Slots of block ``index``: n_data_symbols dealt evenly, the remainder to the first."""
+        base, extra = divmod(self.n_data_symbols, self.block_count)
+        return base + (index < extra)
 
 
 def _integer(key: str, value) -> int:
@@ -155,7 +164,7 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"seed must fit an unsigned 64-bit integer, got {s.seed}")
     if s.blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {s.blocks}")
-    slots = -(-s.n_data_symbols // min(s.blocks, s.n_data_symbols))
+    slots = s.block_slots(0)  # block 0 is the largest
     if len(s.nodes) * slots * 8 > 2 ** 63 - 1:  # bytes of a block's (K, slots) float64 array
         raise ParameterError(f"n_data_symbols: {s.n_data_symbols} symbols in blocks: {s.blocks} "
                              f"make {slots} slots per block, too many for numpy to address")
@@ -202,19 +211,24 @@ def _errors(decisions, x):
 
 
 def _passes(x, nodes, powers, variance: float, rng, workspace):
-    """The frame ``x`` sends over ``nodes``, drawn at the first pass's powers, and its passes:
-    (slice of ``powers``, amplitudes) pairs of as many consecutive powers as fit _PASS_ELEMENTS
-    elements of a (powers, K, slots) array, at least one, the first with the frame's ``y`` and
-    each later one with the frame rescaled into ``workspace``."""
+    """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
+    pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K, slots)
+    array, at least one, each valid until the next.  The first pass is drawn and each later one
+    rescaled, into ``workspace`` if one power fits, else into the frame's own ``y``."""
+    fits = len(nodes) * x.size <= _PASS_ELEMENTS
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
-    frame = generate_received(x, nodes, powers[:step], variance, rng)
+
+    def into(at):
+        return workspace.take("received", powers[at].shape + (len(nodes), x.size))
+
+    frame = generate_received(x, nodes, powers[:step], variance, rng,
+                              out=into(slice(0, step)) if fits else None)
 
     def passes():
         yield slice(0, step), frame.y
         for i in range(step, len(powers), step):
             at = slice(i, i + step)
-            yield at, frame.received(powers[at],
-                                     workspace.take("received", powers[at].shape + frame.h.shape))
+            yield at, frame.received(powers[at], into(at) if fits else frame.y)
 
     return frame, passes()
 
@@ -238,11 +252,11 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
     Each training length's frame is drawn, reduced to (powers, K) statistics
     in training passes sized by that frame, and dropped before the next is
     drawn; its margin tables, and MRC's of the data frame, are derived once.
-    The data frame is detected in data passes sized by it: |y| once, each
-    technique once per training length on its slice of the tables (in
-    NONCOHERENT order, so combination reuses probability's hard decision),
-    and MRC once for all lengths.  Counts are (points, techniques) in grid
-    order.  Combination on a zero-noise scenario raises
+    The data frame is detected in data passes sized by it: MRC once for all
+    lengths on the signed y, then |y| in place and each technique once per
+    training length on its slice of the tables (in NONCOHERENT order, so
+    combination reuses probability's hard decision).  Counts are (points,
+    techniques) in grid order.  Combination on a zero-noise scenario raises
     DegenerateTrainingError; run_scenario never asks for it.
     """
     powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
@@ -258,22 +272,21 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
     noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
     counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
     for at, y in passes:
-        amplitudes = np.abs(y, out=workspace.take("amplitudes", y.shape))
-        for i, rows in enumerate(t.rows(at) for t in tables):
-            for j, technique in noncoherent:
-                counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
             counts[at, :, techniques.index(MRC)] = _errors(decisions, x)[:, None]
+        amplitudes = np.abs(y, out=y)  # MRC has read the signed y
+        for i, rows in enumerate(t.rows(at) for t in tables):
+            for j, technique in noncoherent:
+                counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
     return counts.reshape(-1, len(techniques))
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, the
-    n_data_symbols slots dealt evenly over the blocks and the remainder to the first ones."""
-    base, extra = divmod(scenario.n_data_symbols, min(scenario.blocks, scenario.n_data_symbols))
+    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace."""
     workspace = Workspace()
-    return sum(_run_block(scenario, b, base + (b < extra), workspace) for b in range(first, stop))
+    return sum(_run_block(scenario, b, scenario.block_slots(b), workspace)
+               for b in range(first, stop))
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
@@ -292,19 +305,18 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     if jobs is not None and _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
-    n_blocks = min(scenario.blocks, scenario.n_data_symbols)
     if (COMBINATION in scenario.techniques
             and noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz) == 0.0):
         for power, n_t in grid:
             warnings.warn(f"skipping BER point: technique {COMBINATION!r} at {power} dBm, "
-                          f"n_t={n_t}: all {n_blocks} training blocks were degenerate",
+                          f"n_t={n_t}: all {scenario.block_count} training blocks were degenerate",
                           RuntimeWarning, stacklevel=2)
         techniques = tuple(t for t in scenario.techniques if t != COMBINATION)
         if not techniques:
             return []
         scenario = replace(scenario, techniques=techniques)
-    workers = min(jobs or 1, n_blocks, os.cpu_count() or 1)
-    bounds = [n_blocks * i // workers for i in range(workers + 1)]
+    workers = min(jobs or 1, scenario.block_count, os.cpu_count() or 1)
+    bounds = [scenario.block_count * i // workers for i in range(workers + 1)]
     args = (repeat(scenario), bounds[:-1], bounds[1:])
     if workers == 1:
         totals = map(_run_blocks, *args)

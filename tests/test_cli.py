@@ -53,14 +53,14 @@ _KEY_VALUES = {
     "n0_dbm_per_hz": _NUMBERS,
     "bandwidth_hz": _NUMBERS,
 }
-# Values every key accepts.  About half the generated documents are built
-# from these alone, so that many load and reach the round-trip assertion;
-# the other half mix them with the arbitrary values above.
+# Values every key accepts: documents built from these alone must load.
 _EVEN_N_T = st.integers(2, MAX_N_T // 2).map(lambda v: 2 * v)
 _VALID_VALUES = {
     "nodes": st.lists(st.sampled_from(_REGISTRY_NAMES), min_size=1, max_size=4, unique=True),
     "n_t": st.one_of(_EVEN_N_T,
                      st.lists(_EVEN_N_T, min_size=1, max_size=4, unique=True).map(sorted)),
+    "power_sweep_dbm": st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5,
+                                unique=True).map(sorted),
     "n_data_symbols": st.integers(1, 10 ** 12),
     "seed": st.integers(0, 2 ** 64 - 1),
     "blocks": st.integers(1, 10 ** 6),
@@ -68,12 +68,13 @@ _VALID_VALUES = {
     "n0_dbm_per_hz": st.floats(-200.0, 30.0),
     "bandwidth_hz": st.floats(1.0, 1.0e9),
 }
-_DOCS = st.one_of(
-    st.fixed_dictionaries({"nodes": _VALID_VALUES["nodes"]}, optional={
-        key: values for key, values in _VALID_VALUES.items() if key != "nodes"}),
-    st.fixed_dictionaries({}, optional={
-        key: st.one_of(_VALID_VALUES[key], values, _YAML_VALUES)
-        for key, values in _KEY_VALUES.items()}))
+_VALID_DOCS = st.fixed_dictionaries({"nodes": _VALID_VALUES["nodes"]}, optional={
+    key: values for key, values in _VALID_VALUES.items() if key != "nodes"})
+# Arbitrary documents: each key mixes valid values, the per-key values above
+# and arbitrary YAML.
+_DOCS = st.fixed_dictionaries({}, optional={
+    key: st.one_of(_VALID_VALUES[key], values, _YAML_VALUES)
+    for key, values in _KEY_VALUES.items()})
 
 
 class TestCsvContract:
@@ -170,6 +171,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "n_data_symbols" in err and "blocks" in err and "Traceback" not in err
         assert f"{10 ** 12} slots per block" in err
+
+    def test_budget_errors_name_the_same_largest_block(self, monkeypatch, capsys):
+        # 5 * 10**19 + 1 symbols in 100 blocks: block 0 also takes the remainder.
+        # fig6's nine nodes make that block too large for numpy to address, and
+        # fig4's one node passes that check and runs out of memory (stood in for)
+        symbols = str(5 * 10 ** 19 + 1)
+        assert main(["run", "--preset", "fig6", "--symbols", symbols]) == 2
+        rejected = capsys.readouterr().err
+
+        def out_of_memory(scenario, jobs=None):
+            raise MemoryError("Unable to allocate 3.64 EiB")
+
+        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+        assert main(["run", "--preset", "fig4", "--symbols", symbols]) == 2
+        exhausted = capsys.readouterr().err
+        assert "numpy to address" in rejected and "fit in memory" in exhausted
+        slots = f"make {5 * 10 ** 17 + 1} slots per block"
+        assert slots in rejected and slots in exhausted
 
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block
@@ -398,6 +417,15 @@ class TestConfigParsing:
             return
         assert isinstance(scn, Scenario)
         assert len(scn.power_sweep_dbm) == len(powers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALID_DOCS)
+    def test_valid_documents_load_and_round_trip(self, doc):
+        # the same values, registry names resolved, go straight to Scenario too
+        scn = loads_scenario(yaml.safe_dump(doc))
+        assert isinstance(scn, Scenario)
+        assert Scenario(**{**doc, "nodes": [registry_entry(n) for n in doc["nodes"]]}) == scn
+        assert loads_scenario(yaml.safe_dump(scenario_to_config(scn))) == scn
 
     @settings(max_examples=300, deadline=None)
     @given(_DOCS, st.one_of(st.just({}), _EXTRA_KEYS))

@@ -236,16 +236,18 @@ class TestAtPower:
         assert np.array_equal(out, frame.received(powers))
 
     def test_a_block_rescales_its_data_frame_once(self, monkeypatch):
-        # fig7 at two powers has seven training lengths and two one-power data
-        # passes: each frame is drawn once, and the data frame is rescaled once,
-        # for its second pass, not once per training length; of the training
-        # frames only n_t = 1,000 takes two passes, and is rescaled for the second
-        slots, drawn, rescaled = 800, [], []
+        # fig7 at six powers has seven training lengths and six one-power data
+        # passes (one power of 6 x 4,000 slots fits 2^15 elements, two do not):
+        # each frame is drawn once, and the data frame is rescaled once per
+        # later pass, not once per training length; of the training frames
+        # only n_t = 1,000 takes two passes (5 powers, then 1), and is rescaled
+        # for the second
+        slots, drawn, rescaled = 4000, [], []
         received = ReceivedFrame.received
 
-        def counted(x, *args):
+        def counted(x, *args, **kwargs):
             drawn.append(x.size)
-            return generate_received(x, *args)
+            return generate_received(x, *args, **kwargs)
 
         def counted_rescale(frame, power_w, out=None):
             rescaled.append(frame.x.size)
@@ -253,8 +255,8 @@ class TestAtPower:
 
         monkeypatch.setattr(montecarlo, "generate_received", counted)
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
-        scenario = replace(preset("fig7"), power_sweep_dbm=(4.0, 10.0))
+        scenario = replace(preset("fig7"), power_sweep_dbm=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0))
         _run_block(scenario, 0, slots, Workspace())
         assert len(scenario.n_t) == 7 and slots not in scenario.n_t
         assert drawn == [*scenario.n_t, slots]
-        assert rescaled == [1000, slots]
+        assert rescaled == [1000] + [slots] * 5

@@ -23,6 +23,7 @@ from bccsim import (
     ReceivedFrame,
     Weibull,
     dbm_to_watts,
+    generate_received,
     make_ber_point,
     noise_variance,
     preset,
@@ -355,12 +356,13 @@ class TestPowerPasses:
             tracemalloc.stop()
 
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
-        # two training lengths and 26 one-power data passes: each length's
-        # margin tables, the data frame's h * x and MRC's h . h are derived
-        # once per block, and each frame is rescaled once per pass after the first
-        scenario = replace(preset("fig6"), n_t=(10, 50), seed=11)
+        # two training lengths and nine data passes of three powers: each
+        # length's margin tables, each multi-pass frame's h * x and MRC's h . h
+        # are derived once per block, each frame is drawn once, and each power
+        # of a frame is computed once, drawn with the first pass or rescaled
+        scenario = replace(preset("fig6"), n_t=(10, 200), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
-        calls, signals, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], []
+        calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
         for name in calls:
             def counted(*args, name=name, original=getattr(detectors, name)):
                 calls[name] += 1
@@ -374,20 +376,27 @@ class TestPowerPasses:
             signals.append(frame.x.size)
             return signal.func(frame)
 
+        def counted_draw(x, nodes, power_w, *args, **kwargs):
+            drawn.append((x.size, np.size(power_w)))
+            return generate_received(x, nodes, power_w, *args, **kwargs)
+
         def counted_received(frame, power_w, out=None):
-            rescaled.append(frame.x.size)
+            rescaled.append((frame.x.size, np.size(power_w)))
             return received(frame, power_w, out)
 
         spy = cached_property(counted_signal)
         spy.__set_name__(ReceivedFrame, "signal")
         monkeypatch.setattr(ReceivedFrame, "signal", spy)
         monkeypatch.setattr(ReceivedFrame, "received", counted_received)
-        assert 9 * 1000 > montecarlo._PASS_ELEMENTS  # one power per data pass
+        monkeypatch.setattr(montecarlo, "generate_received", counted_draw)
+        assert montecarlo._PASS_ELEMENTS // (9 * 1000) == 3  # three powers per data pass
         assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
         assert calls == {"margin_tables": 2, "mrc_tables": 1}
-        # n_t = 50 takes two training passes of 18 and 8 powers, n_t = 10 one
-        assert signals == [50, 1000]
-        assert rescaled == [50] + [1000] * 25
+        # n_t = 200 takes two training passes of 18 and 8 powers, n_t = 10 one;
+        # the data frame takes eight passes of 3 powers and one of 2
+        assert signals == [200, 1000]
+        assert drawn == [(10, 26), (200, 18), (1000, 3)]
+        assert rescaled == [(200, 8)] + [(1000, 3)] * 7 + [(1000, 2)]
 
     def test_one_training_frame_at_a_time(self):
         # four long training frames cost about as much memory as the longest alone
@@ -406,9 +415,10 @@ class TestPowerPasses:
         assert peak((40_000, 60_000, 80_000, 100_000)) <= 1.5 * alone
 
     def test_a_fig6_block_reduces_its_training_frame_in_two_passes(self, monkeypatch):
-        # training passes are sized by the (powers, 9, 50) training frame:
-        # 8,192 // 450 = 18 powers per pass, so 26 powers take 2 calls
-        # where one-power data passes would take 26
+        # training passes are sized by the (powers, 9, n_t) training frame, not
+        # by the data frame: 32,768 // (9 * 200) = 18 powers per pass, so 26
+        # powers take 2 calls where the data frame's three-power passes take 9;
+        # the preset's n_t = 50 frame takes all 26 powers in one call
         calls = []
 
         def counted(frame):
@@ -416,10 +426,23 @@ class TestPowerPasses:
             return compute_training_stats(frame)
 
         monkeypatch.setattr(montecarlo, "compute_training_stats", counted)
-        step = montecarlo._PASS_ELEMENTS // (9 * 50)
         _run_block(replace(preset("fig6"), seed=11), 0, 1000, Workspace())
+        assert calls == [(26, 9, 50)]
+        calls.clear()
+        step = montecarlo._PASS_ELEMENTS // (9 * 200)
+        _run_block(replace(preset("fig6"), n_t=(200,), seed=11), 0, 1000, Workspace())
         assert len(calls) == math.ceil(26 / step) == 2
-        assert calls == [(18, 9, 50), (8, 9, 50)]
+        assert calls == [(18, 9, 200), (8, 9, 200)]
+
+    def test_a_long_training_frame_is_not_kept_in_the_workspace(self):
+        # a training frame whose one power passes _PASS_ELEMENTS is rescaled
+        # into its own amplitudes, so the worker's workspace, which outlives
+        # the block, holds only the data passes' arrays
+        scenario = replace(preset("fig6"), power_sweep_dbm=(4.0, 10.0), n_t=(MAX_N_T,), seed=1)
+        workspace = Workspace()
+        _run_block(scenario, 0, 100, workspace)
+        assert 9 * MAX_N_T > montecarlo._PASS_ELEMENTS
+        assert workspace and max(a.size for a in workspace.values()) <= montecarlo._PASS_ELEMENTS
 
     def test_training_passes_never_stack_a_long_frame(self):
         # a training frame longer than _PASS_ELEMENTS is reduced one power at a
