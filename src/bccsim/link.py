@@ -72,7 +72,8 @@ class ReceivedFrame:
     the transmit powers it was drawn at.  ``h`` carries the channel gains,
     kept as oracle access for the coherent baseline.  ``x`` is the symbol
     sequence and ``noise`` the additive noise; ``received`` gives ``y`` at
-    other powers from the same draws.
+    other powers from the same draws.  A drawn frame keeps the ``signal`` h * x
+    it was drawn from; a caller that rescales it no more may drop it from ``vars``.
     """
 
     y: np.ndarray
@@ -81,7 +82,7 @@ class ReceivedFrame:
     noise: np.ndarray
 
     def received(self, power_w, out=None) -> np.ndarray:
-        """``y`` at ``power_w`` watts, into ``out`` if given, from h * x kept after first use.
+        """``y`` at ``power_w`` watts, into ``out`` if given, from the kept h * x.
 
         As x is 0 or 1, sqrt(P) * (h * x) has the bits of sqrt(P) * h * x unless
         sqrt(P) * h overflows, where x = 0 then gives the noise instead of NaN.
@@ -122,6 +123,9 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None)
         h[i] = node.dist.inverse_cdf(u[i])
     del u  # before the noise draw, which can then reuse its memory
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    # received's arithmetic, freeing h * x before adding the noise
-    y = np.multiply(np.sqrt(power_w)[..., None, None], h * x, out=out)
-    return ReceivedFrame(y=np.add(y, noise, out=y), x=x, h=h, noise=noise)
+    y = np.empty(np.shape(power_w) + shape) if out is None else out
+    frame = ReceivedFrame(y=y, x=x, h=h, noise=noise)
+    # received's arithmetic, on the signal the frame keeps for its rescales
+    np.multiply(np.sqrt(power_w)[..., None, None], frame.signal, out=y)
+    np.add(y, noise, out=y)
+    return frame

@@ -52,6 +52,13 @@ MAX_POWERS = 10_000
 # wider passes are faster but hold more; BENCH_width.json measures 2^15 against 2^13.
 _PASS_ELEMENTS = 2 ** 15
 
+# Elements of numpy's ufunc buffer while a worker runs its blocks.  numpy's buffered iterator
+# copies a broadcast (powers, K, 1) table into its buffer when a row of slots is short against
+# the buffer: at the default 8,192 a table subtract on fig6's (3, 9, 1000) pass took 17-20 us,
+# at 1,024 the 7 us of a full-array subtract.  Rows of 100 slots are copied at both sizes, rows
+# of 10^4 at neither; 128 also spares rows of 500 but makes casting ufuncs about 2x slower.
+_UFUNC_BUFFER = 1024
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -214,7 +221,8 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
     pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K, slots)
     array, at least one, each valid until the next.  The first pass is drawn and each later one
-    rescaled, into ``workspace`` if one power fits, else into the frame's own ``y``."""
+    rescaled from the h * x of the draw, into ``workspace`` if one power fits, else into the
+    frame's own ``y``."""
     fits = len(nodes) * x.size <= _PASS_ELEMENTS
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
 
@@ -223,6 +231,8 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
 
     frame = generate_received(x, nodes, powers[:step], variance, rng,
                               out=into(slice(0, step)) if fits else None)
+    if step >= len(powers):  # never rescaled, so h * x goes now (fig7's data frame: 480 KB)
+        del vars(frame)["signal"]
 
     def passes():
         yield slice(0, step), frame.y
@@ -283,10 +293,15 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace."""
+    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, run with a
+    ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
     workspace = Workspace()
-    return sum(_run_block(scenario, b, scenario.block_slots(b), workspace)
-               for b in range(first, stop))
+    buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
+    try:
+        return sum(_run_block(scenario, b, scenario.block_slots(b), workspace)
+                   for b in range(first, stop))
+    finally:
+        np.setbufsize(buffer)
 
 
 def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:

@@ -339,10 +339,9 @@ class TestPowerPasses:
             tracemalloc.stop()
 
     def test_fig6_blocks_sharing_a_workspace_allocate_little(self):
-        # the second of two fig6 blocks (K=9, 1,000 slots, 26 one-power data
-        # passes) allocates its frames but no per-pass arrays: its traced peak
-        # reads about 410 B per slot, where rescaling each pass into fresh
-        # arrays read 536
+        # the second of two fig6 blocks (K=9, 1,000 slots, 9 data passes of up
+        # to three powers) allocates its frames but no per-pass arrays: its
+        # traced peak reads about 335 B per slot
         scenario = replace(preset("fig6"), n_data_symbols=2000, blocks=2, seed=1)
         workspace = Workspace()
         tracemalloc.start()
@@ -357,12 +356,14 @@ class TestPowerPasses:
 
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
         # two training lengths and nine data passes of three powers: each
-        # length's margin tables, each multi-pass frame's h * x and MRC's h . h
-        # are derived once per block, each frame is drawn once, and each power
-        # of a frame is computed once, drawn with the first pass or rescaled
+        # length's margin tables and MRC's h . h are derived once per block,
+        # each frame is drawn once and its h * x formed once, in the draw, and
+        # each power of a frame is computed once, drawn with the first pass or
+        # rescaled; only a frame that is rescaled keeps its h * x
         scenario = replace(preset("fig6"), n_t=(10, 200), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
         calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
+        frames = []
         for name in calls:
             def counted(*args, name=name, original=getattr(detectors, name)):
                 calls[name] += 1
@@ -378,7 +379,8 @@ class TestPowerPasses:
 
         def counted_draw(x, nodes, power_w, *args, **kwargs):
             drawn.append((x.size, np.size(power_w)))
-            return generate_received(x, nodes, power_w, *args, **kwargs)
+            frames.append(generate_received(x, nodes, power_w, *args, **kwargs))
+            return frames[-1]
 
         def counted_received(frame, power_w, out=None):
             rescaled.append((frame.x.size, np.size(power_w)))
@@ -394,9 +396,56 @@ class TestPowerPasses:
         assert calls == {"margin_tables": 2, "mrc_tables": 1}
         # n_t = 200 takes two training passes of 18 and 8 powers, n_t = 10 one;
         # the data frame takes eight passes of 3 powers and one of 2
-        assert signals == [200, 1000]
+        assert signals == [10, 200, 1000]
         assert drawn == [(10, 26), (200, 18), (1000, 3)]
         assert rescaled == [(200, 8)] + [(1000, 3)] * 7 + [(1000, 2)]
+        assert ["signal" in vars(frame) for frame in frames] == [False, True, True]
+
+    def test_the_ufunc_buffer_is_the_callers_after_a_run(self, monkeypatch):
+        # blocks run under _UFUNC_BUFFER; the caller's buffer comes back after
+        # run_scenario returns and after a block raises
+        scenario = small_scenario(n_data_symbols=200, blocks=2)
+        seen = []
+
+        def watched(*args):
+            seen.append(np.getbufsize())
+            return _run_block(*args)
+
+        def failing(*args):
+            raise RuntimeError("block failed")
+
+        previous = np.setbufsize(4096)
+        try:
+            monkeypatch.setattr(montecarlo, "_run_block", watched)
+            run_scenario(scenario)
+            assert seen == [montecarlo._UFUNC_BUFFER] * 2 and np.getbufsize() == 4096
+            monkeypatch.setattr(montecarlo, "_run_block", failing)
+            with pytest.raises(RuntimeError, match="block failed"):
+                run_scenario(scenario)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(previous)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig6", "fig7"])
+    def test_the_ufunc_buffer_does_not_change_counts(self, name, monkeypatch):
+        # a reduction that casts, or a cast op, runs through the buffer; no
+        # count, and no bit of the margin tables, may follow its size
+        scenario = replace(preset(name), n_data_symbols=3000, blocks=3, seed=7)
+        runs, tables = [], []
+
+        def kept(stats):
+            tables[-1].append(detectors.margin_tables(stats))
+            return tables[-1][-1]
+
+        monkeypatch.setattr(montecarlo, "margin_tables", kept)
+        for size in (16, 8192):
+            monkeypatch.setattr(montecarlo, "_UFUNC_BUFFER", size)
+            tables.append([])
+            runs.append(run_scenario(scenario))
+        assert runs[0] == runs[1]
+        assert len(tables[0]) == 3 * len(scenario.n_t) == len(tables[1])
+        assert all(np.array_equal(a, b) for t16, t8192 in zip(*tables)
+                   for a, b in zip(t16, t8192))
 
     def test_one_training_frame_at_a_time(self):
         # four long training frames cost about as much memory as the longest alone
