@@ -15,7 +15,7 @@ or inline mappings with an explicit family and parameter list::
 The BER points are every (power, training length) pair.  This module
 only translates: it rejects unknown keys, turns registry names and
 inline mappings into NodeProfile objects and a ``{start, stop, step}``
-sweep of at most ``MAX_POWERS`` powers into a list, and passes the rest
+sweep of at most ``MAX_POINTS`` powers into a list, and passes the rest
 to ``Scenario``.  The scenario checks every field's type and value, and
 each channel law its own parameters; their ParameterError becomes a
 ConfigError here.
@@ -31,7 +31,7 @@ import yaml
 
 from .channels import FAMILIES, NodeProfile, registry_entry, registry_name
 from .errors import ConfigError, ParameterError
-from .montecarlo import MAX_POWERS, Scenario, _number
+from .montecarlo import MAX_POINTS, Scenario, _number
 
 __all__ = ["load_scenario", "loads_scenario", "scenario_to_config"]
 
@@ -123,8 +123,8 @@ def _parse_sweep(value):
     if not math.isfinite(span):
         raise ConfigError("power_sweep_dbm: (stop - start) / step must be finite")
     count = int(span + 1e-9) + 1
-    if count > MAX_POWERS:  # before the list is built
-        raise ConfigError(f"power_sweep_dbm: at most {MAX_POWERS} powers, got {count}")
+    if count > MAX_POINTS:  # before the list is built
+        raise ConfigError(f"power_sweep_dbm: at most {MAX_POINTS} powers, got {count}")
     return [start + i * step for i in range(count)]
 
 

@@ -75,10 +75,6 @@ class TrainingStats:
     p11: np.ndarray
     p00: np.ndarray
 
-    def __getitem__(self, index) -> TrainingStats:
-        """The statistics at ``index`` of the leading axes, every field indexed alike."""
-        return TrainingStats(*(v[index] for v in vars(self).values()))
-
 
 class MarginTables(namedtuple("MarginTables", "a_one a_zero a_th th_sum margin_flip margin_zero "
                               "one_flip one_zero zero_flip zero_zero degenerate")):
@@ -104,8 +100,9 @@ class Workspace(dict):
     call gets a view of its front, made once per shape and cached beside the
     arrays until the array grows.  A kernel may return one of these arrays, valid
     until the workspace's next use, so a workspace is never shared between threads.
-    A block also draws or rescales each pass of a frame into "received" and takes |y| there
-    in place when one power of the frame fits a pass; a larger frame stays in its own array.
+    A block also draws a frame into "received" when one power of it fits a pass, else into
+    the frame's own array; either way each later pass is rescaled into that first pass's
+    memory and takes |y| there in place.
     ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 

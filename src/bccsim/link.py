@@ -71,9 +71,10 @@ class ReceivedFrame:
     ``y`` holds one row per node and one column per slot, behind the axes of
     the transmit powers it was drawn at.  ``h`` carries the channel gains,
     kept as oracle access for the coherent baseline.  ``x`` is the symbol
-    sequence and ``noise`` the additive noise; ``received`` gives ``y`` at
-    other powers from the same draws.  A drawn frame keeps the ``signal`` h * x
-    it was drawn from; a caller that rescales it no more may drop it from ``vars``.
+    sequence and ``noise`` the additive noise; ``received``, which also fills
+    the drawn ``y``, gives ``y`` at other powers from the same draws.  A drawn
+    frame keeps the ``signal`` h * x it was drawn from; a caller that rescales
+    it no more may drop it from ``vars``.
     """
 
     y: np.ndarray
@@ -100,9 +101,10 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None)
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
     ``power_w`` is a float or an array of powers; ``y`` goes into ``out`` if
-    given.  Every node and slot gets a fresh independent channel draw, so no
-    slot can be equalized from a neighbor.  Draw order per call: one uniform
-    block (K, N) for the channels, then one normal block (K, N) for the noise.
+    given, filled by ``ReceivedFrame.received`` as every rescale is.  Every node
+    and slot gets a fresh independent channel draw, so no slot can be equalized
+    from a neighbor.  Draw order per call: one uniform block (K, N) for the
+    channels, then one normal block (K, N) for the noise.
     """
     if not (np.all(0.0 <= power_w) and np.all(power_w < np.inf)
             and 0.0 <= noise_variance_w < np.inf):
@@ -123,9 +125,7 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None)
         h[i] = node.dist.inverse_cdf(u[i])
     del u  # before the noise draw, which can then reuse its memory
     noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    y = np.empty(np.shape(power_w) + shape) if out is None else out
-    frame = ReceivedFrame(y=y, x=x, h=h, noise=noise)
-    # received's arithmetic, on the signal the frame keeps for its rescales
-    np.multiply(np.sqrt(power_w)[..., None, None], frame.signal, out=y)
-    np.add(y, noise, out=y)
+    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + shape) if out is None else out,
+                          x=x, h=h, noise=noise)
+    frame.received(power_w, out=frame.y)
     return frame

@@ -31,7 +31,7 @@ from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise
 __all__ = [
     "STREAM_VERSION",
     "MAX_N_T",
-    "MAX_POWERS",
+    "MAX_POINTS",
     "Scenario",
     "BerPoint",
     "make_ber_point",
@@ -44,8 +44,8 @@ STREAM_VERSION = 2
 # Longest training frame a Scenario accepts: 100x the longest preset frame.
 MAX_N_T = 100_000
 
-# Most powers a Scenario sweeps: about 400x the preset sweeps' 26.
-MAX_POWERS = 10_000
+# Most (power, training length) points a Scenario's grid has: about 400x the preset grids' 26.
+MAX_POINTS = 10_000
 
 # Elements of the (powers, K, slots) array one pass of a block detects, or of a
 # training frame reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
@@ -67,7 +67,7 @@ class Scenario:
     The BER points are every (power, training length) pair of
     ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple,
     each entry is an even training length in [4, ``MAX_N_T``], and the
-    sweep has at most ``MAX_POWERS`` powers.
+    grid has at most ``MAX_POINTS`` points.
     ``blocks`` is the number of independent (train, transmit) repetitions
     each point is averaged over.  A field of the wrong type or value raises
     ParameterError naming it; lists are stored as tuples, and a bool is
@@ -150,13 +150,13 @@ def _validate_scenario(s: Scenario) -> None:
     ids = [n.node_id for n in s.nodes]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"nodes must have unique node_id values, got {ids}")
+    if len(s.power_sweep_dbm) * len(s.n_t) > MAX_POINTS:  # before any grid is built
+        raise ParameterError(f"power_sweep_dbm x n_t: at most {MAX_POINTS} points, got "
+                             f"{len(s.power_sweep_dbm)} powers x {len(s.n_t)} training lengths")
     for v in s.n_t:
         if v < 4 or v % 2 or v > MAX_N_T:
             raise ParameterError(f"n_t entries must be even integers in [4, {MAX_N_T}], got {v}")
     _check_axis("n_t", s.n_t)
-    if len(s.power_sweep_dbm) > MAX_POWERS:
-        raise ParameterError(f"power_sweep_dbm: at most {MAX_POWERS} powers, "
-                             f"got {len(s.power_sweep_dbm)}")
     if s.n_data_symbols < 1:
         raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
     for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
@@ -220,17 +220,13 @@ def _errors(decisions, x):
 def _passes(x, nodes, powers, variance: float, rng, workspace):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
     pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K, slots)
-    array, at least one, each valid until the next.  The first pass is drawn and each later one
-    rescaled from the h * x of the draw, into ``workspace`` if one power fits, else into the
-    frame's own ``y``."""
-    fits = len(nodes) * x.size <= _PASS_ELEMENTS
+    array, at least one, each valid until the next.  The first pass is drawn into the
+    ``workspace``'s "received" array if one power fits, else into a fresh ``y``, and each later
+    one is rescaled from the h * x of the draw into the front of that first pass's ``y``."""
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
-
-    def into(at):
-        return workspace.take("received", powers[at].shape + (len(nodes), x.size))
-
-    frame = generate_received(x, nodes, powers[:step], variance, rng,
-                              out=into(slice(0, step)) if fits else None)
+    out = (workspace.take("received", powers[:step].shape + (len(nodes), x.size))
+           if len(nodes) * x.size <= _PASS_ELEMENTS else None)
+    frame = generate_received(x, nodes, powers[:step], variance, rng, out=out)
     if step >= len(powers):  # never rescaled, so h * x goes now (fig7's data frame: 480 KB)
         del vars(frame)["signal"]
 
@@ -238,7 +234,7 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
         yield slice(0, step), frame.y
         for i in range(step, len(powers), step):
             at = slice(i, i + step)
-            yield at, frame.received(powers[at], into(at) if fits else frame.y)
+            yield at, frame.received(powers[at], frame.y[:len(powers[at])])
 
     return frame, passes()
 
@@ -304,7 +300,7 @@ def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
         np.setbufsize(buffer)
 
 
-def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
+def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     """BER of every (technique, power, n_t) point of the scenario's grid.
 
     Blocks are independent; with ``jobs`` > 1 they run in a process pool no
@@ -317,7 +313,7 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
     otherwise.  So with zero noise each combination point is a RuntimeWarning and
     omitted, and [] is returned, drawing nothing, when no other technique is left.
     """
-    if jobs is not None and _integer("jobs", jobs) < 1:
+    if _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
     if (COMBINATION in scenario.techniques
@@ -330,7 +326,7 @@ def run_scenario(scenario: Scenario, jobs: int | None = None) -> list[BerPoint]:
         if not techniques:
             return []
         scenario = replace(scenario, techniques=techniques)
-    workers = min(jobs or 1, scenario.block_count, os.cpu_count() or 1)
+    workers = min(jobs, scenario.block_count, os.cpu_count() or 1)
     bounds = [scenario.block_count * i // workers for i in range(workers + 1)]
     args = (repeat(scenario), bounds[:-1], bounds[1:])
     if workers == 1:

@@ -21,7 +21,7 @@ from bccsim import (
 from bccsim import cli
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
 from bccsim.config import _parse_sweep
-from bccsim.montecarlo import MAX_N_T, MAX_POWERS, make_ber_point
+from bccsim.montecarlo import MAX_N_T, MAX_POINTS, make_ber_point
 
 # integers up to 2**1100 overflow a float; keys of mixed types do not sort
 _NUMBERS = st.one_of(st.floats(), st.integers(), st.integers(-2 ** 1100, 2 ** 1100))
@@ -162,7 +162,7 @@ class TestRunCommand:
 
     def test_budget_beyond_memory_names_keys(self, monkeypatch, capsys):
         # the run's MemoryError is stood in for, so nothing is allocated
-        def out_of_memory(scenario, jobs=None):
+        def out_of_memory(scenario, jobs=1):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
         monkeypatch.setattr(cli, "run_scenario", out_of_memory)
@@ -180,7 +180,7 @@ class TestRunCommand:
         assert main(["run", "--preset", "fig6", "--symbols", symbols]) == 2
         rejected = capsys.readouterr().err
 
-        def out_of_memory(scenario, jobs=None):
+        def out_of_memory(scenario, jobs=1):
             raise MemoryError("Unable to allocate 3.64 EiB")
 
         monkeypatch.setattr(cli, "run_scenario", out_of_memory)
@@ -226,12 +226,24 @@ class TestRunCommand:
         assert f"deviation,10.0,{MAX_N_T},2," in capsys.readouterr().out
 
     def test_sweep_above_the_cap_names_key(self, tmp_path, capsys):
-        # -1000 .. 1500 dBm in quarter steps is MAX_POWERS + 1 powers
+        # -1000 .. 1500 dBm in quarter steps is MAX_POINTS + 1 powers
         cfg = tmp_path / "wide.yaml"
         cfg.write_text("nodes: [f1]\npower_sweep_dbm: {start: -1000, stop: 1500, step: 0.25}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "power_sweep_dbm" in err and str(MAX_POWERS) in err and "Traceback" not in err
+        assert "power_sweep_dbm" in err and str(MAX_POINTS) in err and "Traceback" not in err
+
+    def test_grid_above_the_cap_names_both_keys(self, tmp_path, capsys):
+        # 8,001 powers x 3,000 training lengths: rejected at load, before a
+        # 2.4 x 10^7-point grid is built, and not blamed on the symbol budget
+        n_t = ", ".join(str(v) for v in range(4, 6004, 2))
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(f"nodes: [f1]\nn_t: [{n_t}]\nn_data_symbols: 10\nblocks: 1\n"
+                       "power_sweep_dbm: {start: -100, stop: 100, step: 0.025}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "power_sweep_dbm" in err and "n_t" in err and str(MAX_POINTS) in err
+        assert "n_data_symbols" not in err and "Traceback" not in err
 
     def test_nt_sweep_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "old.yaml"
@@ -340,17 +352,17 @@ class TestConfigParsing:
     def test_sweep_mapping_is_counted_against_the_cap(self):
         sweep = "{start: -1000, stop: %s, step: 0.25}"
         scn = loads_scenario(f"nodes: [f1]\npower_sweep_dbm: {sweep % 1499.75}\n")
-        assert len(scn.power_sweep_dbm) == MAX_POWERS
+        assert len(scn.power_sweep_dbm) == MAX_POINTS
         assert scn.power_sweep_dbm[-1] == 1499.75
         # the mapping is counted before it is expanded, not left to Scenario
-        with pytest.raises(ConfigError, match=f"power_sweep_dbm: at most {MAX_POWERS} powers, "
-                                              f"got {MAX_POWERS + 1}"):
+        with pytest.raises(ConfigError, match=f"power_sweep_dbm: at most {MAX_POINTS} powers, "
+                                              f"got {MAX_POINTS + 1}"):
             _parse_sweep({"start": -1000, "stop": 1500, "step": 0.25})
 
     def test_power_list_is_capped(self):
-        powers = [-1000 + 0.25 * i for i in range(MAX_POWERS + 1)]
+        powers = [-1000 + 0.25 * i for i in range(MAX_POINTS + 1)]
         assert len(Scenario(nodes=(registry_entry("f1"),),
-                            power_sweep_dbm=powers[:-1]).power_sweep_dbm) == MAX_POWERS
+                            power_sweep_dbm=powers[:-1]).power_sweep_dbm) == MAX_POINTS
         with pytest.raises(ParameterError, match="power_sweep_dbm"):
             Scenario(nodes=(registry_entry("f1"),), power_sweep_dbm=powers)
 

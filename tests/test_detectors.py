@@ -563,7 +563,8 @@ class TestLeadingAxes:
         stats = TrainingStats(a_th=0.5 * (a_one + a_zero), a_one=a_one, a_zero=a_zero,
                               p11=0.9 * ones, p00=0.8 * ones)
         y = np.stack([np.outer([1.0, 2.0], x) + 0.4] * 2)
-        assert detect("combination", y[1:], stats[1:]).shape == (1, 5)
+        last = TrainingStats(*(v[1:] for v in vars(stats).values()))
+        assert detect("combination", y[1:], last).shape == (1, 5)
         assert detect("deviation", y, stats).shape == (2, 5)
         for fn in (margins, detect):
             with pytest.raises(DegenerateTrainingError):
@@ -595,13 +596,14 @@ class TestSlicedTables:
         with np.errstate(all="ignore"):  # subnormal references overflow combination
             for at in self.PASSES:
                 amplitudes, rows = np.ascontiguousarray(y[at]), tables.rows(at)
+                sliced = TrainingStats(*(v[at] for v in vars(stats).values()))
                 for technique in (PROBABILITY, DEVIATION, COMBINATION, PROBABILITY):
                     if technique == COMBINATION and at.start == 0:
-                        for s in (rows, stats[at]):
+                        for s in (rows, sliced):
                             with pytest.raises(DegenerateTrainingError):
                                 margins(technique, amplitudes, s, workspace)
                         continue
-                    fresh = margins(technique, y[at], stats[at])
+                    fresh = margins(technique, y[at], sliced)
                     assert same_bits(margins(technique, amplitudes, rows, workspace), fresh)
                     if technique == PROBABILITY:  # combination reuses this pass's mask
                         assert workspace.mask_of[0] is amplitudes

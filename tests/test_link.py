@@ -241,16 +241,21 @@ class TestAtPower:
         # each frame is drawn once, and the data frame is rescaled once per
         # later pass, not once per training length; of the training frames
         # only n_t = 1,000 takes two passes (5 powers, then 1), and is rescaled
-        # for the second
-        slots, drawn, rescaled = 4000, [], []
+        # for the second; the draw's own received call is not a rescale
+        slots, drawn, rescaled, drawing = 4000, [], [], []
         received = ReceivedFrame.received
 
         def counted(x, *args, **kwargs):
             drawn.append(x.size)
-            return generate_received(x, *args, **kwargs)
+            drawing.append(x.size)
+            try:
+                return generate_received(x, *args, **kwargs)
+            finally:
+                drawing.pop()
 
         def counted_rescale(frame, power_w, out=None):
-            rescaled.append(frame.x.size)
+            if not drawing:
+                rescaled.append(frame.x.size)
             return received(frame, power_w, out)
 
         monkeypatch.setattr(montecarlo, "generate_received", counted)

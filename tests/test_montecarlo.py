@@ -126,6 +126,23 @@ class TestScenarioValidation:
         scn = Scenario(nodes=F9, power_sweep_dbm=(float("-inf"),))
         assert scn.power_sweep_dbm == (float("-inf"),)
 
+    def test_the_grid_is_bounded_not_one_axis(self):
+        # MAX_POINTS bounds powers x training lengths: 100 x 100 is accepted, one
+        # more of either rejected, and a 3,000-length axis over 8,001 powers
+        # fails naming both keys, not the budget
+        powers = tuple(float(p) for p in range(-50, 50))
+        n_t = tuple(range(4, 204, 2))
+        assert len(powers) * len(n_t) == montecarlo.MAX_POINTS
+        assert len(Scenario(nodes=F9, power_sweep_dbm=powers, n_t=n_t).n_t) == 100
+        for grid in (dict(power_sweep_dbm=powers + (50.0,), n_t=n_t),
+                     dict(power_sweep_dbm=powers, n_t=n_t + (204,)),
+                     dict(power_sweep_dbm=tuple(-100 + 0.025 * i for i in range(8001)),
+                          n_t=tuple(range(4, 6004, 2)), n_data_symbols=10, blocks=1)):
+            with pytest.raises(ParameterError, match=f"^power_sweep_dbm x n_t: at most "
+                                                     f"{montecarlo.MAX_POINTS} points") as raised:
+                Scenario(nodes=F9, **grid)
+            assert "n_data_symbols" not in str(raised.value)
+
     def test_blocks_numpy_cannot_address_raise_naming_the_keys(self):
         # one (K, slots) float64 array of a block must have at most 2**63 - 1
         # bytes: 2**62 symbols in 4 blocks make 2**63, in 8 blocks 2**62
@@ -359,11 +376,12 @@ class TestPowerPasses:
         # length's margin tables and MRC's h . h are derived once per block,
         # each frame is drawn once and its h * x formed once, in the draw, and
         # each power of a frame is computed once, drawn with the first pass or
-        # rescaled; only a frame that is rescaled keeps its h * x
+        # rescaled; only a frame that is rescaled keeps its h * x.  The draw
+        # fills its y through received, which is not counted as a rescale
         scenario = replace(preset("fig6"), n_t=(10, 200), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
         calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
-        frames = []
+        frames, drawing = [], []
         for name in calls:
             def counted(*args, name=name, original=getattr(detectors, name)):
                 calls[name] += 1
@@ -379,11 +397,16 @@ class TestPowerPasses:
 
         def counted_draw(x, nodes, power_w, *args, **kwargs):
             drawn.append((x.size, np.size(power_w)))
-            frames.append(generate_received(x, nodes, power_w, *args, **kwargs))
+            drawing.append(x.size)
+            try:
+                frames.append(generate_received(x, nodes, power_w, *args, **kwargs))
+            finally:
+                drawing.pop()
             return frames[-1]
 
         def counted_received(frame, power_w, out=None):
-            rescaled.append((frame.x.size, np.size(power_w)))
+            if not drawing:
+                rescaled.append((frame.x.size, np.size(power_w)))
             return received(frame, power_w, out)
 
         spy = cached_property(counted_signal)
@@ -400,6 +423,34 @@ class TestPowerPasses:
         assert drawn == [(10, 26), (200, 18), (1000, 3)]
         assert rescaled == [(200, 8)] + [(1000, 3)] * 7 + [(1000, 2)]
         assert ["signal" in vars(frame) for frame in frames] == [False, True, True]
+
+    @pytest.mark.parametrize("scenario, slots, count, fits", [
+        (preset("fig6"), 1000, 9, True),
+        (replace(preset("fig7"), power_sweep_dbm=(-10.0, -2.0, 6.0, 10.0)), 10 ** 4, 4, False),
+    ], ids=["fig6", "fig7"])
+    def test_later_passes_reuse_the_first_passs_memory(self, scenario, slots, count, fits):
+        # fig6's (9, 1,000) data frame fits a pass three powers at a time, so it
+        # is drawn into the workspace's "received" array; one power of fig7's
+        # (6, 10^4) frame does not, so it is drawn into its own y.  Either way
+        # every later pass is rescaled into the front of that first y
+        powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
+        variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+        x = montecarlo.generate_data_symbols(slots, np.random.default_rng(3))
+        workspace = Workspace()
+        frame, passes = montecarlo._passes(x, scenario.nodes, powers, variance,
+                                           np.random.default_rng(4), workspace)
+        first = frame.y
+        if fits:
+            assert np.shares_memory(first, workspace["received", float])
+        else:
+            assert ("received", float) not in workspace
+        starts = []
+        for at, y in passes:
+            assert np.shares_memory(y, first)
+            assert y.shape == (len(powers[at]), len(scenario.nodes), slots)
+            assert np.array_equal(y, frame.received(powers[at]))
+            starts.append(at.start)
+        assert len(starts) == count and starts[0] == 0
 
     def test_the_ufunc_buffer_is_the_callers_after_a_run(self, monkeypatch):
         # blocks run under _UFUNC_BUFFER; the caller's buffer comes back after
