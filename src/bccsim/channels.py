@@ -42,7 +42,8 @@ __all__ = [
 
 def _check_uniform(u):
     u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u < 1.0)):
+    if not (np.minimum.reduce(u, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(u, axis=None, initial=0.0) < 1.0):  # NaN fails both
         raise ParameterError("u must lie in [0, 1)")
     return u
 

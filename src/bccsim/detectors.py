@@ -141,16 +141,17 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     if n_t < 4 or n_t % 2:
         raise ParameterError(f"n_t must be an even integer >= 4 for training, got {n_t}")
     half = n_t // 2
-    if not (np.all(x[:half] == 1) and np.all(x[half:] == 0)):
+    if not (np.logical_and.reduce(x[:half] == 1) and np.logical_and.reduce(x[half:] == 0)):
         raise ParameterError("frame does not carry the training pattern (ones then zeros)")
     amp = np.abs(frame.y)
-    a_one = amp[..., :half].mean(axis=-1)
-    a_zero = amp[..., half:].mean(axis=-1)
+    a_one = np.add.reduce(amp[..., :half], axis=-1) / half  # ndarray.mean's sum and divide
+    a_zero = np.add.reduce(amp[..., half:], axis=-1) / half
     a_th = 0.5 * (a_one + a_zero)
     detected = amp >= a_th[..., None]
     lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
-    p11 = np.clip(detected[..., :half].mean(axis=-1), lo, hi)
-    p00 = np.clip(1.0 - detected[..., half:].mean(axis=-1), lo, hi)
+    p11 = np.add.reduce(detected[..., :half], axis=-1, dtype=float) / half
+    p00 = 1.0 - np.add.reduce(detected[..., half:], axis=-1, dtype=float) / half
+    p11, p00 = (np.minimum(np.maximum(p, lo), hi) for p in (p11, p00))
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
@@ -164,7 +165,7 @@ def margin_tables(stats: TrainingStats) -> MarginTables:
                                      for name in ("a_one", "a_zero", "a_th", "p11", "p00"))
     log_p11, log_q11 = np.log(p11), np.log1p(-p11)
     log_q00, log_p00 = np.log1p(-p00), np.log(p00)
-    usable = np.concatenate([stats.a_one, stats.a_zero, stats.a_th], axis=-1).all(axis=-1)
+    usable = np.logical_and.reduce(np.concatenate([stats.a_one, stats.a_zero, stats.a_th], -1), -1)
     th, one, zero = (np.maximum(a, 2.0 ** -1000) for a in (a_th, a_one, a_zero))
     inv_one, inv_zero = 1.0 / one, 1.0 / zero
     return MarginTables(a_one, a_zero, a_th, np.cumsum(stats.a_th, axis=-1)[..., -1:],
@@ -194,7 +195,7 @@ def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     call reuses its mask, so amplitudes rewritten in place need fresh tables.
     """
     y, tables = _checked(technique, y_abs, stats)
-    if technique == COMBINATION and tables.degenerate.any():
+    if technique == COMBINATION and np.logical_or.reduce(tables.degenerate, axis=None):
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     workspace = Workspace() if workspace is None else workspace
@@ -255,7 +256,7 @@ def fuse(node_margins, workspace=None):
     if m.ndim < 2 or m.shape[-2] == 0:
         raise ParameterError(f"margins must be (K, N) with K >= 1, got shape {m.shape}")
     take = (Workspace() if workspace is None else workspace).take
-    total = m.sum(axis=-2, out=take("total", m.shape[:-2] + m.shape[-1:]))
+    total = np.add.reduce(m, axis=-2, out=take("total", m.shape[:-2] + m.shape[-1:]))
     return np.greater(total, 0.0, out=take("decision", total.shape, np.int64))
 
 
@@ -269,7 +270,7 @@ def detect(technique: str, y_abs, stats, workspace=None):
         return fuse(margins(technique, y_abs, stats, workspace), workspace)
     y, tables = _checked(technique, y_abs, stats)
     take = (Workspace() if workspace is None else workspace).take
-    total = y.sum(axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
+    total = np.add.reduce(y, axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
     return np.greater(total, tables.th_sum, out=take("decision", total.shape, np.int64))
 
 
@@ -278,9 +279,9 @@ def mrc_tables(h, p_watts) -> MrcTables:
     h, p = np.asarray(h, dtype=float), np.asarray(p_watts, dtype=float)
     if h.ndim != 2 or h.shape[0] == 0:
         raise ParameterError(f"h must be a (K, N) array with K >= 1, got shape {h.shape}")
-    if not (p >= 0.0).all():
+    if not np.logical_and.reduce(p >= 0.0, axis=None):
         raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
-    return MrcTables(h, (h * h).sum(axis=0), (0.5 * np.sqrt(p))[..., None])
+    return MrcTables(h, np.add.reduce(h * h, axis=0), (0.5 * np.sqrt(p))[..., None])
 
 
 def mrc_detect(y, h, p_watts=None, workspace=None):
@@ -297,7 +298,7 @@ def mrc_detect(y, h, p_watts=None, workspace=None):
         raise ParameterError(f"y and h must be matching (K, N) arrays, and y's leading axes "
                              f"those of p_watts, got {y.shape} and {tables.h.shape}")
     take = (Workspace() if workspace is None else workspace).take
-    z = np.multiply(tables.h, y, out=take("scratch", y.shape)).sum(
-        axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
+    z = np.add.reduce(np.multiply(tables.h, y, out=take("scratch", y.shape)), axis=-2,
+                      out=take("total", y.shape[:-2] + y.shape[-1:]))
     threshold = np.multiply(tables.half_root, tables.energy, out=take("threshold", z.shape))
     return np.greater(z, threshold, out=take("decision", z.shape, np.int64))

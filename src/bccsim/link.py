@@ -103,29 +103,38 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None)
     ``power_w`` is a float or an array of powers; ``y`` goes into ``out`` if
     given, filled by ``ReceivedFrame.received`` as every rescale is.  Every node
     and slot gets a fresh independent channel draw, so no slot can be equalized
-    from a neighbor.  Draw order per call: one uniform block (K, N) for the
-    channels, then one normal block (K, N) for the noise.
+    from a neighbor.  ``rng`` is a generator or a list of (generator, slots) runs
+    that tile x.  Each generator draws one uniform block (K, slots) for the
+    channels, then one normal block for the noise: a run's bits are its slots' alone.
     """
-    if not (np.all(0.0 <= power_w) and np.all(power_w < np.inf)
+    if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
             and 0.0 <= noise_variance_w < np.inf):
         raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
                              f"got {power_w!r} and {noise_variance_w!r}")
     x = np.asarray(x)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("x must be a nonempty 1-D symbol array")
-    if not np.all((x == 0) | (x == 1)):
+    if not np.logical_and.reduce((x == 0) | (x == 1), axis=None):
         raise ParameterError("symbols must be 0 or 1")
     nodes = tuple(nodes)
     if not nodes:
         raise ParameterError("nodes must be a nonempty list of receive nodes")
-    shape = (len(nodes), x.size)
-    u = rng.random(shape)
-    h = np.empty(shape)
+    runs = list(rng) if isinstance(rng, (list, tuple)) else [(rng, x.size)]
+    if any(n < 1 for _, n in runs) or sum(n for _, n in runs) != x.size:
+        raise ParameterError(f"runs must tile x, got slots {[n for _, n in runs]} for {x.size}")
+
+    def drawn(method, *args):  # each run's (K, slots) block, joined in slot order
+        parts = [getattr(g, method)(*args, (len(nodes), n)) for g, n in runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    u = drawn("random")
+    h = np.empty(u.shape)
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(u[i])
     del u  # before the noise draw, which can then reuse its memory
-    noise = rng.normal(0.0, np.sqrt(noise_variance_w), shape)
-    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + shape) if out is None else out,
+    noise = drawn("normal", 0.0, np.sqrt(noise_variance_w))
+    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape) if out is None else out,
                           x=x, h=h, noise=noise)
     frame.received(power_w, out=frame.y)
     return frame

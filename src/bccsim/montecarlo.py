@@ -16,7 +16,8 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from functools import cached_property
+from itertools import accumulate, product, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -25,8 +26,8 @@ from .channels import NodeProfile
 from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
                         compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
 from .errors import ParameterError
-from .link import (dbm_to_watts, generate_data_symbols, generate_received, noise_variance,
-                   training_symbols)
+from .link import (ReceivedFrame, dbm_to_watts, generate_data_symbols, generate_received,
+                   noise_variance, training_symbols)
 
 __all__ = [
     "STREAM_VERSION",
@@ -105,6 +106,12 @@ class Scenario:
         """Slots of block ``index``: n_data_symbols dealt evenly, the remainder to the first."""
         base, extra = divmod(self.n_data_symbols, self.block_count)
         return base + (index < extra)
+
+    @cached_property
+    def _watts(self) -> tuple:
+        """The powers in watts and the noise variance N0*B/2, converted once per object."""
+        return (np.array([dbm_to_watts(p) for p in self.power_sweep_dbm]),
+                noise_variance(self.n0_dbm_per_hz, self.bandwidth_hz))
 
 
 def _integer(key: str, value) -> int:
@@ -214,15 +221,15 @@ def _substream(seed: int, *key: int):
 
 def _errors(decisions, x):
     """Symbol errors of (..., N) 0/1 decisions against the sent 0/1 symbols, XORed in place."""
-    return np.bitwise_xor(decisions, x, out=decisions).sum(axis=-1)
+    return np.add.reduce(np.bitwise_xor(decisions, x, out=decisions), axis=-1)
 
 
 def _passes(x, nodes, powers, variance: float, rng, workspace):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
     pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K, slots)
-    array, at least one, each valid until the next.  The first pass is drawn into the
-    ``workspace``'s "received" array if one power fits, else into a fresh ``y``, and each later
-    one is rescaled from the h * x of the draw into the front of that first pass's ``y``."""
+    array, at least one, each valid until the next.  The first pass is drawn from ``rng`` into
+    the ``workspace``'s "received" array if one power fits, else into a fresh ``y``, and each
+    later one is rescaled from the h * x of the draw into the front of that first pass's ``y``."""
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
     out = (workspace.take("received", powers[:step].shape + (len(nodes), x.size))
            if len(nodes) * x.size <= _PASS_ELEMENTS else None)
@@ -239,50 +246,70 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
     return frame, passes()
 
 
-def _training_stats(scenario: Scenario, block_index: int, n_t: int, powers, variance: float,
-                    workspace) -> TrainingStats:
-    """(powers, K) statistics of one block's training frame of length ``n_t``.
+def _groups(lengths, k: int):
+    """Runs of consecutive training lengths whose (K, slots) frame fits _PASS_ELEMENTS,
+    at least one length each: a length longer than a pass is a group of its own."""
+    group = []
+    for n_t in lengths:
+        if group and k * (sum(group) + n_t) > _PASS_ELEMENTS:
+            yield group
+            group = []
+        group.append(n_t)
+    yield group
 
-    The frame is reduced in passes sized by the frame alone, one
-    compute_training_stats call per pass, and the passes' rows are joined.
-    """
-    frame, passes = _passes(training_symbols(n_t), scenario.nodes, powers, variance,
-                            _substream(scenario.seed, block_index, n_t), workspace)
-    parts = [vars(compute_training_stats(replace(frame, y=y))).values() for _, y in passes]
-    return TrainingStats(*map(np.concatenate, zip(*parts)))
+
+def _training_stats(scenario: Scenario, block_index: int, workspace) -> TrainingStats:
+    """(lengths, powers, K) statistics of one block's training frames.  Each _groups run of
+    lengths is one frame, each length drawn from its own substream as if alone, reduced in
+    passes sized by the frame, one compute_training_stats call per length and pass."""
+    nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
+    stats = TrainingStats(*np.empty((5, len(lengths), len(powers), len(nodes))))
+    first = 0
+    for group in _groups(lengths, len(nodes)):
+        runs = [(_substream(scenario.seed, block_index, n_t), n_t) for n_t in group]
+        x = np.concatenate([training_symbols(n_t) for n_t in group])
+        parts = [slice(end - n_t, end) for n_t, end in zip(group, accumulate(group))]
+        frame, passes = _passes(x, nodes, powers, variance, runs, workspace)
+        for at, y in passes:
+            for i, part in enumerate(parts, first):
+                found = compute_training_stats(
+                    ReceivedFrame(y[..., part], x[part], frame.h[:, part], frame.noise[:, part]))
+                for name, value in vars(found).items():
+                    getattr(stats, name)[i, at] = value
+        first += len(group)
+        del frame, passes, y, x  # before the next group's frame is drawn
+    return stats
 
 
 def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    Each training length's frame is drawn, reduced to (powers, K) statistics
-    in training passes sized by that frame, and dropped before the next is
-    drawn; its margin tables, and MRC's of the data frame, are derived once.
-    The data frame is detected in data passes sized by it: MRC once for all
-    lengths on the signed y, then |y| in place and each technique once per
-    training length on its slice of the tables (in NONCOHERENT order, so
-    combination reuses probability's hard decision).  Counts are (points,
-    techniques) in grid order.  Combination on a zero-noise scenario raises
-    DegenerateTrainingError; run_scenario never asks for it.
+    The training frames are drawn and reduced to (lengths, powers, K)
+    statistics by _training_stats, and their margin tables, and MRC's of the
+    data frame, are derived once.  The data frame is detected in data passes
+    sized by it: MRC once for all lengths on the signed y, then |y| in place and
+    each technique once per training length on its slice of the tables (in
+    NONCOHERENT order, so combination reuses probability's hard decision).
+    Counts are (points, techniques) in grid order.  Combination on a zero-noise
+    scenario raises DegenerateTrainingError; run_scenario never asks for it.
     """
-    powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
-    variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+    powers, variance = scenario._watts
     techniques = scenario.techniques
-    tables = [margin_tables(_training_stats(scenario, block_index, n_t, powers, variance,
-                                            workspace))
-              for n_t in (scenario.n_t if set(techniques) != {MRC} else ())]
+    noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
+    if noncoherent:  # MRC alone draws no training frame
+        tables = margin_tables(_training_stats(scenario, block_index, workspace))
     rng = _substream(scenario.seed, block_index)
     x = generate_data_symbols(n_symbols, rng)
     data, passes = _passes(x, scenario.nodes, powers, variance, rng, workspace)
     coherent = mrc_tables(data.h, powers) if MRC in techniques else None
-    noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
     counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
     for at, y in passes:
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
             counts[at, :, techniques.index(MRC)] = _errors(decisions, x)[:, None]
         amplitudes = np.abs(y, out=y)  # MRC has read the signed y
-        for i, rows in enumerate(t.rows(at) for t in tables):
+        for i in range(len(scenario.n_t)) if noncoherent else ():
+            rows = tables.rows((i, at))
             for j, technique in noncoherent:
                 counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
     return counts.reshape(-1, len(techniques))

@@ -15,6 +15,7 @@ from bccsim import (
     registry_entry,
     table1_registry,
 )
+from bccsim.channels import _check_uniform
 
 F1 = BurrXII(4.71e-7, 2.43, 5.61)
 F5 = Weibull(1.76e-6, 3.88)
@@ -65,6 +66,25 @@ class TestBurrInverseCdf:
             BurrXII(1e-7, -2.43, 5.61)
         with pytest.raises(ParameterError):
             BurrXII(1e-7, 2.43, float("inf"))
+
+
+class TestUniformCheck:
+    """_check_uniform, which every inverse_cdf call runs: u in [0, 1), NaN rejected."""
+
+    @pytest.mark.parametrize("u", [[math.nan], [1.0], [-1e-300], [-math.inf], [math.inf],
+                                   [0.2, math.nan, 0.3], [[0.5, 0.1], [0.2, 1.0]]],
+                             ids=["nan", "one", "negative", "-inf", "inf", "nan-inside", "2-d"])
+    def test_rejects_what_lies_outside(self, u):
+        with pytest.raises(ParameterError, match=r"u must lie in \[0, 1\)"):
+            _check_uniform(np.array(u))
+
+    @pytest.mark.parametrize("u", [[], [0.0], [-0.0], [np.nextafter(1.0, 0.0)],
+                                   [[0.0, 0.5], [0.25, 0.999]]],
+                             ids=["empty", "zero", "negative-zero", "below-one", "2-d"])
+    def test_accepts_its_range_and_empty_input(self, u):
+        checked = _check_uniform(u)
+        assert checked.dtype == float and np.array_equal(checked, np.asarray(u, dtype=float))
+        assert F1.inverse_cdf(u).shape == F5.inverse_cdf(u).shape == checked.shape
 
 
 class TestWeibullInverseCdf:

@@ -185,6 +185,30 @@ class TestGenerateReceived:
         with pytest.raises(ParameterError):
             generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), 1.0, NOISE_W, rng)
 
+    @pytest.mark.parametrize("x", [[0, 2, 1], [0.5], [-1, 0], [1, 0, math.nan]],
+                             ids=["two", "half", "minus-one", "nan"])
+    def test_rejects_symbols_other_than_zero_and_one(self, x):
+        with pytest.raises(ParameterError, match="symbols must be 0 or 1"):
+            generate_received(np.array(x), (registry_entry("f1"),), 1.0, NOISE_W,
+                              np.random.default_rng(0))
+
+    @pytest.mark.parametrize("power_w", [
+        np.array([1e-3, math.nan]), np.array([1e-3, math.inf]), np.array([[1e-3], [-1e-3]]),
+        np.array([-math.inf]), np.array([-0.5, math.inf])],
+        ids=["nan", "inf", "negative", "-inf", "negative-and-inf"])
+    def test_rejects_bad_power_arrays(self, power_w):
+        with pytest.raises(ParameterError, match="power and noise variance"):
+            generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
+                              NOISE_W, np.random.default_rng(0))
+
+    def test_accepts_an_empty_power_array_and_zero_powers(self):
+        nodes = (registry_entry("f1"), registry_entry("f9"))
+        for power_w, shape in ((np.array([]), (0, 2, 4)), (np.array([0.0, -0.0]), (2, 2, 4)),
+                               (0.0, (2, 4))):
+            frame = generate_received(np.ones(4, dtype=int), nodes, power_w, NOISE_W,
+                                      np.random.default_rng(0))
+            assert frame.y.shape == shape and frame.h.shape == (2, 4)
+
     @pytest.mark.parametrize("power_w, variance_w", [
         (math.nan, NOISE_W), (-1e-3, NOISE_W), (math.inf, NOISE_W),
         (1e-3, math.nan), (1e-3, -1e-16), (1e-3, math.inf)],
@@ -194,6 +218,38 @@ class TestGenerateReceived:
         with pytest.raises(ParameterError, match="power and noise variance"):
             generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
                               variance_w, np.random.default_rng(0))
+
+
+class TestRuns:
+    """generate_received over (generator, slots) runs that tile x: each run draws its
+    uniforms, then its normals, from its own generator, as its slots drawn alone do."""
+
+    NODES = (registry_entry("f1"), registry_entry("f5"), registry_entry("f9"))  # both laws
+    LENGTHS, SEEDS = (10, 4, 50), (21, 22, 23)
+
+    def test_runs_join_the_frames_drawn_alone(self):
+        powers = np.array([dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)])
+        alone = [generate_received(training_symbols(n), self.NODES, powers, NOISE_W,
+                                   np.random.default_rng(seed))
+                 for n, seed in zip(self.LENGTHS, self.SEEDS)]
+        x = np.concatenate([training_symbols(n) for n in self.LENGTHS])
+        runs = [(np.random.default_rng(seed), n) for n, seed in zip(self.LENGTHS, self.SEEDS)]
+        joined = generate_received(x, self.NODES, powers, NOISE_W, runs)
+        for name in ("y", "h", "noise"):
+            expected = np.concatenate([getattr(frame, name) for frame in alone], axis=-1)
+            got = getattr(joined, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+        one_run = generate_received(training_symbols(10), self.NODES, powers, NOISE_W,
+                                    ((np.random.default_rng(21), 10),))
+        assert all(getattr(one_run, name).tobytes() == getattr(alone[0], name).tobytes()
+                   for name in ("y", "h", "noise"))
+
+    @pytest.mark.parametrize("slots", [(), (10, 50), (10, 50, 5), (70,), (10, 0, 54),
+                                       (-10, 74)])
+    def test_runs_that_do_not_tile_x_are_rejected(self, slots):
+        runs = [(np.random.default_rng(0), n) for n in slots]
+        with pytest.raises(ParameterError, match="tile x"):
+            generate_received(training_symbols(64), self.NODES, 1e-3, NOISE_W, runs)
 
 
 class TestAtPower:
@@ -239,9 +295,10 @@ class TestAtPower:
         # fig7 at six powers has seven training lengths and six one-power data
         # passes (one power of 6 x 4,000 slots fits 2^15 elements, two do not):
         # each frame is drawn once, and the data frame is rescaled once per
-        # later pass, not once per training length; of the training frames
-        # only n_t = 1,000 takes two passes (5 powers, then 1), and is rescaled
-        # for the second; the draw's own received call is not a rescale
+        # later pass, not once per training length; the seven lengths are one
+        # 1,880-slot training frame, which takes three passes of two powers
+        # and is rescaled for the last two; the draw's own received call is
+        # not a rescale
         slots, drawn, rescaled, drawing = 4000, [], [], []
         received = ReceivedFrame.received
 
@@ -262,6 +319,6 @@ class TestAtPower:
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
         scenario = replace(preset("fig7"), power_sweep_dbm=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0))
         _run_block(scenario, 0, slots, Workspace())
-        assert len(scenario.n_t) == 7 and slots not in scenario.n_t
-        assert drawn == [*scenario.n_t, slots]
-        assert rescaled == [1000] + [slots] * 5
+        assert len(scenario.n_t) == 7 and sum(scenario.n_t) == 1880 != slots
+        assert drawn == [1880, slots]
+        assert rescaled == [1880] * 2 + [slots] * 5

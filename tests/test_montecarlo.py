@@ -1,5 +1,6 @@
 """Monte-Carlo harness: determinism, accounting, limits, regression values."""
 
+import collections
 import hashlib
 import importlib
 import itertools
@@ -30,8 +31,9 @@ from bccsim import (
     registry_entry,
     run_scenario,
 )
-from bccsim import cli, detectors, montecarlo
-from bccsim.detectors import Workspace, compute_training_stats
+from bccsim import cli, detectors, link, montecarlo
+from bccsim.detectors import MarginTables, Workspace, compute_training_stats
+from bccsim.link import training_symbols
 from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _substream
 from bccsim.presets import PRESET_NAMES
 
@@ -372,13 +374,14 @@ class TestPowerPasses:
             tracemalloc.stop()
 
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
-        # two training lengths and nine data passes of three powers: each
-        # length's margin tables and MRC's h . h are derived once per block,
-        # each frame is drawn once and its h * x formed once, in the draw, and
-        # each power of a frame is computed once, drawn with the first pass or
-        # rescaled; only a frame that is rescaled keeps its h * x.  The draw
-        # fills its y through received, which is not counted as a rescale
-        scenario = replace(preset("fig6"), n_t=(10, 200), seed=11)
+        # three training lengths in two training frames and nine data passes
+        # of three powers: every length's margin tables come from one call and
+        # MRC's h . h from one, once per block, each frame is drawn once and its
+        # h * x formed once, in the draw, and each power of a frame is computed
+        # once, drawn with the first pass or rescaled; only a frame that is
+        # rescaled keeps its h * x.  The draw fills its y through received,
+        # which is not counted as a rescale
+        scenario = replace(preset("fig6"), n_t=(10, 50, 4000), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
         calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
         frames, drawing = [], []
@@ -416,12 +419,13 @@ class TestPowerPasses:
         monkeypatch.setattr(montecarlo, "generate_received", counted_draw)
         assert montecarlo._PASS_ELEMENTS // (9 * 1000) == 3  # three powers per data pass
         assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
-        assert calls == {"margin_tables": 2, "mrc_tables": 1}
-        # n_t = 200 takes two training passes of 18 and 8 powers, n_t = 10 one;
-        # the data frame takes eight passes of 3 powers and one of 2
-        assert signals == [10, 200, 1000]
-        assert drawn == [(10, 26), (200, 18), (1000, 3)]
-        assert rescaled == [(200, 8)] + [(1000, 3)] * 7 + [(1000, 2)]
+        assert calls == {"margin_tables": 1, "mrc_tables": 1}
+        # n_t = 10 and 50 are one 60-slot frame whose 26 powers take one pass;
+        # 9 x 4,000 passes 2^15, so n_t = 4000 is a frame of its own, taken one
+        # power at a time; the data frame takes eight passes of 3 powers and one of 2
+        assert signals == [60, 4000, 1000]
+        assert drawn == [(60, 26), (4000, 1), (1000, 3)]
+        assert rescaled == [(4000, 1)] * 25 + [(1000, 3)] * 7 + [(1000, 2)]
         assert ["signal" in vars(frame) for frame in frames] == [False, True, True]
 
     @pytest.mark.parametrize("scenario, slots, count, fits", [
@@ -494,7 +498,7 @@ class TestPowerPasses:
             tables.append([])
             runs.append(run_scenario(scenario))
         assert runs[0] == runs[1]
-        assert len(tables[0]) == 3 * len(scenario.n_t) == len(tables[1])
+        assert len(tables[0]) == 3 == len(tables[1])  # one call per block, every length
         assert all(np.array_equal(a, b) for t16, t8192 in zip(*tables)
                    for a, b in zip(t16, t8192))
 
@@ -560,6 +564,76 @@ class TestPowerPasses:
         peak((10.0,))  # first-call allocations stay out of the comparison
         alone = peak((10.0,))
         assert peak(tuple(float(p) for p in range(-20, 31, 2))) <= 1.5 * alone
+
+
+class TestTrainingGroups:
+    """Consecutive training lengths that fit a pass together are drawn and reduced as
+    one frame, and each length keeps the bits of its own frame drawn alone."""
+
+    SCENARIOS = {
+        "fig7": (replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0), seed=13),
+                 [[10, 20, 50, 100, 200, 500, 1000]], [2]),
+        "nine-node": (Scenario(nodes=preset("fig6").nodes, n_t=(10, 1000, 4000),
+                               power_sweep_dbm=(-20.0, -6.0, 4.0, 10.0, 30.0), seed=13),
+                      [[10, 1000], [4000]], [3, 1]),
+    }
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_each_lengths_tables_are_those_of_its_frame_drawn_alone(self, name, monkeypatch):
+        # fig7's seven lengths are one frame in passes of two powers; the
+        # nine-node lengths are two frames: 10 and 1,000 in passes of three
+        # powers, and 4,000, larger than a pass, one power at a time
+        scenario, groups, steps = self.SCENARIOS[name]
+        k = len(scenario.nodes)
+        assert list(montecarlo._groups(scenario.n_t, k)) == groups
+        assert [max(1, montecarlo._PASS_ELEMENTS // (k * sum(g))) for g in groups] == steps
+        powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
+        variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+        derived = []
+
+        def kept(stats):
+            derived.append(detectors.margin_tables(stats))
+            return derived[-1]
+
+        monkeypatch.setattr(montecarlo, "margin_tables", kept)
+        for b in range(2):
+            _run_block(scenario, b, 100, Workspace())
+            assert len(derived) == b + 1  # one call covers every length
+            for i, n_t in enumerate(scenario.n_t):
+                frame = generate_received(training_symbols(n_t), scenario.nodes, powers,
+                                          variance, _substream(scenario.seed, b, n_t))
+                alone = detectors.margin_tables(compute_training_stats(frame))
+                for field, single, grouped in zip(MarginTables._fields, alone,
+                                                  derived[-1].rows(i)):
+                    assert (grouped.dtype, grouped.shape) == (single.dtype, single.shape), field
+                    assert grouped.tobytes() == single.tobytes(), (n_t, field)
+
+    def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
+        # counts repeat exactly where times do not.  A warm fig7 block draws two
+        # frames, the seven training lengths' and the data's, with one inverse_cdf
+        # call per node each, reduces each length once and derives every length's
+        # tables in one call; a scenario's grid is converted once, not once per block
+        scenario = replace(preset("fig7"), n_data_symbols=3000, blocks=3, seed=5)
+        unconverted = replace(scenario)  # built, and so validated, before counting
+        workspace = Workspace()
+        _run_block(scenario, 0, 1000, workspace)
+        calls = collections.Counter()
+        for owner, name in [(montecarlo, "generate_received"), (montecarlo, "margin_tables"),
+                            (montecarlo, "compute_training_stats"), (BurrXII, "inverse_cdf"),
+                            (Weibull, "inverse_cdf"), (montecarlo, "dbm_to_watts"),
+                            (link, "dbm_to_watts")]:
+            def counted(*args, original=getattr(owner, name), name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        _run_block(scenario, 1, 1000, workspace)
+        assert calls == {"generate_received": 2, "inverse_cdf": 12, "margin_tables": 1,
+                         "compute_training_stats": 7}
+        calls.clear()
+        montecarlo._run_blocks(unconverted, 0, 3)
+        assert calls["dbm_to_watts"] == 2  # the one power and the noise density
+        assert calls["generate_received"] == 3 * 2
 
 
 class TestAccounting:
@@ -639,18 +713,16 @@ class TestZeroNoiseRule:
     NODES = preset("fig6").nodes  # all nine channel laws
 
     @staticmethod
-    def references(scenario, n_t):
-        powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
-        variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+    def references(scenario):
         for b in range(5):
-            yield montecarlo._training_stats(scenario, b, n_t, powers, variance, Workspace())
+            yield montecarlo._training_stats(scenario, b, Workspace())
 
     @pytest.mark.parametrize("n_t", [4, 50, 1000])
     def test_zero_noise_zeros_reference_is_exactly_zero(self, n_t):
         scn = Scenario(nodes=self.NODES, bandwidth_hz=0.0,
                        power_sweep_dbm=(float("-inf"),) + Scenario.power_sweep_dbm)
-        for stats in self.references(scn, n_t):
-            assert stats.a_zero.shape == (27, 9) and (stats.a_zero == 0.0).all()
+        for stats in self.references(replace(scn, n_t=n_t)):
+            assert stats.a_zero.shape == (1, 27, 9) and (stats.a_zero == 0.0).all()
         with pytest.raises(DegenerateTrainingError):  # the guard stays loud in a block
             _run_block(replace(scn, techniques=("combination",)), 0, 100, Workspace())
 
@@ -659,9 +731,9 @@ class TestZeroNoiseRule:
         scn = Scenario(nodes=self.NODES, n_t=(4, 50), n0_dbm_per_hz=n0,
                        power_sweep_dbm=(float("-inf"), -20.0, 30.0), techniques=("combination",))
         assert 0.0 < noise_variance(n0, scn.bandwidth_hz) < 1e-15
-        for n_t in scn.n_t:
-            for stats in self.references(scn, n_t):
-                assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
+        for stats in self.references(scn):  # both lengths, drawn as one frame
+            assert stats.a_one.shape == (2, 3, 9)
+            assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
         for b in range(5):
             assert _run_block(scn, b, 100, Workspace()).shape == (6, 1)
 

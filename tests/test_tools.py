@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from bccsim import montecarlo
+from bccsim.config import loads_scenario
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -53,3 +56,19 @@ class TestSummary:
         results["change"][2] = result(14.0, correct=False)
         assert bench_pairs.summarize_workload(range(3, 8), results, end_to_end)[
             "all_correct"] is False
+
+
+class TestIdentityCsvs:
+    def test_the_config_run_draws_two_training_frames(self):
+        # the 32nd CSV's document: nine nodes, whose n_t = 10 and 1,000 share a
+        # training frame and whose 4,000, larger than a pass, has its own
+        path = _PATH.parent / "identity_csvs.py"
+        spec = importlib.util.spec_from_file_location("identity_csvs", path)
+        identity = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(identity)
+        scenario = loads_scenario(identity.CONFIG)
+        assert len(scenario.nodes) == 9 and scenario.n_t == (10, 1000, 4000)
+        assert len(scenario.power_sweep_dbm) == 2 and scenario.n_data_symbols == 3000
+        assert list(montecarlo._groups(scenario.n_t, 9)) == [[10, 1000], [4000]]
+        assert 9 * 4000 > montecarlo._PASS_ELEMENTS
+        assert len(identity.RUNS) + 1 == 32

@@ -2,17 +2,21 @@
 
     PYTHONPATH=src python3 tools/identity_csvs.py OUT_DIR
 
-The set is fixed at 31 CSVs: each of the 14 presets at seeds 1 and 7 with
+The set is fixed at 32 CSVs: each of the 14 presets at seeds 1 and 7 with
 30,000 symbols, fig6 at seed 3 with 10^5 symbols, fig7 at seed 3 with its own
-budget and fig4 at seed 3 with 10^4 symbols.  Run it against two trees and
-``diff -r`` the outputs: a change that keeps the random stream must keep every
-byte.  Each CSV goes through ``bccsim.cli.main``, as the command line writes it.
+budget, fig4 at seed 3 with 10^4 symbols, and one ``--config`` document at
+seed 3: the nine nodes, ``n_t`` 10, 1,000 and 4,000, two powers and 3,000
+symbols, whose training lengths make two training frames per block, the last
+one longer than a pass.  Run it against two trees and ``diff -r`` the outputs:
+a change that keeps the random stream must keep every byte.  Each CSV goes
+through ``bccsim.cli.main``, as the command line writes it.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 from bccsim.cli import main
 from bccsim.presets import PRESET_NAMES
@@ -20,14 +24,30 @@ from bccsim.presets import PRESET_NAMES
 RUNS = ([(name, seed, 30_000) for seed in (1, 7) for name in PRESET_NAMES]
         + [("fig6", 3, 100_000), ("fig7", 3, None), ("fig4", 3, 10_000)])
 
+# The --config run, written as groups-seed3.csv.
+CONFIG = ("nodes: [f1, f2, f3, f4, f5, f6, f7, f8, f9]\n"
+          "n_t: [10, 1000, 4000]\n"
+          "power_sweep_dbm: [-6, 10]\n"
+          "n_data_symbols: 3000\n"
+          "seed: 3\n")
+
+
+def _run(args: list, path: str) -> None:
+    if main(["run", *args, "--out", path]):
+        raise SystemExit(f"bccsim run failed for {path}")
+
 
 def write_all(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, seed, symbols in RUNS:
         budget = [] if symbols is None else ["--symbols", str(symbols)]
         path = os.path.join(out_dir, f"{name}-seed{seed}-{symbols or 'preset'}.csv")
-        if main(["run", "--preset", name, "--seed", str(seed), *budget, "--out", path]):
-            raise SystemExit(f"bccsim run failed for {path}")
+        _run(["--preset", name, "--seed", str(seed), *budget], path)
+    with tempfile.TemporaryDirectory() as scratch:
+        config = os.path.join(scratch, "groups.yaml")
+        with open(config, "w") as handle:
+            handle.write(CONFIG)
+        _run(["--config", config], os.path.join(out_dir, "groups-seed3.csv"))
 
 
 if __name__ == "__main__":
