@@ -14,6 +14,20 @@ The package splits into five layers:
 * :mod:`bccsim.cli`        -- scenario files, figure presets, CSV output.
 """
 
+import os
+import sys
+
+# Nothing in this package calls BLAS, and the worker threads OpenBLAS starts when numpy loads
+# only spin: about 0.1 s of CPU per process on a 2-core host.  So numpy is loaded with one
+# OpenBLAS thread, unless it is loaded already or the caller chose a count.  The variable is
+# removed again, so any subprocess the caller starts gets the caller's environment.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .channels import (
     STRONG_NODES,
     WEAK_NODES,
@@ -25,7 +39,7 @@ from .channels import (
     registry_name,
     table1_registry,
 )
-from .config import load_scenario, loads_scenario, scenario_to_config
+from .config import dumps_scenario, load_scenario, loads_scenario, scenario_to_config
 from .detectors import (
     COMBINATION,
     DEVIATION,

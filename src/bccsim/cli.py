@@ -22,10 +22,8 @@ import os
 import sys
 from dataclasses import astuple, replace
 
-import yaml
-
 from .channels import registry_name, table1_registry
-from .config import load_scenario, scenario_to_config
+from .config import dumps_scenario, load_scenario
 from .errors import ConfigError, DegenerateTrainingError, ParameterError
 from .montecarlo import BerPoint, run_scenario
 from .presets import PRESET_NAMES, preset
@@ -107,7 +105,7 @@ def _dispatch(args) -> int:
         _write(_registry_table(), None)
         return 0
     if args.command == "preset":
-        _write(yaml.safe_dump(scenario_to_config(preset(args.name)), sort_keys=False), args.out)
+        _write(dumps_scenario(preset(args.name)), args.out)
         return 0
     return _run_command(args)
 

@@ -1,5 +1,7 @@
 """Scenario config documents: YAML loading and round-trip emission.
 
+This is the one module that reads or writes YAML.
+
 A document is a single mapping.  Nodes are registry names ("f1" .. "f9")
 or inline mappings with an explicit family and parameter list::
 
@@ -27,13 +29,11 @@ import math
 from dataclasses import astuple, fields
 from pathlib import Path
 
-import yaml
-
 from .channels import FAMILIES, NodeProfile, registry_entry, registry_name
 from .errors import ConfigError, ParameterError
 from .montecarlo import MAX_POINTS, Scenario, _number
 
-__all__ = ["load_scenario", "loads_scenario", "scenario_to_config"]
+__all__ = ["load_scenario", "loads_scenario", "dumps_scenario", "scenario_to_config"]
 
 _KEYS = {field.name for field in fields(Scenario)}
 _NODE_KEYS = {"family", "params", "condition", "node_id"}
@@ -47,6 +47,8 @@ def load_scenario(path) -> Scenario:
 
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate one scenario document from YAML text."""
+    import yaml  # here, so a preset run never loads the parser
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -139,3 +141,10 @@ def scenario_to_config(scenario: Scenario) -> dict:
                      "condition": profile.condition, "node_id": profile.node_id}
                     for profile in scenario.nodes]
     return doc
+
+
+def dumps_scenario(scenario: Scenario) -> str:
+    """The YAML document of a Scenario, in field order; ``loads_scenario`` reads it back."""
+    import yaml
+
+    return yaml.safe_dump(scenario_to_config(scenario), sort_keys=False)

@@ -263,15 +263,22 @@ def fuse(node_margins, workspace=None):
 def detect(technique: str, y_abs, stats, workspace=None):
     """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique.
 
-    Deviation compares the node sum of |y| with ``th_sum``: its summed margins
-    2 (|y_k| - a_th,k) are positive when that sum is larger.  The others ``fuse``.
+    Deviation compares the node sum of |y| with the node sum of a_th: its summed margins
+    2 (|y_k| - a_th,k) are positive when the first is larger.  Both sums add in the same
+    order, so a slot where every node ties its threshold decides 0.  numpy's order follows
+    the memory layout, so |y| is taken C-contiguous: its node rows then add in node order,
+    as ``th_sum`` does, when N > 1, and pairwise from K = 8 on when N = 1, as a C-contiguous
+    a_th does.  The others ``fuse``.
     """
     if technique != DEVIATION:
         return fuse(margins(technique, y_abs, stats, workspace), workspace)
     y, tables = _checked(technique, y_abs, stats)
+    y = np.ascontiguousarray(y)
     take = (Workspace() if workspace is None else workspace).take
     total = np.add.reduce(y, axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
-    return np.greater(total, tables.th_sum, out=take("decision", total.shape, np.int64))
+    th_sum = (tables.th_sum if y.shape[-1] > 1
+              else np.add.reduce(np.ascontiguousarray(tables.a_th), axis=-2))
+    return np.greater(total, th_sum, out=take("decision", total.shape, np.int64))
 
 
 def mrc_tables(h, p_watts) -> MrcTables:

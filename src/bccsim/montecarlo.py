@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, product, repeat
@@ -359,6 +358,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     if workers == 1:
         totals = map(_run_blocks, *args)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             totals = list(pool.map(_run_blocks, *args))
     errors = sum(totals)

@@ -1,4 +1,10 @@
-"""CLI front end: subcommands, config validation, CSV contract."""
+"""CLI front end: subcommands, config validation, CSV contract, process start-up."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -341,6 +347,63 @@ class TestRegistryCommand:
         assert lines[1] == "f1,burr,4.71e-07;2.43;5.61,weak"
         assert lines[5] == "f5,weibull,1.76e-06;3.88,weak"
         assert lines[9].endswith("strong")
+
+
+# A fresh interpreter's view after ``import bccsim`` and, given arguments, a ``cli.main`` call
+# on them: the OpenBLAS variable, the process's threads (None off Linux) and which of the
+# YAML parser and the process pool it loaded.
+_STARTUP_PROBE = """
+import json, os, sys
+import bccsim
+seen = {"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None}
+if sys.argv[1:]:
+    from bccsim import cli
+    seen["status"] = cli.main(sys.argv[1:])
+seen["loaded"] = [name for name in ("yaml", "concurrent.futures.process") if name in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def fresh_process(*args, **env):
+    """What _STARTUP_PROBE sees in a new interpreter, with no OPENBLAS_NUM_THREADS unless given.
+
+    pytest and hypothesis load numpy before bccsim, so only a fresh interpreter shows
+    what importing bccsim first does."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *args], env={**environ, **env},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+class TestStartup:
+    def test_import_loads_numpy_with_one_openblas_thread_and_leaves_no_variable(self):
+        seen = fresh_process()
+        assert seen["env"] is None and seen["loaded"] == []
+        if seen["threads"] is not None:
+            assert seen["threads"] == 1
+
+    def test_a_thread_count_the_caller_set_stays(self):
+        assert fresh_process(OPENBLAS_NUM_THREADS="3")["env"] == "3"
+
+    def test_a_serial_preset_run_loads_neither_yaml_nor_the_process_pool(self, tmp_path):
+        seen = fresh_process("run", "--preset", "fig4", "--symbols", "200", "--jobs", "1",
+                             "--out", str(tmp_path / "out.csv"))
+        assert seen["status"] == 0 and seen["loaded"] == []
+
+    def test_a_config_run_loads_yaml(self, tmp_path):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("nodes: [f1]\npower_sweep_dbm: [0]\nn_data_symbols: 200\n")
+        seen = fresh_process("run", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert seen["status"] == 0 and seen["loaded"] == ["yaml"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 runs serially on one CPU")
+    def test_a_two_job_run_loads_the_process_pool(self, tmp_path):
+        seen = fresh_process("run", "--preset", "fig4", "--symbols", "200", "--jobs", "2",
+                             "--out", str(tmp_path / "out.csv"))
+        assert seen["status"] == 0 and seen["loaded"] == ["concurrent.futures.process"]
 
 
 class TestConfigParsing:

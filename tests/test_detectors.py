@@ -391,6 +391,26 @@ class TestCoefficientForm:
             decisions += every_node_ties.size
         assert decisions >= 10 ** 6
 
+    @pytest.mark.parametrize("k", [8, 9, 17])
+    @pytest.mark.parametrize("slots", [1, 3])
+    @pytest.mark.parametrize("y_layout, stats_order", [("C", "C"), ("F", "C"), ("nodes", "C"),
+                                                       ("C", "F")])
+    def test_deviation_ties_decide_0_in_any_layout(self, k, slots, y_layout, stats_order):
+        # numpy adds the K node rows of a (..., K, N) |y| in an order the memory layout
+        # sets, pairwise from K = 8 on when the nodes are adjacent, so a slot whose
+        # every node sits exactly on a_th must be compared with a sum of a_th added the
+        # same way; 1,200 single-slot ties at K = 9 once gave 188 ones
+        rng = np.random.default_rng(k)
+        workspace = Workspace()
+        for _ in range(300):
+            stats = random_stats(rng, (4, k))
+            tables = margin_tables(TrainingStats(*(np.array(v, order=stats_order)
+                                                   for v in vars(stats).values())))
+            y = np.broadcast_to(tables.a_th, (4, k, slots))
+            y = (np.array(y, order=y_layout) if y_layout != "nodes"  # nodes adjacent in memory
+                 else np.ascontiguousarray(y.transpose(0, 2, 1)).transpose(0, 2, 1))
+            assert not detect(DEVIATION, y, tables, workspace).any()
+
     @pytest.mark.parametrize("reference", [0.0, -0.0, 5e-324, 1e-310, 2.0 ** -1000])
     def test_tables_of_tiny_references_raise_no_floating_point_error(self, reference):
         # a zero, signed-zero or subnormal reference at each of A1, A0 and a_th in

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accounting, limits, regression values."""
 
 import collections
+import concurrent.futures
 import hashlib
 import importlib
 import itertools
@@ -309,7 +310,8 @@ class TestPowerPasses:
             return _run_block(scenario, block_index, n_symbols, workspace)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(InlinePool, pool_sizes))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         for jobs in (1, 3):
             points = run_scenario(scenario, jobs=jobs)
@@ -654,7 +656,8 @@ class TestAccounting:
         pool_sizes = []
         scn = small_scenario(blocks=2)
         serial = run_scenario(scn, jobs=1)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(InlinePool, pool_sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(InlinePool, pool_sizes))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         assert run_scenario(scn, jobs=8) == serial
         run_scenario(replace(scn, blocks=5), jobs=3)
