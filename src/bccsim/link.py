@@ -22,6 +22,7 @@ __all__ = [
     "noise_variance",
     "training_symbols",
     "generate_data_symbols",
+    "generate_noise",
     "generate_received",
 ]
 
@@ -73,8 +74,7 @@ class ReceivedFrame:
     kept as oracle access for the coherent baseline.  ``x`` is the symbol
     sequence and ``noise`` the additive noise; ``received``, which also fills
     the drawn ``y``, gives ``y`` at other powers from the same draws.  A drawn
-    frame keeps the ``signal`` h * x it was drawn from; a caller that rescales
-    it no more may drop it from ``vars``.
+    frame keeps the ``signal`` h * x it was drawn from.
     """
 
     y: np.ndarray
@@ -97,15 +97,27 @@ class ReceivedFrame:
         return self.h * self.x
 
 
-def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None) -> ReceivedFrame:
+def generate_noise(k: int, n: int, noise_variance_w: float, rng, workspace=None) -> np.ndarray:
+    """(K, N) real Gaussian noise of variance ``noise_variance_w``: the N x K standard normals
+    ``rng`` gives next, slot-major, times the standard deviation.  With a ``workspace`` the
+    draw and the noise are its "draw" and "noise" arrays, valid until its next use."""
+    take = _fresh if workspace is None else workspace.take
+    normal = rng.standard_normal(out=take("draw", (n, k)))
+    return np.multiply(normal.T, np.sqrt(noise_variance_w), out=take("noise", (k, n)))
+
+
+def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng=None,
+                      workspace=None) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
-    ``power_w`` is a float or an array of powers; ``y`` goes into ``out`` if
-    given, filled by ``ReceivedFrame.received`` as every rescale is.  Every node
-    and slot gets a fresh independent channel draw, so no slot can be equalized
-    from a neighbor.  ``rng`` is a generator or a list of (generator, slots) runs
-    that tile x.  Each generator draws one uniform block (K, slots) for the
-    channels, then one normal block for the noise: a run's bits are its slots' alone.
+    ``power_w`` is a float or an array of powers.  Every node and slot gets a fresh
+    independent channel draw, so no slot can be equalized from a neighbor: the N x K
+    uniforms ``rng`` gives next, slot-major, through each node's inverse CDF.  The noise is
+    ``generate_noise``'s draw from ``noise_rng``, or from ``rng`` after the channels.  So
+    frames drawn one after another from the same two generators are the consecutive pieces
+    of the frame drawn whole.  With a ``workspace`` the draws and the frame's arrays are its
+    "draw", "gains", "noise" and "received" arrays, valid until its next use.
+    ``y`` is filled by ``ReceivedFrame.received``, as every rescale is.
     """
     if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
             and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
@@ -120,21 +132,19 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, out=None)
     nodes = tuple(nodes)
     if not nodes:
         raise ParameterError("nodes must be a nonempty list of receive nodes")
-    runs = list(rng) if isinstance(rng, (list, tuple)) else [(rng, x.size)]
-    if any(n < 1 for _, n in runs) or sum(n for _, n in runs) != x.size:
-        raise ParameterError(f"runs must tile x, got slots {[n for _, n in runs]} for {x.size}")
-
-    def drawn(method, *args):  # each run's (K, slots) block, joined in slot order
-        parts = [getattr(g, method)(*args, (len(nodes), n)) for g, n in runs]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-    u = drawn("random")
-    h = np.empty(u.shape)
+    take = _fresh if workspace is None else workspace.take
+    uniform = rng.random(out=take("draw", (x.size, len(nodes))))
+    h = take("gains", (len(nodes), x.size))
     for i, node in enumerate(nodes):
-        h[i] = node.dist.inverse_cdf(u[i])
-    del u  # before the noise draw, which can then reuse its memory
-    noise = drawn("normal", 0.0, np.sqrt(noise_variance_w))
-    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape) if out is None else out,
-                          x=x, h=h, noise=noise)
+        h[i] = node.dist.inverse_cdf(uniform[:, i])
+    del uniform  # the noise's draw takes its memory
+    noise = generate_noise(len(nodes), x.size, noise_variance_w,
+                           rng if noise_rng is None else noise_rng, workspace)
+    frame = ReceivedFrame(y=take("received", np.shape(power_w) + h.shape), x=x, h=h, noise=noise)
     frame.received(power_w, out=frame.y)
     return frame
+
+
+def _fresh(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A new uninitialised array, for a draw made without a workspace."""
+    return np.empty(shape, dtype)

@@ -2,11 +2,12 @@
 
 Each BER point runs a number of independent (train, transmit) blocks so
 the estimate averages over training randomness as well as data noise.
-Block b draws its data frame from the substream (STREAM_VERSION, b) of
-the scenario seed and each training frame from (STREAM_VERSION, b, n_t).
-Every power and technique runs on those shared frames (common random
-numbers), which makes results identical for any worker count, execution
-order or subset of the grid that is run.
+Block b draws every number from one generator seeded by the key
+(STREAM_VERSION, b) of the scenario seed, in six streams at fixed offsets:
+the data symbols, gains and noise, and the training pools' gains and noise.
+Every power, training length and technique runs on those shared draws
+(common random numbers), which makes results identical for any worker count,
+execution order or subset of the grid that is run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, product, repeat
+from itertools import product, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -25,8 +26,8 @@ from .channels import NodeProfile
 from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
                         compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
 from .errors import ParameterError
-from .link import (ReceivedFrame, dbm_to_watts, generate_data_symbols, generate_received,
-                   noise_variance, training_symbols)
+from .link import (ReceivedFrame, dbm_to_watts, generate_data_symbols, generate_noise,
+                   generate_received, noise_variance, training_symbols)
 
 __all__ = [
     "STREAM_VERSION",
@@ -39,7 +40,10 @@ __all__ = [
 ]
 
 # Bumped whenever a change makes a seed produce different frames.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
+
+# A block's streams: stream j is the block's generator advanced j * 2^64 draws.
+_SYMBOLS, _GAINS, _NOISE, _ONES_GAINS, _ONES_NOISE, _ZEROS_NOISE = range(6)
 
 # Longest training frame a Scenario accepts: 100x the longest preset frame.
 MAX_N_T = 100_000
@@ -51,6 +55,13 @@ MAX_POINTS = 10_000
 # training frame reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
 # wider passes are faster but hold more; BENCH_width.json measures 2^15 against 2^13.
 _PASS_ELEMENTS = 2 ** 15
+
+# Elements of the (K, slots) array of one chunk of a block's data phase, drawn, detected and
+# counted before the next, so a block holds no more memory however many slots it has.  Every
+# stream is drawn slot-major, so the chunks are consecutive pieces of its sequence and no draw
+# depends on this size.  A count does only through a one-slot chunk at K >= 8, whose node sums
+# numpy adds pairwise (see detectors.detect), so the size is part of stream 3.
+_CHUNK_ELEMENTS = 2 ** 15
 
 # Elements of numpy's ufunc buffer while a worker runs its blocks.  numpy's buffered iterator
 # copies a broadcast (powers, K, 1) table into its buffer when a row of slots is short against
@@ -213,9 +224,20 @@ def make_ber_point(technique: str, tx_power_dbm: float, n_t: int,
                     ber=ber, ci95=ci95)
 
 
-def _substream(seed: int, *key: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, *key)))
+def _streams(seed: int, block: int, kept=None) -> list:
+    """The six generators of block ``block``: stream j is the PCG64DXSM seeded by
+    SeedSequence(seed, spawn_key=(STREAM_VERSION, block)), advanced j * 2^64 draws.  Streams
+    1 to 5 are the generators of ``kept`` restated, a list a worker keeps for its blocks and
+    this fills on first use, since restating a generator costs a third of seeding one."""
+    base = np.random.PCG64DXSM(
+        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, block)))
+    kept = [] if kept is None else kept
+    kept.extend(np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(5 - len(kept)))
+    state = base.state
+    for j, generator in enumerate(kept, 1):
+        generator.bit_generator.state = state
+        generator.bit_generator.advance(j << 64)
+    return [np.random.Generator(base), *kept]
 
 
 def _errors(decisions, x):
@@ -223,18 +245,17 @@ def _errors(decisions, x):
     return np.add.reduce(np.bitwise_xor(decisions, x, out=decisions), axis=-1)
 
 
-def _passes(x, nodes, powers, variance: float, rng, workspace):
+def _passes(x, nodes, powers, variance: float, rng, workspace, slots: int = 0):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
-    pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K, slots)
-    array, at least one, each valid until the next.  The first pass is drawn from ``rng`` into
-    the ``workspace``'s "received" array if one power fits, else into a fresh ``y``, and each
-    later one is rescaled from the h * x of the draw into the front of that first pass's ``y``."""
-    step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
-    out = (workspace.take("received", powers[:step].shape + (len(nodes), x.size))
-           if len(nodes) * x.size <= _PASS_ELEMENTS else None)
-    frame = generate_received(x, nodes, powers[:step], variance, rng, out=out)
-    if step >= len(powers):  # never rescaled, so h * x goes now (fig7's data frame: 480 KB)
-        del vars(frame)["signal"]
+    pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
+    ``slots``) array (x.size slots by default), at least one, each valid until the next.  The
+    first pass is drawn from the (gains, noise) generators ``rng`` into the ``workspace`` if
+    one power of the frame fits a pass, else into fresh arrays, and each later one is
+    rescaled from the draw's h * x into the front of that first pass's ``y``."""
+    step = max(1, _PASS_ELEMENTS // (len(nodes) * (slots or x.size)))
+    fits = len(nodes) * x.size <= _PASS_ELEMENTS
+    frame = generate_received(x, nodes, powers[:step], variance, *rng,
+                              workspace=workspace if fits else None)
 
     def passes():
         yield slice(0, step), frame.y
@@ -245,61 +266,67 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
     return frame, passes()
 
 
-def _groups(lengths, k: int):
-    """Runs of consecutive training lengths whose (K, slots) frame fits _PASS_ELEMENTS,
-    at least one length each: a length longer than a pass is a group of its own."""
-    group = []
-    for n_t in lengths:
-        if group and k * (sum(group) + n_t) > _PASS_ELEMENTS:
-            yield group
-            group = []
-        group.append(n_t)
-    yield group
+def _training_stats(scenario: Scenario, streams, workspace) -> TrainingStats:
+    """(lengths, powers, K) statistics of one block's training lengths, from its ``streams``.
 
-
-def _training_stats(scenario: Scenario, block_index: int, workspace) -> TrainingStats:
-    """(lengths, powers, K) statistics of one block's training frames.  Each _groups run of
-    lengths is one frame, each length drawn from its own substream as if alone, reduced in
-    passes sized by the frame, one compute_training_stats call per length and pass."""
+    Length n_t reads the first n_t/2 slots of two pools of max(n_t)/2 slots: the ones pool,
+    drawn by generate_received, and the zeros pool, whose amplitudes are its noise at every
+    power, as sqrt(P) * (h * 0) + n is, so it draws no gains.  Both are read in passes sized
+    by a (powers, K, max(n_t)) array, one compute_training_stats call per length and pass
+    (which reads a frame's x and y only)."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
+    pool = lengths[-1] // 2  # n_t increases
+    _, passes = _passes(np.ones(pool, dtype=np.int64), nodes, powers, variance,
+                        (streams[_ONES_GAINS], streams[_ONES_NOISE]), workspace, 2 * pool)
+    zeros = generate_noise(len(nodes), pool, variance, streams[_ZEROS_NOISE])
+    patterns = [training_symbols(n_t) for n_t in lengths]
     stats = TrainingStats(*np.empty((5, len(lengths), len(powers), len(nodes))))
-    first = 0
-    for group in _groups(lengths, len(nodes)):
-        runs = [(_substream(scenario.seed, block_index, n_t), n_t) for n_t in group]
-        x = np.concatenate([training_symbols(n_t) for n_t in group])
-        parts = [slice(end - n_t, end) for n_t, end in zip(group, accumulate(group))]
-        frame, passes = _passes(x, nodes, powers, variance, runs, workspace)
-        for at, y in passes:
-            for i, part in enumerate(parts, first):
-                found = compute_training_stats(
-                    ReceivedFrame(y[..., part], x[part], frame.h[:, part], frame.noise[:, part]))
-                for name, value in vars(found).items():
-                    getattr(stats, name)[i, at] = value
-        first += len(group)
-        del frame, passes, y, x  # before the next group's frame is drawn
+    for at, ones in passes:
+        for i, x in enumerate(patterns):
+            half = x.size // 2
+            y = np.empty(ones.shape[:-1] + x.shape)
+            y[..., :half], y[..., half:] = ones[..., :half], zeros[:, :half]
+            found = compute_training_stats(ReceivedFrame(y, x, None, None))
+            for name, value in vars(found).items():
+                getattr(stats, name)[i, at] = value
     return stats
 
 
-def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) -> np.ndarray:
+def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace,
+               kept=None) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    The training frames are drawn and reduced to (lengths, powers, K)
-    statistics by _training_stats, and their margin tables, and MRC's of the
-    data frame, are derived once.  The data frame is detected in data passes
-    sized by it: MRC once for all lengths on the signed y, then |y| in place and
-    each technique once per training length on its slice of the tables (in
-    NONCOHERENT order, so combination reuses probability's hard decision).
-    Counts are (points, techniques) in grid order.  Combination on a zero-noise
+    The training pools are drawn and reduced to (lengths, powers, K)
+    statistics by _training_stats, and their margin tables derived once.  The
+    data phase is drawn in chunks of at most _CHUNK_ELEMENTS (K, slots)
+    elements, each counted by _chunk_errors before the next is drawn.  Counts
+    are (points, techniques) in grid order.  Combination on a zero-noise
     scenario raises DegenerateTrainingError; run_scenario never asks for it.
+    ``kept`` is the worker's list of generators for _streams.
+    """
+    streams = _streams(scenario.seed, block_index, kept)
+    tables = (None if scenario.techniques == (MRC,)  # MRC alone draws no training pool
+              else margin_tables(_training_stats(scenario, streams, workspace)))
+    chunk = max(1, _CHUNK_ELEMENTS // len(scenario.nodes))
+    counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, tables, workspace)
+                 for start in range(0, n_symbols, chunk))
+    return counts.reshape(-1, len(scenario.techniques))
+
+
+def _chunk_errors(scenario: Scenario, slots: int, streams, tables, workspace) -> np.ndarray:
+    """(powers, lengths, techniques) error counts of the next ``slots`` data slots of a block.
+
+    The chunk is detected in data passes sized by it: MRC once for all lengths on
+    the signed y, on the chunk's own MRC tables, then |y| in place and each
+    technique once per training length on its slice of the block's ``tables`` (in
+    NONCOHERENT order, so combination reuses probability's hard decision).
     """
     powers, variance = scenario._watts
     techniques = scenario.techniques
     noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
-    if noncoherent:  # MRC alone draws no training frame
-        tables = margin_tables(_training_stats(scenario, block_index, workspace))
-    rng = _substream(scenario.seed, block_index)
-    x = generate_data_symbols(n_symbols, rng)
-    data, passes = _passes(x, scenario.nodes, powers, variance, rng, workspace)
+    x = generate_data_symbols(slots, streams[_SYMBOLS])
+    data, passes = _passes(x, scenario.nodes, powers, variance,
+                           (streams[_GAINS], streams[_NOISE]), workspace)
     coherent = mrc_tables(data.h, powers) if MRC in techniques else None
     counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
     for at, y in passes:
@@ -311,16 +338,17 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace) 
             rows = tables.rows((i, at))
             for j, technique in noncoherent:
                 counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
-    return counts.reshape(-1, len(techniques))
+    return counts
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, run with a
-    ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
-    workspace = Workspace()
+    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, with one list
+    of kept generators, run with a ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer
+    is restored after."""
+    workspace, kept = Workspace(), []
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
-        return sum(_run_block(scenario, b, scenario.block_slots(b), workspace)
+        return sum(_run_block(scenario, b, scenario.block_slots(b), workspace, kept)
                    for b in range(first, stop))
     finally:
         np.setbufsize(buffer)

@@ -28,17 +28,22 @@ NOISE_W = noise_variance(-174.0, 1e5)
 
 
 class StubRng:
-    """Deterministic rng stand-in: constant uniform and constant noise value."""
+    """Deterministic rng stand-in: constant uniform and constant standard normal value,
+    filled into ``out`` as a Generator's draws are."""
 
     def __init__(self, uniform=0.5, noise=0.0):
         self.uniform = uniform
         self.noise = noise
 
-    def random(self, size=None):
-        return self.uniform if size is None else np.full(size, self.uniform)
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.uniform if size is None else np.full(size, self.uniform)
+        out[...] = self.uniform
+        return out
 
-    def normal(self, loc, scale, size=None):
-        return self.noise if size is None else np.full(size, self.noise)
+    def standard_normal(self, out):
+        out[...] = self.noise
+        return out
 
 
 class TestDbmToWatts:
@@ -134,10 +139,10 @@ class TestGenerateReceived:
         assert frame.y == pytest.approx(np.full((1, 8), expected), rel=1e-12)
 
     def test_direct_substitution(self):
-        # P = 1 W, h = 2, noise draw = 0.3 -> y = 2.3
+        # P = 1 W, h = 2, noise draw = 0.3 at unit variance -> y = 2.3
         node = NodeProfile(1, Weibull(2.0, 1.7), "weak")
         u_at_scale = 1.0 - math.exp(-1.0)  # quantile there is the scale, h = 2
-        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, NOISE_W,
+        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, 1.0,
                                   StubRng(uniform=u_at_scale, noise=0.3))
         assert frame.y == pytest.approx(np.full((1, 3), 2.3), rel=1e-12)
 
@@ -220,36 +225,41 @@ class TestGenerateReceived:
                               variance_w, np.random.default_rng(0))
 
 
-class TestRuns:
-    """generate_received over (generator, slots) runs that tile x: each run draws its
-    uniforms, then its normals, from its own generator, as its slots drawn alone do."""
+class TestPieces:
+    """generate_received draws each stream slot-major, so frames drawn one after another
+    from the same (gains, noise) generators are the pieces of the frame drawn whole."""
 
     NODES = (registry_entry("f1"), registry_entry("f5"), registry_entry("f9"))  # both laws
-    LENGTHS, SEEDS = (10, 4, 50), (21, 22, 23)
+    LENGTHS = (10, 4, 50)
 
-    def test_runs_join_the_frames_drawn_alone(self):
+    def test_consecutive_frames_join_the_frame_drawn_whole(self):
         powers = np.array([dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)])
-        alone = [generate_received(training_symbols(n), self.NODES, powers, NOISE_W,
-                                   np.random.default_rng(seed))
-                 for n, seed in zip(self.LENGTHS, self.SEEDS)]
-        x = np.concatenate([training_symbols(n) for n in self.LENGTHS])
-        runs = [(np.random.default_rng(seed), n) for n, seed in zip(self.LENGTHS, self.SEEDS)]
-        joined = generate_received(x, self.NODES, powers, NOISE_W, runs)
+        x = generate_data_symbols(sum(self.LENGTHS), np.random.default_rng(3))
+        whole = generate_received(x, self.NODES, powers, NOISE_W, np.random.default_rng(21),
+                                  np.random.default_rng(22))
+        gains, noise = np.random.default_rng(21), np.random.default_rng(22)
+        pieces = [generate_received(x[end - n:end], self.NODES, powers, NOISE_W, gains, noise)
+                  for n, end in zip(self.LENGTHS, np.cumsum(self.LENGTHS))]
         for name in ("y", "h", "noise"):
-            expected = np.concatenate([getattr(frame, name) for frame in alone], axis=-1)
-            got = getattr(joined, name)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
-        one_run = generate_received(training_symbols(10), self.NODES, powers, NOISE_W,
-                                    ((np.random.default_rng(21), 10),))
-        assert all(getattr(one_run, name).tobytes() == getattr(alone[0], name).tobytes()
-                   for name in ("y", "h", "noise"))
+            joined = np.concatenate([getattr(frame, name) for frame in pieces], axis=-1)
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+        # one generator draws the gains and then the noise
+        one = generate_received(x, self.NODES, powers, NOISE_W, np.random.default_rng(21))
+        assert one.h.tobytes() == whole.h.tobytes()
+        assert one.noise.tobytes() != whole.noise.tobytes()
 
-    @pytest.mark.parametrize("slots", [(), (10, 50), (10, 50, 5), (70,), (10, 0, 54),
-                                       (-10, 74)])
-    def test_runs_that_do_not_tile_x_are_rejected(self, slots):
-        runs = [(np.random.default_rng(0), n) for n in slots]
-        with pytest.raises(ParameterError, match="tile x"):
-            generate_received(training_symbols(64), self.NODES, 1e-3, NOISE_W, runs)
+    def test_draws_into_the_workspace(self):
+        # with a workspace the frame's arrays are its arrays, valid until its next use
+        x = training_symbols(50)
+        workspace = Workspace()
+        frame = generate_received(x, self.NODES, dbm_to_watts(0.0), NOISE_W,
+                                  np.random.default_rng(21), workspace=workspace)
+        fresh = generate_received(x, self.NODES, dbm_to_watts(0.0), NOISE_W,
+                                  np.random.default_rng(21))
+        for name, field in (("received", "y"), ("gains", "h"), ("noise", "noise")):
+            array = getattr(frame, field)
+            assert np.shares_memory(array, workspace[name, float])
+            assert array.tobytes() == getattr(fresh, field).tobytes()
 
 
 class TestAtPower:
@@ -295,10 +305,10 @@ class TestAtPower:
         # fig7 at six powers has seven training lengths and six one-power data
         # passes (one power of 6 x 4,000 slots fits 2^15 elements, two do not):
         # each frame is drawn once, and the data frame is rescaled once per
-        # later pass, not once per training length; the seven lengths are one
-        # 1,880-slot training frame, which takes three passes of two powers
-        # and is rescaled for the last two; the draw's own received call is
-        # not a rescale
+        # later pass, not once per training length; the seven lengths read one
+        # 500-slot ones pool, which takes a pass of five powers (sized by the
+        # 1,000-slot longest length) and is rescaled for the sixth; the draw's
+        # own received call is not a rescale
         slots, drawn, rescaled, drawing = 4000, [], [], []
         received = ReceivedFrame.received
 
@@ -319,6 +329,6 @@ class TestAtPower:
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
         scenario = replace(preset("fig7"), power_sweep_dbm=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0))
         _run_block(scenario, 0, slots, Workspace())
-        assert len(scenario.n_t) == 7 and sum(scenario.n_t) == 1880 != slots
-        assert drawn == [1880, slots]
-        assert rescaled == [1880] * 2 + [slots] * 5
+        assert len(scenario.n_t) == 7 and max(scenario.n_t) // 2 == 500 != slots
+        assert drawn == [500, slots]
+        assert rescaled == [500] + [slots] * 5

@@ -35,7 +35,7 @@ from bccsim import (
 from bccsim import cli, detectors, link, montecarlo
 from bccsim.detectors import MarginTables, Workspace, compute_training_stats
 from bccsim.link import training_symbols
-from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _substream
+from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _streams
 from bccsim.presets import PRESET_NAMES
 
 F9 = (registry_entry("f9"),)
@@ -206,46 +206,46 @@ class TestDeterminism:
         scn = Scenario(nodes=F9, power_sweep_dbm=(10.0,), techniques=("deviation",),
                        n_data_symbols=100_000, seed=42)
         (point,) = run_scenario(scn)
-        assert STREAM_VERSION == 2  # stream 1 gave 50 errors here
-        assert point.error_count == 40
+        assert STREAM_VERSION == 3  # stream 1 gave 50 errors here, stream 2 gave 40
+        assert point.error_count == 46
         assert point.symbol_count == 100_000
         # every technique at K = 9 and K = 6, recorded at the same stream version
         fig6 = replace(preset("fig6"), power_sweep_dbm=(-14.0, -10.0), n_data_symbols=20_000,
                        blocks=20, seed=42)
         assert {(p.technique, p.tx_power_dbm): p.error_count for p in run_scenario(fig6)} == {
-            ("combination", -14.0): 1372, ("combination", -10.0): 99,
-            ("deviation", -14.0): 2947, ("deviation", -10.0): 683,
-            ("mrc", -14.0): 458, ("mrc", -10.0): 21,
-            ("probability", -14.0): 2263, ("probability", -10.0): 548}
+            ("combination", -14.0): 1388, ("combination", -10.0): 118,
+            ("deviation", -14.0): 2982, ("deviation", -10.0): 671,
+            ("mrc", -14.0): 529, ("mrc", -10.0): 24,
+            ("probability", -14.0): 2289, ("probability", -10.0): 626}
         fig7 = replace(preset("fig7"), n_t=(10, 50), n_data_symbols=20_000, blocks=20, seed=42)
         assert {(p.technique, p.n_t): p.error_count for p in run_scenario(fig7)} == {
-            ("combination", 10): 2, ("combination", 50): 4,
-            ("deviation", 10): 56, ("deviation", 50): 39,
-            ("probability", 10): 343, ("probability", 50): 92}
+            ("combination", 10): 0, ("combination", 50): 3,
+            ("deviation", 10): 48, ("deviation", 50): 35,
+            ("probability", 10): 350, ("probability", 50): 90}
 
 
 class TestByteIdentity:
     # sha256 of the CSV of every preset at seed 3 and 4,000 symbols per point,
-    # recorded at stream version 2 before blocks ran their powers in passes
+    # recorded at stream version 3
     PINNED = {
-        "fig3-f1": "b6d6fff59bd4084e9465287d6a97f70e180010c2596eb0ddc55e11d160fc17f8",
-        "fig3-f2": "974b5f2233d00a9814c6a938af1deaf49930673ce4ee157f7794c3fc311fde0a",
-        "fig3-f3": "88670af5dcea4c4e7be84f713a30ec628f74aff04c087cdd22e6213a7edb5c1b",
-        "fig3-f4": "2a646c53ec3f96ed0e67be67b65e01cc51edcc158825e06fe4bd6cbe4f92d0d7",
-        "fig3-f5": "97b5ac05f60a9c64e50f85bd7855e41749cbc7fe5c4a3f2215ee5724af5d0312",
-        "fig3-f6": "36b2a7dbe1f59c8f0797594981951b8b67f20b1792e09e61b7a529ca4d5f002b",
-        "fig3-f7": "eaec470a6b071c63c18ab0a79d5a69d91aa0ffffec9ea5127bc2204dcc418ffa",
-        "fig3-f8": "10710dd5035f77633460fed310cd5e2661f06c04cf6f4ccd166e8f72b903f7f1",
-        "fig3-f9": "2d8f0b0a50f17163f9e13dfbb0a50d067538e5f78a01beae673ee0c4ee76e4e8",
-        "fig4": "7379c7615713261a1f76ce78ccf5e6c474865c08d884d803503cabd8d0c80750",
-        "fig5-weak": "8bc85231e871ef908694834bcc8d19e46e24441b6a9d566ed8ac4df26e7cf1c1",
-        "fig5-strong": "301b6d6b27b6e4010fab9d938f433d4297eeafb0ac3270235965c78909577bea",
-        "fig6": "09ce8eb0924b29721fd81b4390c55dfcb98d56783c216e02920e15a11010e128",
-        "fig7": "c9e1c3ea569c40de60b3c0f2c840fccb5a818b13c00408091a6818c848adf2b2",
+        "fig3-f1": "ef97a05f11c91657029867491025caa3a8d4dd9257b562fcb4fe985458a98d45",
+        "fig3-f2": "8b08dfece05cc540e9b95976b689417b27a5289d2dffbbce3e6d40dbb91285de",
+        "fig3-f3": "8956db63c5507d2b19caeb95de6b4f1acd7a2bb815f6b92a30f04f4de71f1544",
+        "fig3-f4": "946671e511cc0ed5d8dda6d18baa6f6810599d6c50736bc08ed19902936221a1",
+        "fig3-f5": "ad3a4863a509dc9854193291cbe4bd62925744a840daf6592b56efd7ff9251ce",
+        "fig3-f6": "957e866547abd5310e83d81eab9d1562bb94f071e5b9b8e864b7183ff796cf9c",
+        "fig3-f7": "950a72a2189d8f25549071d283b38e67b2d16e1e0b2345717f34c0f60ccd24d0",
+        "fig3-f8": "3125db9719bf5171205cc4bd633e864435f26ada11d30e7801cd095d0f8e1a20",
+        "fig3-f9": "143e3938c64fef2a321865454aa86ccf898dd7cdc0b768b04af1333d4ff9ca45",
+        "fig4": "4ff06ead5fd1f2d799dcf2d331b8a7d3722d1bca94c25b8ce40ecdd041c59362",
+        "fig5-weak": "36da8eed796698876c2c6ed15e174f70722852a6bb95401df0977c037e3d0735",
+        "fig5-strong": "d47ee40856fc755ba20d0272a65e8fcb51114eca1307b0c763d610a8650303c9",
+        "fig6": "9bfb22bf63e1b7262037c179e7da5dbb97506a1ccc61dec228c78231a80da4e1",
+        "fig7": "6293b9224824b453c17e4ea46f529444768b629b7052081d8ff9e649c57db1e5",
     }
 
     def test_every_preset_csv_is_pinned(self):
-        assert STREAM_VERSION == 2  # a new stream version records new hashes
+        assert STREAM_VERSION == 3  # a new stream version records new hashes
         hashes = {}
         for name in PRESET_NAMES:
             csv = cli.format_csv(run_scenario(replace(preset(name), seed=3,
@@ -305,9 +305,9 @@ class TestPowerPasses:
                         enumerate(grid), enumerate(scenario.techniques))}
         pool_sizes, planned = [], []
 
-        def recorded(scenario, block_index, n_symbols, workspace):
+        def recorded(scenario, block_index, n_symbols, *args):
             planned.append(n_symbols)
-            return _run_block(scenario, block_index, n_symbols, workspace)
+            return _run_block(scenario, block_index, n_symbols, *args)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -376,13 +376,12 @@ class TestPowerPasses:
             tracemalloc.stop()
 
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
-        # three training lengths in two training frames and nine data passes
-        # of three powers: every length's margin tables come from one call and
-        # MRC's h . h from one, once per block, each frame is drawn once and its
-        # h * x formed once, in the draw, and each power of a frame is computed
-        # once, drawn with the first pass or rescaled; only a frame that is
-        # rescaled keeps its h * x.  The draw fills its y through received,
-        # which is not counted as a rescale
+        # three training lengths reading one 2,000-slot ones pool, and nine data
+        # passes of three powers: every length's margin tables come from one call
+        # and MRC's h . h from one, once per block, each frame is drawn once and
+        # its h * x formed once, in the draw, and each power of a frame is
+        # computed once, drawn with the first pass or rescaled.  The draw fills
+        # its y through received, which is not counted as a rescale
         scenario = replace(preset("fig6"), n_t=(10, 50, 4000), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
         calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
@@ -422,13 +421,13 @@ class TestPowerPasses:
         assert montecarlo._PASS_ELEMENTS // (9 * 1000) == 3  # three powers per data pass
         assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
         assert calls == {"margin_tables": 1, "mrc_tables": 1}
-        # n_t = 10 and 50 are one 60-slot frame whose 26 powers take one pass;
-        # 9 x 4,000 passes 2^15, so n_t = 4000 is a frame of its own, taken one
-        # power at a time; the data frame takes eight passes of 3 powers and one of 2
-        assert signals == [60, 4000, 1000]
-        assert drawn == [(60, 26), (4000, 1), (1000, 3)]
-        assert rescaled == [(4000, 1)] * 25 + [(1000, 3)] * 7 + [(1000, 2)]
-        assert ["signal" in vars(frame) for frame in frames] == [False, True, True]
+        # the pool's passes are sized by the longest length, and 9 x 4,000 passes
+        # 2^15, so the pool is taken one power at a time; the data frame takes
+        # eight passes of 3 powers and one of 2
+        assert signals == [2000, 1000]
+        assert drawn == [(2000, 1), (1000, 3)]
+        assert rescaled == [(2000, 1)] * 25 + [(1000, 3)] * 7 + [(1000, 2)]
+        assert ["signal" in vars(frame) for frame in frames] == [True, True]
 
     @pytest.mark.parametrize("scenario, slots, count, fits", [
         (preset("fig6"), 1000, 9, True),
@@ -443,8 +442,9 @@ class TestPowerPasses:
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
         x = montecarlo.generate_data_symbols(slots, np.random.default_rng(3))
         workspace = Workspace()
-        frame, passes = montecarlo._passes(x, scenario.nodes, powers, variance,
-                                           np.random.default_rng(4), workspace)
+        rng = np.random.default_rng(4)
+        frame, passes = montecarlo._passes(x, scenario.nodes, powers, variance, (rng, rng),
+                                           workspace)
         first = frame.y
         if fits:
             assert np.shares_memory(first, workspace["received", float])
@@ -457,6 +457,52 @@ class TestPowerPasses:
             assert np.array_equal(y, frame.received(powers[at]))
             starts.append(at.start)
         assert len(starts) == count and starts[0] == 0
+
+    def test_a_blocks_memory_is_flat_in_its_slots(self):
+        # the data phase is drawn and detected a chunk at a time, so a warm fig7
+        # block of 10^6 slots (184 chunks) peaks about where one of 10^4 (two
+        # chunks) does, where drawing it whole would hold 100 times as much
+        scenario = replace(preset("fig7"), seed=1)
+        workspace = Workspace()
+        _run_block(scenario, 0, 10 ** 4, workspace)  # the workspace's arrays stay out
+
+        def peak(slots):
+            tracemalloc.start()
+            try:
+                _run_block(scenario, 1, slots, workspace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 ** 6) <= 1.25 * peak(10 ** 4)
+
+    @pytest.mark.parametrize("name, slots, elements, chunks", [
+        ("fig7", 12_001, 7_000, [5461, 5461, 1079]),
+        ("fig6", 11_001, 8_991, [3640, 3640, 3640, 81]),
+    ], ids=["fig7", "fig6"])
+    def test_chunk_size_does_not_change_counts(self, name, slots, elements, chunks, monkeypatch):
+        # each stream is drawn slot-major, so a block counts the same in chunks
+        # of 2^15 elements (uneven last chunks), in smaller ones (1,166 and 999
+        # slots) and in one chunk; no chunk here is a single slot, whose node
+        # sums numpy would add in another order at K >= 8
+        scenario = replace(preset(name), seed=11)
+        drawn = []
+
+        def counted(n, rng):
+            drawn.append(n)
+            return link.generate_data_symbols(n, rng)
+
+        monkeypatch.setattr(montecarlo, "generate_data_symbols", counted)
+        runs, sizes = [], []
+        for size in (montecarlo._CHUNK_ELEMENTS, elements, 2 ** 30):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", size)
+            runs.append(_run_block(scenario, 0, slots, Workspace()))
+            sizes.append(drawn[:])
+            drawn.clear()
+        assert sizes[0] == chunks and sizes[2] == [slots]
+        assert sum(sizes[1]) == slots and max(sizes[1]) == elements // len(scenario.nodes)
+        assert min(size for run in sizes for size in run) > 1
+        assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
     def test_the_ufunc_buffer_is_the_callers_after_a_run(self, monkeypatch):
         # blocks run under _UFUNC_BUFFER; the caller's buffer comes back after
@@ -569,26 +615,24 @@ class TestPowerPasses:
 
 
 class TestTrainingGroups:
-    """Consecutive training lengths that fit a pass together are drawn and reduced as
-    one frame, and each length keeps the bits of its own frame drawn alone."""
+    """Every training length reads the front of the block's two training pools, drawn once
+    at max(n_t)/2 slots each, and keeps the bits of its own pools drawn alone."""
 
     SCENARIOS = {
-        "fig7": (replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0), seed=13),
-                 [[10, 20, 50, 100, 200, 500, 1000]], [2]),
+        "fig7": (replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0), seed=13), 5),
         "nine-node": (Scenario(nodes=preset("fig6").nodes, n_t=(10, 1000, 4000),
-                               power_sweep_dbm=(-20.0, -6.0, 4.0, 10.0, 30.0), seed=13),
-                      [[10, 1000], [4000]], [3, 1]),
+                               power_sweep_dbm=(-20.0, -6.0, 4.0, 10.0, 30.0), seed=13), 1),
     }
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_each_lengths_tables_are_those_of_its_frame_drawn_alone(self, name, monkeypatch):
-        # fig7's seven lengths are one frame in passes of two powers; the
-        # nine-node lengths are two frames: 10 and 1,000 in passes of three
-        # powers, and 4,000, larger than a pass, one power at a time
-        scenario, groups, steps = self.SCENARIOS[name]
+        # fig7's seven lengths read a 500-slot pool in passes of up to five
+        # powers; the nine-node lengths a 2,000-slot pool one power at a time,
+        # since 9 x 4,000 passes 2^15.  Alone, a length draws n_t/2 slots of
+        # each pool at every power at once
+        scenario, step = self.SCENARIOS[name]
         k = len(scenario.nodes)
-        assert list(montecarlo._groups(scenario.n_t, k)) == groups
-        assert [max(1, montecarlo._PASS_ELEMENTS // (k * sum(g))) for g in groups] == steps
+        assert max(1, montecarlo._PASS_ELEMENTS // (k * scenario.n_t[-1])) == step
         powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
         derived = []
@@ -602,25 +646,33 @@ class TestTrainingGroups:
             _run_block(scenario, b, 100, Workspace())
             assert len(derived) == b + 1  # one call covers every length
             for i, n_t in enumerate(scenario.n_t):
-                frame = generate_received(training_symbols(n_t), scenario.nodes, powers,
-                                          variance, _substream(scenario.seed, b, n_t))
+                streams = _streams(scenario.seed, b)
+                ones = generate_received(np.ones(n_t // 2, dtype=np.int64), scenario.nodes,
+                                         powers, variance, streams[montecarlo._ONES_GAINS],
+                                         streams[montecarlo._ONES_NOISE])
+                zeros = link.generate_noise(k, n_t // 2, variance,
+                                            streams[montecarlo._ZEROS_NOISE])
+                y = np.concatenate([ones.y, np.broadcast_to(zeros, ones.y.shape)], axis=-1)
+                frame = ReceivedFrame(y, training_symbols(n_t), None, None)
                 alone = detectors.margin_tables(compute_training_stats(frame))
-                for field, single, grouped in zip(MarginTables._fields, alone,
-                                                  derived[-1].rows(i)):
-                    assert (grouped.dtype, grouped.shape) == (single.dtype, single.shape), field
-                    assert grouped.tobytes() == single.tobytes(), (n_t, field)
+                for field, single, pooled in zip(MarginTables._fields, alone,
+                                                 derived[-1].rows(i)):
+                    assert (pooled.dtype, pooled.shape) == (single.dtype, single.shape), field
+                    assert pooled.tobytes() == single.tobytes(), (n_t, field)
 
     def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
-        # counts repeat exactly where times do not.  A warm fig7 block draws two
-        # frames, the seven training lengths' and the data's, with one inverse_cdf
-        # call per node each, reduces each length once and derives every length's
-        # tables in one call; a scenario's grid is converted once, not once per block
+        # counts repeat exactly where times do not.  A warm fig7 block seeds one
+        # generator and draws two frames, the ones pool of its seven training
+        # lengths and the data's, with one inverse_cdf call per node each, reduces
+        # each length once and derives every length's tables in one call; a
+        # scenario's grid is converted once, not once per block
         scenario = replace(preset("fig7"), n_data_symbols=3000, blocks=3, seed=5)
         unconverted = replace(scenario)  # built, and so validated, before counting
         workspace = Workspace()
         _run_block(scenario, 0, 1000, workspace)
         calls = collections.Counter()
-        for owner, name in [(montecarlo, "generate_received"), (montecarlo, "margin_tables"),
+        for owner, name in [(montecarlo, "_streams"), (montecarlo, "generate_received"),
+                            (montecarlo, "margin_tables"),
                             (montecarlo, "compute_training_stats"), (BurrXII, "inverse_cdf"),
                             (Weibull, "inverse_cdf"), (montecarlo, "dbm_to_watts"),
                             (link, "dbm_to_watts")]:
@@ -630,12 +682,12 @@ class TestTrainingGroups:
 
             monkeypatch.setattr(owner, name, counted)
         _run_block(scenario, 1, 1000, workspace)
-        assert calls == {"generate_received": 2, "inverse_cdf": 12, "margin_tables": 1,
-                         "compute_training_stats": 7}
+        assert calls == {"_streams": 1, "generate_received": 2, "inverse_cdf": 12,
+                         "margin_tables": 1, "compute_training_stats": 7}
         calls.clear()
         montecarlo._run_blocks(unconverted, 0, 3)
         assert calls["dbm_to_watts"] == 2  # the one power and the noise density
-        assert calls["generate_received"] == 3 * 2
+        assert calls["generate_received"] == 3 * 2 and calls["_streams"] == 3
 
 
 class TestAccounting:
@@ -718,7 +770,7 @@ class TestZeroNoiseRule:
     @staticmethod
     def references(scenario):
         for b in range(5):
-            yield montecarlo._training_stats(scenario, b, Workspace())
+            yield montecarlo._training_stats(scenario, _streams(scenario.seed, b), Workspace())
 
     @pytest.mark.parametrize("n_t", [4, 50, 1000])
     def test_zero_noise_zeros_reference_is_exactly_zero(self, n_t):
@@ -734,7 +786,7 @@ class TestZeroNoiseRule:
         scn = Scenario(nodes=self.NODES, n_t=(4, 50), n0_dbm_per_hz=n0,
                        power_sweep_dbm=(float("-inf"), -20.0, 30.0), techniques=("combination",))
         assert 0.0 < noise_variance(n0, scn.bandwidth_hz) < 1e-15
-        for stats in self.references(scn):  # both lengths, drawn as one frame
+        for stats in self.references(scn):  # both lengths, read from one pair of pools
             assert stats.a_one.shape == (2, 3, 9)
             assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
         for b in range(5):
@@ -800,24 +852,33 @@ class TestSweepShapes:
         assert point in run_scenario(in_nt_sweep, jobs=2)
         assert point in run_scenario(in_grid, jobs=2)
 
-    def test_blocks_and_training_lengths_draw_distinct_values(self):
-        draws = [_substream(7, *key).random(8)
-                 for key in [(0,), (1,), (0, 20), (0, 50), (1, 20)]]
+    def test_blocks_and_streams_draw_distinct_values(self):
+        # stream j of block b is the generator seeded by the key (3, b),
+        # advanced j * 2^64 draws, and no two streams or blocks repeat
+        draws = [generator.random(8) for b in (0, 1) for generator in _streams(7, b)]
         for a, b in itertools.combinations(draws, 2):
             assert not np.array_equal(a, b)
+        for j, generator in enumerate(_streams(7, 1)):
+            bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=7, spawn_key=(3, 1)))
+            bits.advance(j << 64)
+            assert np.array_equal(generator.random(8), np.random.Generator(bits).random(8))
 
 
 class TestStreamVersion:
     def test_agrees_with_stream_1_reference(self):
-        # fig4 at 10^4 symbols per point, seed 0, checked against the band
-        # of 40 stream-1 replicates of every point (perfbench/reference)
+        # fig4 at 10^4 symbols per point, fig6 at 10^5 and fig7 at its own 10^6
+        # (two chunks in each 10^4-slot block), seed 0, each checked against
+        # the band of 40 stream-1 replicates of every point (perfbench/reference),
+        # which does not depend on the stream
         check = import_perfbench("check")
-        scn = replace(preset("fig4"), n_data_symbols=10_000)
-        reference = check.load_reference(
-            ROOT / "perfbench" / "reference" / "fig4-10000.csv", 10_000)
-        points = run_scenario(scn)
-        assert len(points) == len(reference) == 104
-        assert check.failed_points(points, reference, 10_000, scn.blocks) == {}
+        for name, symbols, count in (("fig4", 10_000, 104), ("fig6", 100_000, 104),
+                                     ("fig7", 1_000_000, 21)):
+            scn = replace(preset(name), n_data_symbols=symbols)
+            reference = check.load_reference(
+                ROOT / "perfbench" / "reference" / f"{name}-{symbols}.csv", symbols)
+            points = run_scenario(scn)
+            assert len(points) == len(reference) == count
+            assert check.failed_points(points, reference, symbols, scn.blocks) == {}, name
 
 
 class TestTraceContract:

@@ -6,8 +6,8 @@ The set is fixed at 32 CSVs: each of the 14 presets at seeds 1 and 7 with
 30,000 symbols, fig6 at seed 3 with 10^5 symbols, fig7 at seed 3 with its own
 budget, fig4 at seed 3 with 10^4 symbols, and one ``--config`` document at
 seed 3: the nine nodes, ``n_t`` 10, 1,000 and 4,000, two powers and 3,000
-symbols, whose training lengths make two training frames per block, the last
-one longer than a pass.  Run it against two trees and ``diff -r`` the outputs:
+symbols, whose longest training length is longer than a pass, so each block
+reads its training pools one power at a time.  Run it against two trees and ``diff -r`` the outputs:
 a change that keeps the random stream must keep every byte.  Each CSV goes
 through ``bccsim.cli.main``, as the command line writes it.
 """
@@ -24,7 +24,7 @@ from bccsim.presets import PRESET_NAMES
 RUNS = ([(name, seed, 30_000) for seed in (1, 7) for name in PRESET_NAMES]
         + [("fig6", 3, 100_000), ("fig7", 3, None), ("fig4", 3, 10_000)])
 
-# The --config run, written as groups-seed3.csv.
+# The --config run, written as config-seed3.csv.
 CONFIG = ("nodes: [f1, f2, f3, f4, f5, f6, f7, f8, f9]\n"
           "n_t: [10, 1000, 4000]\n"
           "power_sweep_dbm: [-6, 10]\n"
@@ -44,10 +44,10 @@ def write_all(out_dir: str) -> None:
         path = os.path.join(out_dir, f"{name}-seed{seed}-{symbols or 'preset'}.csv")
         _run(["--preset", name, "--seed", str(seed), *budget], path)
     with tempfile.TemporaryDirectory() as scratch:
-        config = os.path.join(scratch, "groups.yaml")
+        config = os.path.join(scratch, "config.yaml")
         with open(config, "w") as handle:
             handle.write(CONFIG)
-        _run(["--config", config], os.path.join(out_dir, "groups-seed3.csv"))
+        _run(["--config", config], os.path.join(out_dir, "config-seed3.csv"))
 
 
 if __name__ == "__main__":
