@@ -12,7 +12,7 @@ CSV and ``preset`` one YAML document that ``--config`` loads back.
 ``run`` emits one CSV row per BER point, sorted by (technique, power,
 n_t).  Identical seeds produce byte-identical CSV regardless of the
 worker count.  A bad scenario, an unreadable ``--config`` file, an unwritable
-``--out`` path or a budget too big for memory exits 2, naming the key or flag.
+``--out`` path or a block too big for memory exits 2, naming the keys or flag.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ def _run_command(args) -> int:
     scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     try:
         points = run_scenario(scenario, jobs=args.jobs)
-    except MemoryError:
-        raise ParameterError(f"n_data_symbols: {scenario.n_data_symbols} symbols in blocks: "
-                             f"{scenario.blocks} make {scenario.block_slots(0)} slots per "
-                             "block, too many to fit in memory") from None
+    except MemoryError:  # a block's arrays are sized by these keys, not by the budget
+        raise ParameterError(f"nodes, n_t, power_sweep_dbm: a block with len(nodes) = "
+                             f"{len(scenario.nodes)}, max(n_t) = {scenario.n_t[-1]} and "
+                             f"len(power_sweep_dbm) = {len(scenario.power_sweep_dbm)} does not "
+                             "fit in memory") from None
     if not points:
         raise DegenerateTrainingError("no BER points produced (all points degenerate)")
     _write(format_csv(points), args.out)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrainingError, ParameterError
-from .link import ReceivedFrame
 
 __all__ = [
     "PROBABILITY",
@@ -66,7 +65,7 @@ class TrainingStats:
     ``a_th`` is the mean received amplitude over the whole frame, ``a_one``
     and ``a_zero`` the half-frame means over the ones/zeros halves, ``p11``
     and ``p00`` the clamped empirical correct-detection probabilities.
-    All arrays have shape (..., K), the leading axes of the frame.
+    All arrays have shape (..., K), the leading axes of the frame's halves.
     """
 
     a_th: np.ndarray
@@ -125,8 +124,9 @@ class Workspace(dict):
         return view
 
 
-def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
-    """Reference values from a received training frame.
+def compute_training_stats(ones_abs, zeros_abs) -> TrainingStats:
+    """Reference values from the (..., K, n_t/2) amplitudes |y| of a training frame's
+    halves, n_t/2 ones then n_t/2 zeros, whose leading axes broadcast to the (..., K) result.
 
     The amplitude threshold is the midpoint of the two half-frame means,
     which is algebraically the full-frame mean; computing it as the
@@ -134,23 +134,23 @@ def compute_training_stats(frame: ReceivedFrame) -> TrainingStats:
     slot is re-detected against the threshold (>= maps to symbol 1) and
     the per-half correct-detection rates are clamped into
     [2/n_t, 1 - 2/n_t] so that downstream log-weights stay finite.
-    (..., K, n_t) amplitudes give (..., K) statistics.
     """
-    x = np.asarray(frame.x)
-    n_t = x.size
-    if n_t < 4 or n_t % 2:
-        raise ParameterError(f"n_t must be an even integer >= 4 for training, got {n_t}")
-    half = n_t // 2
-    if not (np.logical_and.reduce(x[:half] == 1) and np.logical_and.reduce(x[half:] == 0)):
-        raise ParameterError("frame does not carry the training pattern (ones then zeros)")
-    amp = np.abs(frame.y)
-    a_one = np.add.reduce(amp[..., :half], axis=-1) / half  # ndarray.mean's sum and divide
-    a_zero = np.add.reduce(amp[..., half:], axis=-1) / half
+    ones, zeros = np.asarray(ones_abs, dtype=float), np.asarray(zeros_abs, dtype=float)
+    half = ones.shape[-1] if ones.ndim else 0
+    try:
+        shape = np.broadcast(ones, zeros).shape[:-1]  # of the (..., K) statistics
+    except ValueError:  # leading axes that do not broadcast
+        half = 0
+    if half < 2 or zeros.shape[-1:] != (half,):
+        raise ParameterError(f"training halves must be (..., K, n_t/2) amplitudes of one even "
+                             f"n_t >= 4, with leading axes that broadcast, got shapes "
+                             f"{ones.shape} and {zeros.shape}")
+    a_one, a_zero = (np.divide(np.add.reduce(amplitudes, axis=-1), half, out=np.empty(shape))
+                     for amplitudes in (ones, zeros))  # ndarray.mean's sum and divide
     a_th = 0.5 * (a_one + a_zero)
-    detected = amp >= a_th[..., None]
-    lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
-    p11 = np.add.reduce(detected[..., :half], axis=-1, dtype=float) / half
-    p00 = 1.0 - np.add.reduce(detected[..., half:], axis=-1, dtype=float) / half
+    lo, hi = 1.0 / half, 1.0 - 1.0 / half  # 2/n_t, to the bit
+    p11 = np.add.reduce(ones >= a_th[..., None], axis=-1, dtype=float) / half
+    p00 = 1.0 - np.add.reduce(zeros >= a_th[..., None], axis=-1, dtype=float) / half
     p11, p00 = (np.minimum(np.maximum(p, lo), hi) for p in (p11, p00))
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 

@@ -26,8 +26,8 @@ from .channels import NodeProfile
 from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
                         compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
 from .errors import ParameterError
-from .link import (ReceivedFrame, dbm_to_watts, generate_data_symbols, generate_noise,
-                   generate_received, noise_variance, training_symbols)
+from .link import (dbm_to_watts, generate_data_symbols, generate_noise, generate_received,
+                   noise_variance)
 
 __all__ = [
     "STREAM_VERSION",
@@ -51,8 +51,8 @@ MAX_N_T = 100_000
 # Most (power, training length) points a Scenario's grid has: about 400x the preset grids' 26.
 MAX_POINTS = 10_000
 
-# Elements of the (powers, K, slots) array one pass of a block detects, or of a
-# training frame reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
+# Elements of the (powers, K, slots) array one pass of a block detects, or of its
+# training ones pool reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
 # wider passes are faster but hold more; BENCH_width.json measures 2^15 against 2^13.
 _PASS_ELEMENTS = 2 ** 15
 
@@ -174,8 +174,9 @@ def _validate_scenario(s: Scenario) -> None:
         if v < 4 or v % 2 or v > MAX_N_T:
             raise ParameterError(f"n_t entries must be even integers in [4, {MAX_N_T}], got {v}")
     _check_axis("n_t", s.n_t)
-    if s.n_data_symbols < 1:
-        raise ParameterError(f"n_data_symbols must be >= 1, got {s.n_data_symbols}")
+    if not 1 <= s.n_data_symbols <= 2 ** 63 - 1:  # a point's error count is an int64
+        raise ParameterError(f"n_data_symbols must be in [1, 2**63 - 1], the range of a point's "
+                             f"int64 error count over its blocks, got {s.n_data_symbols}")
     for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
         try:
             dbm_to_watts(p)
@@ -188,10 +189,6 @@ def _validate_scenario(s: Scenario) -> None:
         raise ParameterError(f"seed must fit an unsigned 64-bit integer, got {s.seed}")
     if s.blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {s.blocks}")
-    slots = s.block_slots(0)  # block 0 is the largest
-    if len(s.nodes) * slots * 8 > 2 ** 63 - 1:  # bytes of a block's (K, slots) float64 array
-        raise ParameterError(f"n_data_symbols: {s.n_data_symbols} symbols in blocks: {s.blocks} "
-                             f"make {slots} slots per block, too many for numpy to address")
     try:
         noise_variance(s.n0_dbm_per_hz, s.bandwidth_hz)
     except ParameterError as exc:
@@ -245,14 +242,14 @@ def _errors(decisions, x):
     return np.add.reduce(np.bitwise_xor(decisions, x, out=decisions), axis=-1)
 
 
-def _passes(x, nodes, powers, variance: float, rng, workspace, slots: int = 0):
+def _passes(x, nodes, powers, variance: float, rng, workspace):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
     pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
-    ``slots``) array (x.size slots by default), at least one, each valid until the next.  The
-    first pass is drawn from the (gains, noise) generators ``rng`` into the ``workspace`` if
-    one power of the frame fits a pass, else into fresh arrays, and each later one is
-    rescaled from the draw's h * x into the front of that first pass's ``y``."""
-    step = max(1, _PASS_ELEMENTS // (len(nodes) * (slots or x.size)))
+    x.size) array, at least one, each valid until the next.  The first pass is drawn from
+    the (gains, noise) generators ``rng`` into the ``workspace`` if one power of the frame
+    fits a pass, else into fresh arrays, and each later one is rescaled from the draw's
+    h * x into the front of that first pass's ``y``."""
+    step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
     fits = len(nodes) * x.size <= _PASS_ELEMENTS
     frame = generate_received(x, nodes, powers[:step], variance, *rng,
                               workspace=workspace if fits else None)
@@ -270,23 +267,21 @@ def _training_stats(scenario: Scenario, streams, workspace) -> TrainingStats:
     """(lengths, powers, K) statistics of one block's training lengths, from its ``streams``.
 
     Length n_t reads the first n_t/2 slots of two pools of max(n_t)/2 slots: the ones pool,
-    drawn by generate_received, and the zeros pool, whose amplitudes are its noise at every
-    power, as sqrt(P) * (h * 0) + n is, so it draws no gains.  Both are read in passes sized
-    by a (powers, K, max(n_t)) array, one compute_training_stats call per length and pass
-    (which reads a frame's x and y only)."""
+    drawn by generate_received and read in passes, and the zeros pool, whose amplitudes are
+    its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains.  |y| is
+    taken in place once per pass and once for the zeros pool, and each length's statistics
+    are one compute_training_stats call per pass on the two pools' first n_t/2 slots."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
     pool = lengths[-1] // 2  # n_t increases
     _, passes = _passes(np.ones(pool, dtype=np.int64), nodes, powers, variance,
-                        (streams[_ONES_GAINS], streams[_ONES_NOISE]), workspace, 2 * pool)
+                        (streams[_ONES_GAINS], streams[_ONES_NOISE]), workspace)
     zeros = generate_noise(len(nodes), pool, variance, streams[_ZEROS_NOISE])
-    patterns = [training_symbols(n_t) for n_t in lengths]
+    zeros = np.abs(zeros, out=zeros)
     stats = TrainingStats(*np.empty((5, len(lengths), len(powers), len(nodes))))
-    for at, ones in passes:
-        for i, x in enumerate(patterns):
-            half = x.size // 2
-            y = np.empty(ones.shape[:-1] + x.shape)
-            y[..., :half], y[..., half:] = ones[..., :half], zeros[:, :half]
-            found = compute_training_stats(ReceivedFrame(y, x, None, None))
+    for at, y in passes:
+        ones = np.abs(y, out=y)
+        for i, n_t in enumerate(lengths):
+            found = compute_training_stats(ones[..., :n_t // 2], zeros[:, :n_t // 2])
             for name, value in vars(found).items():
                 getattr(stats, name)[i, at] = value
     return stats

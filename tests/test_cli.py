@@ -159,42 +159,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "jobs" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("symbols", ["922337203685477580700", str(10 ** 30)])
+    @pytest.mark.parametrize("symbols", ["922337203685477580700", str(10 ** 30),
+                                         str(2 ** 63)])
     def test_budget_numpy_cannot_address_names_keys(self, symbols, capsys):
-        # rejected with the scenario, before anything is allocated
+        # past a point's int64 error count: rejected with the scenario, before
+        # anything is allocated
         assert main(["run", "--preset", "fig4", "--symbols", symbols]) == 2
         err = capsys.readouterr().err
         assert "n_data_symbols" in err and "blocks" in err and "Traceback" not in err
 
-    def test_budget_beyond_memory_names_keys(self, monkeypatch, capsys):
-        # the run's MemoryError is stood in for, so nothing is allocated
+    def test_out_of_memory_names_the_keys_that_size_a_block(self, monkeypatch, capsys):
+        # the run's MemoryError is stood in for, so nothing is allocated.  A block
+        # holds one data chunk whatever the budget, so the message names the keys
+        # that size its arrays: the nodes, the longest training length, the powers
         def out_of_memory(scenario, jobs=1):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
         monkeypatch.setattr(cli, "run_scenario", out_of_memory)
-        args = ["run", "--preset", "fig4", "--symbols", str(10 ** 14)]
-        assert main(args) == 2
+        assert main(["run", "--preset", "fig7", "--symbols", str(10 ** 14)]) == 2
         err = capsys.readouterr().err
-        assert "n_data_symbols" in err and "blocks" in err and "Traceback" not in err
-        assert f"{10 ** 12} slots per block" in err
-
-    def test_budget_errors_name_the_same_largest_block(self, monkeypatch, capsys):
-        # 5 * 10**19 + 1 symbols in 100 blocks: block 0 also takes the remainder.
-        # fig6's nine nodes make that block too large for numpy to address, and
-        # fig4's one node passes that check and runs out of memory (stood in for)
-        symbols = str(5 * 10 ** 19 + 1)
-        assert main(["run", "--preset", "fig6", "--symbols", symbols]) == 2
-        rejected = capsys.readouterr().err
-
-        def out_of_memory(scenario, jobs=1):
-            raise MemoryError("Unable to allocate 3.64 EiB")
-
-        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
-        assert main(["run", "--preset", "fig4", "--symbols", symbols]) == 2
-        exhausted = capsys.readouterr().err
-        assert "numpy to address" in rejected and "fit in memory" in exhausted
-        slots = f"make {5 * 10 ** 17 + 1} slots per block"
-        assert slots in rejected and slots in exhausted
+        assert err.startswith("config error: nodes, n_t, power_sweep_dbm: ")
+        assert "len(nodes) = 6, max(n_t) = 1000 and len(power_sweep_dbm) = 1" in err
+        assert "n_data_symbols" not in err and "Traceback" not in err
 
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block

@@ -1,8 +1,9 @@
 """Detection layer: training statistics, the three margin rules, fusion, MRC."""
 
+import ast
 import itertools
 import math
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from bccsim import (
     DegenerateTrainingError,
     ParameterError,
-    ReceivedFrame,
     TrainingStats,
     compute_training_stats,
     dbm_to_watts,
@@ -23,6 +23,7 @@ from bccsim import (
     registry_entry,
     training_symbols,
 )
+from bccsim import detectors
 from bccsim.detectors import (COMBINATION, DEVIATION, NONCOHERENT, PROBABILITY, Workspace,
                               _pair, _select, margin_tables, mrc_tables)
 
@@ -34,18 +35,11 @@ def poison(workspace):
     return workspace
 
 
-def frame_of(y, x):
-    """A frame carrying the given amplitudes; training reads only ``y`` and ``x``."""
-    return ReceivedFrame(y=y, x=x, h=np.ones_like(y), noise=np.zeros_like(y))
-
-
-def rescaled(frame, power_w):
-    """``frame`` with its amplitudes at ``power_w``, as a block's training pass reads it."""
-    return replace(frame, y=frame.received(power_w))
-
-
-def frame_from_amplitudes(y_rows, n_t):
-    return frame_of(np.atleast_2d(np.asarray(y_rows, dtype=float)), training_symbols(n_t))
+def halves(y):
+    """The (ones, zeros) amplitude halves of a training frame's (..., K, n_t) ``y``."""
+    amplitudes = np.abs(np.atleast_2d(np.asarray(y, dtype=float)))
+    half = amplitudes.shape[-1] // 2
+    return amplitudes[..., :half], amplitudes[..., half:]
 
 
 def stats_single(a_one, a_zero, p11, p00):
@@ -105,7 +99,7 @@ def same_bits(a, b):
 
 class TestComputeTrainingStats:
     def test_worked_example_nt4(self):
-        stats = compute_training_stats(frame_from_amplitudes([[3.0, 1.0, 0.5, 0.5]], 4))
+        stats = compute_training_stats(*halves([[3.0, 1.0, 0.5, 0.5]]))
         assert stats.a_th[0] == 1.25
         assert stats.a_one[0] == 2.0
         assert stats.a_zero[0] == 0.5
@@ -114,14 +108,14 @@ class TestComputeTrainingStats:
         assert stats.p00[0] == 0.5
 
     def test_all_equal_amplitudes_saturate(self):
-        stats = compute_training_stats(frame_from_amplitudes([[2.0] * 8], 8))
+        stats = compute_training_stats(*halves([[2.0] * 8]))
         # every slot detects 1 under the >= rule
         assert stats.p11[0] == 1.0 - 2.0 / 8
         assert stats.p00[0] == 2.0 / 8
 
     def test_perfect_separation_nt50_hits_cap(self):
         y = [[10.0] * 25 + [0.1] * 25]
-        stats = compute_training_stats(frame_from_amplitudes(y, 50))
+        stats = compute_training_stats(*halves(y))
         assert stats.p11[0] == 0.96
         assert stats.p00[0] == 0.96
 
@@ -129,7 +123,7 @@ class TestComputeTrainingStats:
         rng = np.random.default_rng(17)
         for n_t in (4, 10, 50, 128):
             y = rng.lognormal(mean=0.0, sigma=2.0, size=(200, n_t))
-            stats = compute_training_stats(frame_from_amplitudes(y, n_t))
+            stats = compute_training_stats(*halves(y))
             assert np.array_equal(stats.a_th, 0.5 * (stats.a_one + stats.a_zero))
             # and the midpoint reproduces the full-frame mean amplitude
             assert np.allclose(stats.a_th, np.abs(y).mean(axis=1), rtol=1e-12)
@@ -137,7 +131,7 @@ class TestComputeTrainingStats:
     def test_probability_bounds(self):
         rng = np.random.default_rng(23)
         y = rng.lognormal(size=(500, 10))
-        stats = compute_training_stats(frame_from_amplitudes(y, 10))
+        stats = compute_training_stats(*halves(y))
         assert np.all(stats.p11 >= 0.2) and np.all(stats.p11 <= 0.8)
         assert np.all(stats.p00 >= 0.2) and np.all(stats.p00 <= 0.8)
 
@@ -148,12 +142,33 @@ class TestComputeTrainingStats:
         assert a == a and a != b
 
     def test_rejects_small_or_non_training_frames(self):
-        with pytest.raises(ParameterError):
-            compute_training_stats(frame_from_amplitudes([[1.0, 2.0]], 2))
-        y = np.ones((1, 4))
-        bad = frame_of(y, np.array([1, 0, 1, 0]))
-        with pytest.raises(ParameterError):
-            compute_training_stats(bad)
+        # the halves of one training frame: n_t/2 >= 2 slots each, as many in
+        # both, and leading axes that broadcast
+        for ones, zeros in [(np.ones((1, 1)), np.ones((1, 1))),  # n_t = 2
+                            (np.ones((1, 2)), np.ones((1, 3))),
+                            (np.ones((2, 3, 4)), np.ones((4, 4))),
+                            (np.ones(()), np.ones(()))]:
+            with pytest.raises(ParameterError, match="training halves"):
+                compute_training_stats(ones, zeros)
+
+    def test_detectors_import_nothing_from_link(self):
+        # the statistics take amplitudes, not frames, so the frame type stays in link
+        tree = ast.parse(Path(detectors.__file__).read_text())
+        assert not [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[-1] == "link"]
+
+    def test_halves_broadcast_over_leading_axes(self):
+        # a zeros half shared by every leading index gives each index's own
+        # statistics, in the broadcast shape
+        rng = np.random.default_rng(29)
+        ones, zeros = rng.lognormal(size=(3, 4, 6)), rng.lognormal(size=(4, 6))
+        stats = compute_training_stats(ones, zeros)
+        for i in range(3):
+            alone = compute_training_stats(ones[i], zeros)
+            for field in ("a_th", "a_one", "a_zero", "p11", "p00"):
+                assert getattr(stats, field).shape == (3, 4)
+                assert np.array_equal(getattr(stats, field)[i], getattr(alone, field))
 
 
 class TestProbWeights:
@@ -521,12 +536,17 @@ class TestLeadingAxes:
     def test_stacked_calls_match_bit_for_bit(self):
         data, training = self.frames()
         powers = np.array(self.POWERS)
-        single = [compute_training_stats(rescaled(training, p)) for p in self.POWERS]
-        stacked = compute_training_stats(rescaled(training, powers))
+        single = [compute_training_stats(*halves(training.received(p))) for p in self.POWERS]
+        stacked = compute_training_stats(*halves(training.received(powers)))
+        # the zeros half is the noise at every power, so one (K, n_t/2) zeros
+        # half broadcast over the powers gives the same bits, as a block reads it
+        ones, _ = halves(training.received(powers))
+        shared = compute_training_stats(ones, np.abs(training.noise[:, 10:]))
         for field in ("a_th", "a_one", "a_zero", "p11", "p00"):
             assert getattr(stacked, field).shape == (3, 3)
             assert np.array_equal(getattr(stacked, field),
                                   np.stack([getattr(s, field) for s in single]))
+            assert getattr(shared, field).tobytes() == getattr(stacked, field).tobytes()
         ys = [data.received(p) for p in self.POWERS]
         y = data.received(powers)
         assert np.array_equal(y, np.stack(ys))
@@ -564,7 +584,7 @@ class TestLeadingAxes:
 
     def test_leading_axes_must_match(self):
         data, training = self.frames()
-        stats = compute_training_stats(rescaled(training, np.array(self.POWERS)))
+        stats = compute_training_stats(*halves(training.received(np.array(self.POWERS))))
         y = data.received(np.array(self.POWERS[:2]))
         with pytest.raises(ParameterError, match=r"\(K, N\)"):
             margins("deviation", np.abs(y), stats)

@@ -302,13 +302,13 @@ class TestAtPower:
         assert np.array_equal(out, frame.received(powers))
 
     def test_a_block_rescales_its_data_frame_once(self, monkeypatch):
-        # fig7 at six powers has seven training lengths and six one-power data
-        # passes (one power of 6 x 4,000 slots fits 2^15 elements, two do not):
-        # each frame is drawn once, and the data frame is rescaled once per
+        # fig7 at eleven powers has seven training lengths and eleven one-power
+        # data passes (one power of 6 x 4,000 slots fits 2^15 elements, two do
+        # not): each frame is drawn once, and the data frame is rescaled once per
         # later pass, not once per training length; the seven lengths read one
-        # 500-slot ones pool, which takes a pass of five powers (sized by the
-        # 1,000-slot longest length) and is rescaled for the sixth; the draw's
-        # own received call is not a rescale
+        # 500-slot ones pool, which takes a pass of ten powers (sized by the
+        # pool) and is rescaled for the eleventh; the draw's own received call
+        # is not a rescale
         slots, drawn, rescaled, drawing = 4000, [], [], []
         received = ReceivedFrame.received
 
@@ -327,8 +327,9 @@ class TestAtPower:
 
         monkeypatch.setattr(montecarlo, "generate_received", counted)
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
-        scenario = replace(preset("fig7"), power_sweep_dbm=(-10.0, -6.0, -2.0, 2.0, 6.0, 10.0))
+        scenario = replace(preset("fig7"), power_sweep_dbm=tuple(range(-10, 11, 2)))
         _run_block(scenario, 0, slots, Workspace())
         assert len(scenario.n_t) == 7 and max(scenario.n_t) // 2 == 500 != slots
+        assert montecarlo._PASS_ELEMENTS // (6 * 500) == 10
         assert drawn == [500, slots]
-        assert rescaled == [500] + [slots] * 5
+        assert rescaled == [500] + [slots] * 10

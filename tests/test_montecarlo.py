@@ -23,6 +23,7 @@ from bccsim import (
     ParameterError,
     Scenario,
     ReceivedFrame,
+    TrainingStats,
     Weibull,
     dbm_to_watts,
     generate_received,
@@ -56,6 +57,25 @@ def single_point(scenario, power_dbm, technique):
     (point,) = run_scenario(replace(scenario, power_sweep_dbm=(power_dbm,),
                                     techniques=(technique,)))
     return point
+
+
+def frame_training_stats(y, x) -> TrainingStats:
+    """The statistics of a whole training frame, as compute_training_stats read one before
+    it took the two halves' amplitudes: (..., K, n_t) ``y`` received for the pattern ``x``,
+    checked to be n_t/2 ones then n_t/2 zeros.  The reference a block's statistics match."""
+    n_t = x.size
+    half = n_t // 2
+    assert n_t >= 4 and n_t % 2 == 0 and (x[:half] == 1).all() and (x[half:] == 0).all()
+    amp = np.abs(y)
+    a_one = np.add.reduce(amp[..., :half], axis=-1) / half
+    a_zero = np.add.reduce(amp[..., half:], axis=-1) / half
+    a_th = 0.5 * (a_one + a_zero)
+    detected = amp >= a_th[..., None]
+    lo, hi = 2.0 / n_t, 1.0 - 2.0 / n_t
+    p11 = np.add.reduce(detected[..., :half], axis=-1, dtype=float) / half
+    p00 = 1.0 - np.add.reduce(detected[..., half:], axis=-1, dtype=float) / half
+    p11, p00 = (np.minimum(np.maximum(p, lo), hi) for p in (p11, p00))
+    return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
 class InlinePool:
@@ -146,15 +166,14 @@ class TestScenarioValidation:
                 Scenario(nodes=F9, **grid)
             assert "n_data_symbols" not in str(raised.value)
 
-    def test_blocks_numpy_cannot_address_raise_naming_the_keys(self):
-        # one (K, slots) float64 array of a block must have at most 2**63 - 1
-        # bytes: 2**62 symbols in 4 blocks make 2**63, in 8 blocks 2**62
-        for n, blocks in ((922337203685477580700, 100), (10 ** 30, 100), (2 ** 62, 4)):
-            with pytest.raises(ParameterError, match="n_data_symbols.*blocks"):
+    def test_budgets_past_int64_raise_naming_the_key(self):
+        # a point's error count over its blocks is an int64, so a budget may be
+        # 2**63 - 1 symbols and no more, however it is dealt over the blocks
+        for n, blocks in ((2 ** 63, 100), (2 ** 63, 1), (10 ** 30, 100)):
+            with pytest.raises(ParameterError, match="^n_data_symbols must be in "):
                 Scenario(nodes=F9, n_data_symbols=n, blocks=blocks)
-        assert Scenario(nodes=F9, n_data_symbols=2 ** 62, blocks=8).n_data_symbols == 2 ** 62
-        with pytest.raises(ParameterError, match="n_data_symbols"):
-            Scenario(nodes=F9 + (registry_entry("f1"),), n_data_symbols=2 ** 62, blocks=8)
+        for nodes in (F9, preset("fig6").nodes):
+            assert Scenario(nodes=nodes, n_data_symbols=2 ** 63 - 1).n_data_symbols == 2 ** 63 - 1
 
 
 class TestBerPoint:
@@ -567,24 +586,25 @@ class TestPowerPasses:
         assert peak((40_000, 60_000, 80_000, 100_000)) <= 1.5 * alone
 
     def test_a_fig6_block_reduces_its_training_frame_in_two_passes(self, monkeypatch):
-        # training passes are sized by the (powers, 9, n_t) training frame, not
-        # by the data frame: 32,768 // (9 * 200) = 18 powers per pass, so 26
-        # powers take 2 calls where the data frame's three-power passes take 9;
-        # the preset's n_t = 50 frame takes all 26 powers in one call
+        # training passes are sized by the (powers, 9, n_t/2) ones pool, not by
+        # the data frame: 32,768 // (9 * 200) = 18 powers per pass at n_t = 400,
+        # so 26 powers take 2 calls where the data frame's three-power passes
+        # take 9; the preset's n_t = 50 pool takes all 26 powers in one call.
+        # Every call reads the one (9, n_t/2) zeros pool
         calls = []
 
-        def counted(frame):
-            calls.append(frame.y.shape)
-            return compute_training_stats(frame)
+        def counted(ones, zeros):
+            calls.append((ones.shape, zeros.shape))
+            return compute_training_stats(ones, zeros)
 
         monkeypatch.setattr(montecarlo, "compute_training_stats", counted)
         _run_block(replace(preset("fig6"), seed=11), 0, 1000, Workspace())
-        assert calls == [(26, 9, 50)]
+        assert calls == [((26, 9, 25), (9, 25))]
         calls.clear()
         step = montecarlo._PASS_ELEMENTS // (9 * 200)
-        _run_block(replace(preset("fig6"), n_t=(200,), seed=11), 0, 1000, Workspace())
+        _run_block(replace(preset("fig6"), n_t=(400,), seed=11), 0, 1000, Workspace())
         assert len(calls) == math.ceil(26 / step) == 2
-        assert calls == [(18, 9, 200), (8, 9, 200)]
+        assert calls == [((18, 9, 200), (9, 200)), ((8, 9, 200), (9, 200))]
 
     def test_a_long_training_frame_is_not_kept_in_the_workspace(self):
         # a training frame whose one power passes _PASS_ELEMENTS is rescaled
@@ -619,20 +639,20 @@ class TestTrainingGroups:
     at max(n_t)/2 slots each, and keeps the bits of its own pools drawn alone."""
 
     SCENARIOS = {
-        "fig7": (replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0), seed=13), 5),
+        "fig7": (replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0), seed=13), 10),
         "nine-node": (Scenario(nodes=preset("fig6").nodes, n_t=(10, 1000, 4000),
                                power_sweep_dbm=(-20.0, -6.0, 4.0, 10.0, 30.0), seed=13), 1),
     }
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_each_lengths_tables_are_those_of_its_frame_drawn_alone(self, name, monkeypatch):
-        # fig7's seven lengths read a 500-slot pool in passes of up to five
+        # fig7's seven lengths read a 500-slot pool in passes of up to ten
         # powers; the nine-node lengths a 2,000-slot pool one power at a time,
-        # since 9 x 4,000 passes 2^15.  Alone, a length draws n_t/2 slots of
-        # each pool at every power at once
+        # since two powers of 9 x 2,000 pass 2^15.  Alone, a length draws n_t/2
+        # slots of each pool at every power at once, as one frame
         scenario, step = self.SCENARIOS[name]
         k = len(scenario.nodes)
-        assert max(1, montecarlo._PASS_ELEMENTS // (k * scenario.n_t[-1])) == step
+        assert max(1, montecarlo._PASS_ELEMENTS // (k * scenario.n_t[-1] // 2)) == step
         powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
         derived = []
@@ -653,12 +673,43 @@ class TestTrainingGroups:
                 zeros = link.generate_noise(k, n_t // 2, variance,
                                             streams[montecarlo._ZEROS_NOISE])
                 y = np.concatenate([ones.y, np.broadcast_to(zeros, ones.y.shape)], axis=-1)
-                frame = ReceivedFrame(y, training_symbols(n_t), None, None)
-                alone = detectors.margin_tables(compute_training_stats(frame))
+                alone = detectors.margin_tables(frame_training_stats(y, training_symbols(n_t)))
                 for field, single, pooled in zip(MarginTables._fields, alone,
                                                  derived[-1].rows(i)):
                     assert (pooled.dtype, pooled.shape) == (single.dtype, single.shape), field
                     assert pooled.tobytes() == single.tobytes(), (n_t, field)
+
+    @pytest.mark.parametrize("scenario", [
+        replace(preset("fig4"), seed=3),
+        replace(preset("fig6"), seed=3),
+        replace(preset("fig7"), seed=3),
+        Scenario(nodes=preset("fig6").nodes, n_t=(10, 1000, 4000), power_sweep_dbm=(-6.0, 10.0),
+                 n_data_symbols=3000, seed=3),
+    ], ids=["fig4", "fig6", "fig7", "config"])
+    def test_block_statistics_are_those_of_each_lengths_frame(self, scenario):
+        # a block reduces the fronts of its two pools' amplitudes; the same pools
+        # joined into each length's (powers, K, n_t) frame of ones then zeros,
+        # as a block once built it, give the same bits.  config is the nine
+        # nodes of tools/identity_csvs.py, whose pool is read a power at a time
+        powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
+        variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
+        pool, k = scenario.n_t[-1] // 2, len(scenario.nodes)
+        for b in range(2):
+            stats = montecarlo._training_stats(scenario, _streams(scenario.seed, b), Workspace())
+            streams = _streams(scenario.seed, b)
+            ones = generate_received(np.ones(pool, dtype=np.int64), scenario.nodes, powers,
+                                     variance, streams[montecarlo._ONES_GAINS],
+                                     streams[montecarlo._ONES_NOISE]).y
+            zeros = link.generate_noise(k, pool, variance, streams[montecarlo._ZEROS_NOISE])
+            for i, n_t in enumerate(scenario.n_t):
+                half = n_t // 2
+                y = np.empty(ones.shape[:-1] + (n_t,))
+                y[..., :half], y[..., half:] = ones[..., :half], zeros[:, :half]
+                reference = frame_training_stats(y, training_symbols(n_t))
+                for field, value in vars(reference).items():
+                    pooled = getattr(stats, field)[i]
+                    assert pooled.shape == value.shape == (len(powers), k)
+                    assert pooled.tobytes() == value.tobytes(), (n_t, field)
 
     def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
         # counts repeat exactly where times do not.  A warm fig7 block seeds one
