@@ -5,7 +5,7 @@ The package splits into five layers:
 
 * :mod:`bccsim.channels`   -- Burr XII / Weibull amplitude laws, exact
   inverse-transform sampling, and the f1..f9 registry.
-* :mod:`bccsim.link`       -- unit conversions, training/data symbols, and
+* :mod:`bccsim.link`       -- unit conversions, data symbols, noise, and
   the per-slot received-signal model.
 * :mod:`bccsim.detectors`  -- training statistics, the probability /
   deviation / combination margins, fusion, and the coherent MRC baseline.
@@ -60,7 +60,6 @@ from .link import (
     generate_data_symbols,
     generate_received,
     noise_variance,
-    training_symbols,
 )
 from .montecarlo import (
     BerPoint,

@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--symbols", type=int, metavar="N",
                      help="override the per-point symbol budget")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (default: 1)")
+                     help="worker processes forked for the run (default: 1; serial where "
+                          "os.fork does not exist)")
     run.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     pre = sub.add_parser("preset", help="print a preset as an editable scenario document")

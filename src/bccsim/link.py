@@ -20,7 +20,6 @@ __all__ = [
     "ReceivedFrame",
     "dbm_to_watts",
     "noise_variance",
-    "training_symbols",
     "generate_data_symbols",
     "generate_noise",
     "generate_received",
@@ -47,15 +46,6 @@ def noise_variance(n0_dbm_per_hz: float, bandwidth_hz: float) -> float:
         raise ParameterError(f"noise variance N0*B/2 must be finite, got {variance!r} W "
                              f"from {n0_dbm_per_hz!r} dBm/Hz and {bandwidth_hz!r} Hz")
     return variance
-
-
-def training_symbols(n_t: int) -> np.ndarray:
-    """Known training pattern: n_t/2 ones followed by n_t/2 zeros."""
-    if n_t < 2 or n_t % 2:
-        raise ParameterError(f"n_t must be an even integer >= 2, got {n_t!r}")
-    x = np.zeros(n_t, dtype=np.int64)
-    x[: n_t // 2] = 1
-    return x
 
 
 def generate_data_symbols(n: int, rng) -> np.ndarray:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from numbers import Integral, Real
 
 import numpy as np
@@ -349,13 +350,67 @@ def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
         np.setbufsize(buffer)
 
 
+def _forked(scenario: Scenario, bounds: list) -> list:
+    """Summed error counts of each run of blocks ``bounds[i]`` to ``bounds[i + 1]`` - 1, each
+    run in a forked child that pickles its counts, or the exception it raised, into a pipe and
+    leaves through os._exit, so it never returns into the caller's code.  The parent reads the
+    pipes in order and re-raises a child's exception; every child still running when this
+    returns or raises is killed, and every child is reaped."""
+    children = {}  # pid: the read end of its pipe, in fork order
+    try:
+        for first, stop in zip(bounds, bounds[1:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        result = _run_blocks(scenario, first, stop)
+                    except BaseException as exc:
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(result))
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = open(read, "rb")
+            os.close(write)
+        totals = []
+        for pid, pipe in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if not payload:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"worker process {pid} ended without sending its counts "
+                                   f"({how})")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            totals.append(result)
+        return totals
+    finally:
+        if children:  # left running by an error or an interrupt
+            from signal import SIGKILL  # here, since loading signal adds 0.1 MB to every run
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # reaped already
+                pass
+
+
 def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     """BER of every (technique, power, n_t) point of the scenario's grid.
 
-    Blocks are independent; with ``jobs`` > 1 they run in a process pool no
-    larger than ``jobs``, the blocks or the CPUs, each worker summing the counts
-    of one contiguous run of blocks.  Every point reports ``n_data_symbols``
-    symbols, and the output is sorted by (technique, power, n_t).
+    Blocks are independent; with ``jobs`` > 1 they run in forked worker
+    processes, no more than ``jobs``, the blocks or the CPUs, each summing the
+    counts of one contiguous run of blocks (see _forked); where os.fork is
+    missing, they run in this process.  A worker's exception is raised here
+    with its own type.  Every point reports ``n_data_symbols`` symbols, and the
+    output is sorted by (technique, power, n_t).
 
     Combination needs nonzero training references, and the zeros half-frame's
     mean |noise| A0 is exactly 0 in every block when N0*B/2 is 0, positive
@@ -375,17 +430,9 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
         if not techniques:
             return []
         scenario = replace(scenario, techniques=techniques)
-    workers = min(jobs, scenario.block_count, os.cpu_count() or 1)
+    workers = min(jobs, scenario.block_count, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     bounds = [scenario.block_count * i // workers for i in range(workers + 1)]
-    args = (repeat(scenario), bounds[:-1], bounds[1:])
-    if workers == 1:
-        totals = map(_run_blocks, *args)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here, so a serial run never loads it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(_run_blocks, *args))
-    errors = sum(totals)
+    errors = _run_blocks(scenario, *bounds) if workers == 1 else sum(_forked(scenario, bounds))
     points = [make_ber_point(technique, power, n_t, int(errors[i, j]), scenario.n_data_symbols)
               for (i, (power, n_t)), (j, technique) in product(enumerate(grid),
                                                                enumerate(scenario.techniques))]

@@ -24,7 +24,7 @@ from bccsim import (
     registry_entry,
     scenario_to_config,
 )
-from bccsim import cli
+from bccsim import cli, montecarlo
 from bccsim.cli import CSV_HEADER, format_csv, main, parse_csv
 from bccsim.config import _parse_sweep
 from bccsim.montecarlo import MAX_N_T, MAX_POINTS, make_ber_point
@@ -182,6 +182,22 @@ class TestRunCommand:
         assert "len(nodes) = 6, max(n_t) = 1000 and len(power_sweep_dbm) = 1" in err
         assert "n_data_symbols" not in err and "Traceback" not in err
 
+    def test_a_workers_out_of_memory_names_the_keys(self, monkeypatch, capsys):
+        # a forked worker's MemoryError comes back with its type, so --jobs 2 exits 2
+        # as a serial run does; the stand-in runs in the real children
+        def out_of_memory(scenario, first, stop):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", out_of_memory)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert main(["run", "--preset", "fig7", "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: nodes, n_t, power_sweep_dbm: ")
+        assert "len(nodes) = 6, max(n_t) = 1000 and len(power_sweep_dbm) = 1" in err
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):  # both workers were reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block
         cfg = tmp_path / "bad.yaml"
@@ -336,17 +352,22 @@ class TestRegistryCommand:
 
 
 # A fresh interpreter's view after ``import bccsim`` and, given arguments, a ``cli.main`` call
-# on them: the OpenBLAS variable, the process's threads (None off Linux) and which of the
-# YAML parser and the process pool it loaded.
+# on them and the DeprecationWarnings it raised (os.fork's of a threaded process from Python
+# 3.12 on): the OpenBLAS variable, the process's threads (None off Linux) and which of the
+# YAML parser and the process pools it loaded.
 _STARTUP_PROBE = """
-import json, os, sys
+import json, os, sys, warnings
 import bccsim
 seen = {"env": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None}
 if sys.argv[1:]:
     from bccsim import cli
-    seen["status"] = cli.main(sys.argv[1:])
-seen["loaded"] = [name for name in ("yaml", "concurrent.futures.process") if name in sys.modules]
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always", DeprecationWarning)
+        seen["status"] = cli.main(sys.argv[1:])
+    seen["deprecations"] = [str(w.message) for w in warned if w.category is DeprecationWarning]
+seen["loaded"] = [name for name in ("yaml", "concurrent.futures", "multiprocessing")
+                  if name in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -386,10 +407,11 @@ class TestStartup:
         assert seen["status"] == 0 and seen["loaded"] == ["yaml"]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 runs serially on one CPU")
-    def test_a_two_job_run_loads_the_process_pool(self, tmp_path):
+    def test_a_two_job_run_loads_neither_concurrent_futures_nor_multiprocessing(self, tmp_path):
+        # the workers are forked from a process of one thread, so os.fork does not warn
         seen = fresh_process("run", "--preset", "fig4", "--symbols", "200", "--jobs", "2",
                              "--out", str(tmp_path / "out.csv"))
-        assert seen["status"] == 0 and seen["loaded"] == ["concurrent.futures.process"]
+        assert seen["status"] == 0 and seen["loaded"] == [] and seen["deprecations"] == []
 
 
 class TestConfigParsing:

@@ -17,7 +17,6 @@ from bccsim import (
     noise_variance,
     preset,
     registry_entry,
-    training_symbols,
 )
 from bccsim import montecarlo
 from bccsim.detectors import Workspace
@@ -92,22 +91,6 @@ class TestNoiseVariance:
                 noise_variance(n0, bandwidth)
 
 
-class TestTrainingSymbols:
-    def test_examples(self):
-        assert training_symbols(4).tolist() == [1, 1, 0, 0]
-        assert training_symbols(2).tolist() == [1, 0]
-
-    def test_nt_50(self):
-        x = training_symbols(50)
-        assert x[:25].tolist() == [1] * 25
-        assert x[25:].tolist() == [0] * 25
-
-    def test_rejects_odd_and_zero(self):
-        for bad in (0, 3, 7, -2):
-            with pytest.raises(ParameterError):
-                training_symbols(bad)
-
-
 class TestGenerateDataSymbols:
     def test_mapping_convention(self):
         assert generate_data_symbols(5, StubRng(uniform=0.3)).tolist() == [1] * 5
@@ -162,7 +145,7 @@ class TestGenerateReceived:
 
     def test_reproducible_bit_exact(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
-        x = training_symbols(50)
+        x = np.repeat([1, 0], 25)
         a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
         b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.h, b.h)
@@ -170,13 +153,13 @@ class TestGenerateReceived:
     def test_frames_compare_as_objects(self):
         # array fields have no single truth value, so == is identity
         nodes = (registry_entry("f1"), registry_entry("f9"))
-        a, b = (generate_received(training_symbols(4), nodes, dbm_to_watts(10.0), NOISE_W,
+        a, b = (generate_received(np.repeat([1, 0], 2), nodes, dbm_to_watts(10.0), NOISE_W,
                                   np.random.default_rng(99)) for _ in range(2))
         assert a == a and a != b
 
     def test_shape_and_frame_fields(self):
         nodes = (registry_entry("f1"), registry_entry("f2"), registry_entry("f3"))
-        frame = generate_received(training_symbols(10), nodes, dbm_to_watts(0.0), NOISE_W,
+        frame = generate_received(np.repeat([1, 0], 5), nodes, dbm_to_watts(0.0), NOISE_W,
                                   np.random.default_rng(1))
         assert frame.y.shape == frame.h.shape == frame.noise.shape == (3, 10)
         assert frame.x.tolist() == [1] * 5 + [0] * 5
@@ -250,7 +233,7 @@ class TestPieces:
 
     def test_draws_into_the_workspace(self):
         # with a workspace the frame's arrays are its arrays, valid until its next use
-        x = training_symbols(50)
+        x = np.repeat([1, 0], 25)
         workspace = Workspace()
         frame = generate_received(x, self.NODES, dbm_to_watts(0.0), NOISE_W,
                                   np.random.default_rng(21), workspace=workspace)

@@ -1,12 +1,14 @@
 """Monte-Carlo harness: determinism, accounting, limits, regression values."""
 
 import collections
-import concurrent.futures
 import hashlib
 import importlib
 import itertools
 import math
+import os
+import signal
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -35,7 +37,6 @@ from bccsim import (
 )
 from bccsim import cli, detectors, link, montecarlo
 from bccsim.detectors import MarginTables, Workspace, compute_training_stats
-from bccsim.link import training_symbols
 from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _streams
 from bccsim.presets import PRESET_NAMES
 
@@ -78,21 +79,11 @@ def frame_training_stats(y, x) -> TrainingStats:
     return TrainingStats(a_th=a_th, a_one=a_one, a_zero=a_zero, p11=p11, p00=p00)
 
 
-class InlinePool:
-    """In-process stand-in for ProcessPoolExecutor: appends its size to ``opened``,
-    starts no process."""
-
-    def __init__(self, opened, max_workers):
-        opened.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def inline_forks(runs, scenario, bounds):
+    """In-process stand-in for montecarlo._forked: appends the call's runs of blocks,
+    (first, stop) pairs, to ``runs`` and runs each in this process, forking nothing."""
+    runs.append(list(zip(bounds, bounds[1:])))
+    return [montecarlo._run_blocks(scenario, first, stop) for first, stop in runs[-1]]
 
 
 def small_scenario(**overrides):
@@ -322,21 +313,20 @@ class TestPowerPasses:
         expected = {(t, p, n_t): (errors[i, j], 1001)
                     for (i, (p, n_t)), (j, t) in itertools.product(
                         enumerate(grid), enumerate(scenario.techniques))}
-        pool_sizes, planned = [], []
+        forked, planned = [], []
 
         def recorded(scenario, block_index, n_symbols, *args):
             planned.append(n_symbols)
             return _run_block(scenario, block_index, n_symbols, *args)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(InlinePool, pool_sizes))
+        monkeypatch.setattr(montecarlo, "_forked", partial(inline_forks, forked))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         for jobs in (1, 3):
             points = run_scenario(scenario, jobs=jobs)
             assert {(p.technique, p.tx_power_dbm, p.n_t): (p.error_count, p.symbol_count)
                     for p in points} == expected
-        assert pool_sizes == [3] and planned == sizes * 2
+        assert forked == [[(0, 1), (1, 2), (2, 4)]] and planned == sizes * 2
 
     def test_a_block_plan_holds_nothing_per_block(self, monkeypatch):
         # 10**7 one-slot blocks: each block's size comes from its index, so
@@ -673,7 +663,8 @@ class TestTrainingGroups:
                 zeros = link.generate_noise(k, n_t // 2, variance,
                                             streams[montecarlo._ZEROS_NOISE])
                 y = np.concatenate([ones.y, np.broadcast_to(zeros, ones.y.shape)], axis=-1)
-                alone = detectors.margin_tables(frame_training_stats(y, training_symbols(n_t)))
+                pattern = np.repeat([1, 0], n_t // 2)
+                alone = detectors.margin_tables(frame_training_stats(y, pattern))
                 for field, single, pooled in zip(MarginTables._fields, alone,
                                                  derived[-1].rows(i)):
                     assert (pooled.dtype, pooled.shape) == (single.dtype, single.shape), field
@@ -705,7 +696,7 @@ class TestTrainingGroups:
                 half = n_t // 2
                 y = np.empty(ones.shape[:-1] + (n_t,))
                 y[..., :half], y[..., half:] = ones[..., :half], zeros[:, :half]
-                reference = frame_training_stats(y, training_symbols(n_t))
+                reference = frame_training_stats(y, np.repeat([1, 0], n_t // 2))
                 for field, value in vars(reference).items():
                     pooled = getattr(stats, field)[i]
                     assert pooled.shape == value.shape == (len(powers), k)
@@ -755,12 +746,11 @@ class TestAccounting:
         assert keys == sorted(keys)
 
     def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
-        # an in-process stand-in records the pool size and starts no process
-        pool_sizes = []
+        # an in-process stand-in records the runs of blocks and forks nothing
+        forked = []
         scn = small_scenario(blocks=2)
         serial = run_scenario(scn, jobs=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(InlinePool, pool_sizes))
+        monkeypatch.setattr(montecarlo, "_forked", partial(inline_forks, forked))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         assert run_scenario(scn, jobs=8) == serial
         run_scenario(replace(scn, blocks=5), jobs=3)
@@ -768,13 +758,73 @@ class TestAccounting:
         run_scenario(replace(scn, blocks=10), jobs=100_000)  # 4 CPUs
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)  # unknown: serial
         assert run_scenario(scn, jobs=8) == serial
-        assert pool_sizes == [2, 3, 3, 4]
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(montecarlo.os, "fork")  # no fork: serial
+        assert run_scenario(scn, jobs=8) == serial
+        assert forked == [[(0, 1), (1, 2)], [(0, 1), (1, 3), (3, 5)], [(0, 1), (1, 2), (2, 3)],
+                          [(0, 2), (2, 5), (5, 7), (7, 10)]]
 
     def test_preconditions(self):
         scn = small_scenario()
         for jobs in (0, -1, -2, 2.5, "2", True):
             with pytest.raises(ParameterError, match="jobs"):
                 run_scenario(scn, jobs=jobs)
+
+
+class TestForkedWorkers:
+    """Real forked workers.  A child inherits this process, so a _run_blocks patched
+    before the call runs in the children; after every call no child is left."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):  # none running, none unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_counts_are_those_of_the_serial_run(self):
+        scn = small_scenario(blocks=3)
+        assert run_scenario(scn, jobs=2) == run_scenario(scn, jobs=1)
+
+    @pytest.mark.parametrize("error", [ParameterError("n_t: raised in a worker"),
+                                       MemoryError("Unable to allocate 7.28 TiB")],
+                             ids=["parameter-error", "memory-error"])
+    def test_a_workers_exception_comes_back_with_its_type(self, error, monkeypatch):
+        def second_fails(scenario, first, stop, run_blocks=montecarlo._run_blocks):
+            if first > 0:
+                raise error
+            return run_blocks(scenario, first, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", second_fails)
+        with pytest.raises(type(error)) as raised:
+            run_scenario(small_scenario(), jobs=2)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(1), "exit status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit", "killed"])
+    def test_a_worker_that_sends_nothing_names_how_it_ended(self, end, how, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: end())
+        with pytest.raises(RuntimeError, match=rf"ended without sending its counts \({how}\)"):
+            run_scenario(small_scenario(), jobs=2)
+
+    def test_an_interrupt_kills_the_running_workers(self, monkeypatch):
+        # the workers sleep; an alarm interrupts the parent as Ctrl-C would
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: time.sleep(60))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_scenario(small_scenario(), jobs=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
 
 
 class TestDegenerateLimits:
