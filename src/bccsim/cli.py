@@ -12,7 +12,8 @@ CSV and ``preset`` one YAML document that ``--config`` loads back.
 ``run`` emits one CSV row per BER point, sorted by (technique, power,
 n_t).  Identical seeds produce byte-identical CSV regardless of the
 worker count.  A bad scenario, an unreadable ``--config`` file, an unwritable
-``--out`` path or a block too big for memory exits 2, naming the keys or flag.
+``--out`` path or a block too big for memory exits 2, naming the keys or flag;
+a run with no points or a worker process that died without its counts exits 1.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateTrainingError as exc:
+    except (ChildProcessError, DegenerateTrainingError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

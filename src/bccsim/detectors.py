@@ -99,9 +99,6 @@ class Workspace(dict):
     call gets a view of its front, made once per shape and cached beside the
     arrays until the array grows.  A kernel may return one of these arrays, valid
     until the workspace's next use, so a workspace is never shared between threads.
-    A block also draws a frame into "received" when one power of it fits a pass, else into
-    the frame's own array; either way each later pass is rescaled into that first pass's
-    memory and takes |y| there in place.
     ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 

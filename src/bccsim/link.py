@@ -87,17 +87,14 @@ class ReceivedFrame:
         return self.h * self.x
 
 
-def generate_noise(k: int, n: int, noise_variance_w: float, rng, workspace=None) -> np.ndarray:
+def generate_noise(k: int, n: int, noise_variance_w: float, rng) -> np.ndarray:
     """(K, N) real Gaussian noise of variance ``noise_variance_w``: the N x K standard normals
-    ``rng`` gives next, slot-major, times the standard deviation.  With a ``workspace`` the
-    draw and the noise are its "draw" and "noise" arrays, valid until its next use."""
-    take = _fresh if workspace is None else workspace.take
-    normal = rng.standard_normal(out=take("draw", (n, k)))
-    return np.multiply(normal.T, np.sqrt(noise_variance_w), out=take("noise", (k, n)))
+    ``rng`` gives next, slot-major, times the standard deviation, in C order."""
+    return np.multiply(rng.standard_normal((n, k)).T, np.sqrt(noise_variance_w), order="C")
 
 
-def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng=None,
-                      workspace=None) -> ReceivedFrame:
+def generate_received(x, nodes, power_w, noise_variance_w: float, rng,
+                      noise_rng=None) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
     ``power_w`` is a float or an array of powers.  Every node and slot gets a fresh
@@ -105,9 +102,8 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng
     uniforms ``rng`` gives next, slot-major, through each node's inverse CDF.  The noise is
     ``generate_noise``'s draw from ``noise_rng``, or from ``rng`` after the channels.  So
     frames drawn one after another from the same two generators are the consecutive pieces
-    of the frame drawn whole.  With a ``workspace`` the draws and the frame's arrays are its
-    "draw", "gains", "noise" and "received" arrays, valid until its next use.
-    ``y`` is filled by ``ReceivedFrame.received``, as every rescale is.
+    of the frame drawn whole.  ``y`` is filled by ``ReceivedFrame.received``, as every
+    rescale is.
     """
     if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
             and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
@@ -122,19 +118,13 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng
     nodes = tuple(nodes)
     if not nodes:
         raise ParameterError("nodes must be a nonempty list of receive nodes")
-    take = _fresh if workspace is None else workspace.take
-    uniform = rng.random(out=take("draw", (x.size, len(nodes))))
-    h = take("gains", (len(nodes), x.size))
+    uniform = rng.random((x.size, len(nodes)))
+    h = np.empty((len(nodes), x.size))
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(uniform[:, i])
-    del uniform  # the noise's draw takes its memory
+    del uniform  # so the noise's draw can take its memory
     noise = generate_noise(len(nodes), x.size, noise_variance_w,
-                           rng if noise_rng is None else noise_rng, workspace)
-    frame = ReceivedFrame(y=take("received", np.shape(power_w) + h.shape), x=x, h=h, noise=noise)
+                           rng if noise_rng is None else noise_rng)
+    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape), x=x, h=h, noise=noise)
     frame.received(power_w, out=frame.y)
     return frame
-
-
-def _fresh(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A new uninitialised array, for a draw made without a workspace."""
-    return np.empty(shape, dtype)

@@ -243,17 +243,14 @@ def _errors(decisions, x):
     return np.add.reduce(np.bitwise_xor(decisions, x, out=decisions), axis=-1)
 
 
-def _passes(x, nodes, powers, variance: float, rng, workspace):
+def _passes(x, nodes, powers, variance: float, rng):
     """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
     pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
     x.size) array, at least one, each valid until the next.  The first pass is drawn from
-    the (gains, noise) generators ``rng`` into the ``workspace`` if one power of the frame
-    fits a pass, else into fresh arrays, and each later one is rescaled from the draw's
+    the (gains, noise) generators ``rng``, and each later one is rescaled from the draw's
     h * x into the front of that first pass's ``y``."""
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
-    fits = len(nodes) * x.size <= _PASS_ELEMENTS
-    frame = generate_received(x, nodes, powers[:step], variance, *rng,
-                              workspace=workspace if fits else None)
+    frame = generate_received(x, nodes, powers[:step], variance, *rng)
 
     def passes():
         yield slice(0, step), frame.y
@@ -264,7 +261,7 @@ def _passes(x, nodes, powers, variance: float, rng, workspace):
     return frame, passes()
 
 
-def _training_stats(scenario: Scenario, streams, workspace) -> TrainingStats:
+def _training_stats(scenario: Scenario, streams) -> TrainingStats:
     """(lengths, powers, K) statistics of one block's training lengths, from its ``streams``.
 
     Length n_t reads the first n_t/2 slots of two pools of max(n_t)/2 slots: the ones pool,
@@ -275,7 +272,7 @@ def _training_stats(scenario: Scenario, streams, workspace) -> TrainingStats:
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
     pool = lengths[-1] // 2  # n_t increases
     _, passes = _passes(np.ones(pool, dtype=np.int64), nodes, powers, variance,
-                        (streams[_ONES_GAINS], streams[_ONES_NOISE]), workspace)
+                        (streams[_ONES_GAINS], streams[_ONES_NOISE]))
     zeros = generate_noise(len(nodes), pool, variance, streams[_ZEROS_NOISE])
     zeros = np.abs(zeros, out=zeros)
     stats = TrainingStats(*np.empty((5, len(lengths), len(powers), len(nodes))))
@@ -302,7 +299,7 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace,
     """
     streams = _streams(scenario.seed, block_index, kept)
     tables = (None if scenario.techniques == (MRC,)  # MRC alone draws no training pool
-              else margin_tables(_training_stats(scenario, streams, workspace)))
+              else margin_tables(_training_stats(scenario, streams)))
     chunk = max(1, _CHUNK_ELEMENTS // len(scenario.nodes))
     counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, tables, workspace)
                  for start in range(0, n_symbols, chunk))
@@ -322,7 +319,7 @@ def _chunk_errors(scenario: Scenario, slots: int, streams, tables, workspace) ->
     noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
     x = generate_data_symbols(slots, streams[_SYMBOLS])
     data, passes = _passes(x, scenario.nodes, powers, variance,
-                           (streams[_GAINS], streams[_NOISE]), workspace)
+                           (streams[_GAINS], streams[_NOISE]))
     coherent = mrc_tables(data.h, powers) if MRC in techniques else None
     counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
     for at, y in passes:
@@ -383,8 +380,8 @@ def _forked(scenario: Scenario, bounds: list) -> list:
             del children[pid]
             if not payload:
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise RuntimeError(f"worker process {pid} ended without sending its counts "
-                                   f"({how})")
+                raise ChildProcessError(f"worker process {pid} ended without sending its "
+                                        f"counts ({how})")
             result = pickle.loads(payload)
             if isinstance(result, BaseException):
                 raise result
@@ -409,7 +406,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     processes, no more than ``jobs``, the blocks or the CPUs, each summing the
     counts of one contiguous run of blocks (see _forked); where os.fork is
     missing, they run in this process.  A worker's exception is raised here
-    with its own type.  Every point reports ``n_data_symbols`` symbols, and the
+    with its own type, and ChildProcessError names how a worker that sent no
+    counts ended.  Every point reports ``n_data_symbols`` symbols, and the
     output is sorted by (technique, power, n_t).
 
     Combination needs nonzero training references, and the zeros half-frame's

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,23 @@ class TestRunCommand:
         assert err.startswith("config error: nodes, n_t, power_sweep_dbm: ")
         assert "len(nodes) = 6, max(n_t) = 1000 and len(power_sweep_dbm) = 1" in err
         assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):  # both workers were reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_killed_worker_is_one_runtime_error_line(self, monkeypatch, capsys):
+        # a worker that dies before sending its counts exits 1 with one line
+        # naming how it ended, not a traceback; the stand-in runs in the children
+        def killed(scenario, first, stop):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", killed)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert main(["run", "--preset", "fig4", "--symbols", "200", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("runtime error: worker process ")
+        assert line.endswith("ended without sending its counts (killed by signal 9)")
+        assert "Traceback" not in captured.err and captured.out == ""
         with pytest.raises(ChildProcessError):  # both workers were reaped
             os.waitpid(-1, os.WNOHANG)
 

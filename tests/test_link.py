@@ -28,21 +28,17 @@ NOISE_W = noise_variance(-174.0, 1e5)
 
 class StubRng:
     """Deterministic rng stand-in: constant uniform and constant standard normal value,
-    filled into ``out`` as a Generator's draws are."""
+    in arrays of the ``size`` asked for, as a Generator's draws are."""
 
     def __init__(self, uniform=0.5, noise=0.0):
         self.uniform = uniform
         self.noise = noise
 
-    def random(self, size=None, out=None):
-        if out is None:
-            return self.uniform if size is None else np.full(size, self.uniform)
-        out[...] = self.uniform
-        return out
+    def random(self, size=None):
+        return self.uniform if size is None else np.full(size, self.uniform)
 
-    def standard_normal(self, out):
-        out[...] = self.noise
-        return out
+    def standard_normal(self, size=None):
+        return self.noise if size is None else np.full(size, self.noise)
 
 
 class TestDbmToWatts:
@@ -226,23 +222,12 @@ class TestPieces:
         for name in ("y", "h", "noise"):
             joined = np.concatenate([getattr(frame, name) for frame in pieces], axis=-1)
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
+            # C order, as the detectors' node sums add in memory order
+            assert getattr(whole, name).flags.c_contiguous, name
         # one generator draws the gains and then the noise
         one = generate_received(x, self.NODES, powers, NOISE_W, np.random.default_rng(21))
         assert one.h.tobytes() == whole.h.tobytes()
         assert one.noise.tobytes() != whole.noise.tobytes()
-
-    def test_draws_into_the_workspace(self):
-        # with a workspace the frame's arrays are its arrays, valid until its next use
-        x = np.repeat([1, 0], 25)
-        workspace = Workspace()
-        frame = generate_received(x, self.NODES, dbm_to_watts(0.0), NOISE_W,
-                                  np.random.default_rng(21), workspace=workspace)
-        fresh = generate_received(x, self.NODES, dbm_to_watts(0.0), NOISE_W,
-                                  np.random.default_rng(21))
-        for name, field in (("received", "y"), ("gains", "h"), ("noise", "noise")):
-            array = getattr(frame, field)
-            assert np.shares_memory(array, workspace[name, float])
-            assert array.tobytes() == getattr(fresh, field).tobytes()
 
 
 class TestAtPower:
