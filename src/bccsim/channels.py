@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _number
 
 __all__ = [
     "BurrXII",
@@ -52,12 +51,7 @@ def _check_parameters(law) -> None:
     """Store every field of ``law`` as a float; each must be a finite, positive real."""
     for field in fields(law):
         name, value = f"{type(law).__name__}.{field.name}", getattr(law, field.name)
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ParameterError(f"{name} must be a real number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ParameterError(f"{name} must be a number within float range") from None
+        number = _number(name, value)
         if not 0.0 < number < math.inf:
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
         object.__setattr__(law, field.name, number)

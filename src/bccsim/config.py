@@ -30,8 +30,8 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from .channels import FAMILIES, NodeProfile, registry_entry, registry_name
-from .errors import ConfigError, ParameterError
-from .montecarlo import MAX_POINTS, Scenario, _number
+from .errors import ConfigError, ParameterError, _number
+from .montecarlo import MAX_POINTS, Scenario
 
 __all__ = ["load_scenario", "loads_scenario", "dumps_scenario", "scenario_to_config"]
 

@@ -283,8 +283,8 @@ def mrc_tables(h, p_watts) -> MrcTables:
     h, p = np.asarray(h, dtype=float), np.asarray(p_watts, dtype=float)
     if h.ndim != 2 or h.shape[0] == 0:
         raise ParameterError(f"h must be a (K, N) array with K >= 1, got shape {h.shape}")
-    if not np.logical_and.reduce(p >= 0.0, axis=None):
-        raise ParameterError(f"p_watts must be >= 0, got {p_watts!r}")
+    if not np.logical_and.reduce((p >= 0.0) & (p < np.inf), axis=None):
+        raise ParameterError(f"p_watts must be finite and >= 0, got {p_watts!r}")
     return MrcTables(h, np.add.reduce(h * h, axis=0), (0.5 * np.sqrt(p))[..., None])
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar type checks that raise them."""
+
+from numbers import Integral, Real
 
 
 class ParameterError(ValueError):
@@ -17,3 +19,18 @@ class DegenerateTrainingError(RuntimeError):
 
 class ConfigError(ValueError):
     """A scenario config document failed validation."""
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{key}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{key}: must be a number within float range") from None

@@ -17,16 +17,14 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import product
-from numbers import Integral, Real
 
 import numpy as np
 
 from .channels import NodeProfile
 from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
                         compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
-from .errors import ParameterError
+from .errors import ParameterError, _integer, _number
 from .link import (dbm_to_watts, generate_data_symbols, generate_noise, generate_received,
                    noise_variance)
 
@@ -118,27 +116,6 @@ class Scenario:
         base, extra = divmod(self.n_data_symbols, self.block_count)
         return base + (index < extra)
 
-    @cached_property
-    def _watts(self) -> tuple:
-        """The powers in watts and the noise variance N0*B/2, converted once per object."""
-        return (np.array([dbm_to_watts(p) for p in self.power_sweep_dbm]),
-                noise_variance(self.n0_dbm_per_hz, self.bandwidth_hz))
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ParameterError(f"{key}: must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ParameterError(f"{key}: must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParameterError(f"{key}: must be a number within float range") from None
-
 
 def _node(key: str, value) -> NodeProfile:
     if not isinstance(value, NodeProfile):
@@ -178,11 +155,10 @@ def _validate_scenario(s: Scenario) -> None:
     if not 1 <= s.n_data_symbols <= 2 ** 63 - 1:  # a point's error count is an int64
         raise ParameterError(f"n_data_symbols must be in [1, 2**63 - 1], the range of a point's "
                              f"int64 error count over its blocks, got {s.n_data_symbols}")
-    for p in s.power_sweep_dbm:  # all checked here, since one block covers every power
-        try:
-            dbm_to_watts(p)
-        except ParameterError as exc:
-            raise ParameterError(f"power_sweep_dbm: {exc}") from None
+    try:  # all converted here, since one block covers every power
+        powers = np.array([dbm_to_watts(p) for p in s.power_sweep_dbm])
+    except ParameterError as exc:
+        raise ParameterError(f"power_sweep_dbm: {exc}") from None
     _check_axis("power_sweep_dbm", s.power_sweep_dbm)
     if len(set(s.techniques)) != len(s.techniques):
         raise ParameterError(f"techniques must not repeat, got {s.techniques}")
@@ -191,9 +167,10 @@ def _validate_scenario(s: Scenario) -> None:
     if s.blocks < 1:
         raise ParameterError(f"blocks must be >= 1, got {s.blocks}")
     try:
-        noise_variance(s.n0_dbm_per_hz, s.bandwidth_hz)
+        variance = noise_variance(s.n0_dbm_per_hz, s.bandwidth_hz)
     except ParameterError as exc:
         raise ParameterError(f"n0_dbm_per_hz/bandwidth_hz: {exc}") from None
+    object.__setattr__(s, "_watts", (powers, variance))  # not a field: never compared or emitted
 
 
 @dataclass(frozen=True)
@@ -298,8 +275,7 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace,
     ``kept`` is the worker's list of generators for _streams.
     """
     streams = _streams(scenario.seed, block_index, kept)
-    tables = (None if scenario.techniques == (MRC,)  # MRC alone draws no training pool
-              else margin_tables(_training_stats(scenario, streams)))
+    tables = margin_tables(_training_stats(scenario, streams))
     chunk = max(1, _CHUNK_ELEMENTS // len(scenario.nodes))
     counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, tables, workspace)
                  for start in range(0, n_symbols, chunk))
@@ -327,7 +303,7 @@ def _chunk_errors(scenario: Scenario, slots: int, streams, tables, workspace) ->
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
             counts[at, :, techniques.index(MRC)] = _errors(decisions, x)[:, None]
         amplitudes = np.abs(y, out=y)  # MRC has read the signed y
-        for i in range(len(scenario.n_t)) if noncoherent else ():
+        for i in range(len(scenario.n_t)):
             rows = tables.rows((i, at))
             for j, technique in noncoherent:
                 counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
@@ -418,8 +394,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     if _integer("jobs", jobs) < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
     grid = list(product(scenario.power_sweep_dbm, scenario.n_t))
-    if (COMBINATION in scenario.techniques
-            and noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz) == 0.0):
+    if COMBINATION in scenario.techniques and scenario._watts[1] == 0.0:
         for power, n_t in grid:
             warnings.warn(f"skipping BER point: technique {COMBINATION!r} at {power} dBm, "
                           f"n_t={n_t}: all {scenario.block_count} training blocks were degenerate",

@@ -477,6 +477,13 @@ class TestMrcDetect:
             with pytest.raises(ParameterError, match=r"\(K, N\)"):
                 mrc_detect(np.ones(shape), np.ones(shape), 1.0)
 
+    @pytest.mark.parametrize("p_watts", [np.inf, np.array([1.0, np.inf])], ids=["scalar", "array"])
+    def test_rejects_an_infinite_power(self, p_watts):
+        # as generate_received does: an infinite threshold would decide 0 in every slot
+        y = np.ones(np.shape(p_watts) + (2, 3))
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            mrc_detect(y, np.ones((2, 3)), p_watts)
+
 
 class TestWorkspace:
     def test_take_reuses_one_view_per_shape_until_the_array_grows(self):

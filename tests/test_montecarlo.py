@@ -10,6 +10,7 @@ import signal
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import cached_property, partial
@@ -722,9 +723,8 @@ class TestTrainingGroups:
         # generator and draws two frames, the ones pool of its seven training
         # lengths and the data's, with one inverse_cdf call per node each, reduces
         # each length once and derives every length's tables in one call; a
-        # scenario's grid is converted once, not once per block
+        # scenario's powers and noise are converted once, when it is built
         scenario = replace(preset("fig7"), n_data_symbols=3000, blocks=3, seed=5)
-        unconverted = replace(scenario)  # built, and so validated, before counting
         workspace = Workspace()
         _run_block(scenario, 0, 1000, workspace)
         calls = collections.Counter()
@@ -742,9 +742,12 @@ class TestTrainingGroups:
         assert calls == {"_streams": 1, "generate_received": 2, "inverse_cdf": 12,
                          "margin_tables": 1, "compute_training_stats": 7}
         calls.clear()
-        montecarlo._run_blocks(unconverted, 0, 3)
-        assert calls["dbm_to_watts"] == 2  # the one power and the noise density
+        montecarlo._run_blocks(scenario, 0, 3)
+        assert calls["dbm_to_watts"] == 0  # the run reads the watts the scenario kept
         assert calls["generate_received"] == 3 * 2 and calls["_streams"] == 3
+        calls.clear()
+        montecarlo._run_blocks(replace(scenario), 0, 3)  # a scenario's whole life
+        assert calls["dbm_to_watts"] == 2  # the one power and the noise density
 
 
 class TestAccounting:
@@ -792,10 +795,7 @@ class TestForkedWorkers:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        # a child gets a copy of the forking thread alone, so this process
-        # forks with one thread (conftest.py loads bccsim before numpy)
-        if os.path.isdir("/proc/self/task"):
-            assert len(os.listdir("/proc/self/task")) == 1
+        # conftest.py checks that each fork forks a process of one thread
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         yield
         with pytest.raises(ChildProcessError):  # none running, none unreaped
@@ -924,6 +924,21 @@ class TestZeroNoiseRule:
             assert run_scenario(scn) == []
         assert len(caught) == 26 * 2
         assert all("all 3 training blocks were degenerate" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("techniques, noise", [(("mrc",), {}),
+                                                   (("combination", "mrc"), {"bandwidth_hz": 0.0})],
+                             ids=["mrc-alone", "zero-noise-combination-mrc"])
+    def test_mrc_counts_are_those_of_the_all_technique_run(self, techniques, noise):
+        # MRC reads only the data streams, so its counts do not depend on which
+        # techniques share its blocks; every other RuntimeWarning stays an error
+        scn = replace(preset("fig6"), power_sweep_dbm=(-math.inf, -10.0, 10.0),
+                      n_data_symbols=3000, blocks=3, seed=4, **noise)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.filterwarnings("always", "skipping BER point", RuntimeWarning)
+            everything = run_scenario(scn)
+            alone = run_scenario(replace(scn, techniques=techniques))
+        assert alone == [p for p in everything if p.technique == "mrc"] and len(alone) == 3
+        assert len(caught) == (2 * 3 if noise else 0)  # each run's three combination points
 
 
 class TestSweepShapes:

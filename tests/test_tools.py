@@ -60,15 +60,17 @@ class TestSummary:
 
 class TestIdentityCsvs:
     def test_the_config_run_reads_its_training_pools_a_power_at_a_time(self):
-        # the 32nd CSV's document: nine nodes, whose n_t = 4,000 makes a
-        # (K, n_t) frame larger than a pass, so the lengths' training pools are
-        # read one power at a time
+        # the first document: nine nodes, whose n_t = 4,000 makes a (K, n_t)
+        # frame larger than a pass, so the lengths' training pools are read one
+        # power at a time; the second runs MRC alone
         path = _PATH.parent / "identity_csvs.py"
         spec = importlib.util.spec_from_file_location("identity_csvs", path)
         identity = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(identity)
-        scenario = loads_scenario(identity.CONFIG)
+        scenario, mrc = (loads_scenario(doc) for doc in identity.CONFIGS.values())
         assert len(scenario.nodes) == 9 and scenario.n_t == (10, 1000, 4000)
         assert len(scenario.power_sweep_dbm) == 2 and scenario.n_data_symbols == 3000
         assert montecarlo._PASS_ELEMENTS // (9 * 4000) == 0
-        assert len(identity.RUNS) + 1 == 32
+        assert mrc.techniques == ("mrc",) and mrc.nodes == scenario.nodes and mrc.seed == 3
+        assert mrc.power_sweep_dbm == scenario.power_sweep_dbm
+        assert len(identity.RUNS) + len(identity.CONFIGS) == 33
