@@ -93,7 +93,7 @@ class MrcTables(namedtuple("MrcTables", "h energy half_root")):
 
 
 class Workspace(dict):
-    """Scratch arrays that margins, fuse and detect reuse from call to call.
+    """Scratch arrays that margins, fuse, detect and mrc_detect reuse from call to call.
 
     Each (name, dtype) array grows to the largest size asked of it, and a smaller
     call gets a view of its front, made once per shape and cached beside the

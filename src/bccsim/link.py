@@ -10,7 +10,6 @@ variance N0*B/2.  Powers and variances are plain floats in watts;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,15 +61,16 @@ class ReceivedFrame:
     ``y`` holds one row per node and one column per slot, behind the axes of
     the transmit powers it was drawn at.  ``h`` carries the channel gains,
     kept as oracle access for the coherent baseline.  ``x`` is the symbol
-    sequence and ``noise`` the additive noise; ``received``, which also fills
-    the drawn ``y``, gives ``y`` at other powers from the same draws.  A drawn
-    frame keeps the ``signal`` h * x it was drawn from.
+    sequence, ``noise`` the additive noise and ``signal`` the noiseless h * x at
+    1 W; ``received``, which also fills the drawn ``y``, gives ``y`` at other
+    powers from the same draws.
     """
 
     y: np.ndarray
     x: np.ndarray
     h: np.ndarray
     noise: np.ndarray
+    signal: np.ndarray
 
     def received(self, power_w, out=None) -> np.ndarray:
         """``y`` at ``power_w`` watts, into ``out`` if given, from the kept h * x.
@@ -81,11 +81,6 @@ class ReceivedFrame:
         y = np.multiply(np.sqrt(power_w)[..., None, None], self.signal, out=out)
         return np.add(y, self.noise, out=y)
 
-    @cached_property
-    def signal(self) -> np.ndarray:
-        """h * x, the noiseless amplitudes at 1 W."""
-        return self.h * self.x
-
 
 def generate_noise(k: int, n: int, noise_variance_w: float, rng) -> np.ndarray:
     """(K, N) real Gaussian noise of variance ``noise_variance_w``: the N x K standard normals
@@ -93,17 +88,15 @@ def generate_noise(k: int, n: int, noise_variance_w: float, rng) -> np.ndarray:
     return np.multiply(rng.standard_normal((n, k)).T, np.sqrt(noise_variance_w), order="C")
 
 
-def generate_received(x, nodes, power_w, noise_variance_w: float, rng,
-                      noise_rng=None) -> ReceivedFrame:
+def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
     ``power_w`` is a float or an array of powers.  Every node and slot gets a fresh
     independent channel draw, so no slot can be equalized from a neighbor: the N x K
     uniforms ``rng`` gives next, slot-major, through each node's inverse CDF.  The noise is
-    ``generate_noise``'s draw from ``noise_rng``, or from ``rng`` after the channels.  So
-    frames drawn one after another from the same two generators are the consecutive pieces
-    of the frame drawn whole.  ``y`` is filled by ``ReceivedFrame.received``, as every
-    rescale is.
+    ``generate_noise``'s draw from ``noise_rng``.  So frames drawn one after another from the
+    same two generators are the consecutive pieces of the frame drawn whole.  ``y`` is
+    filled by ``ReceivedFrame.received``, as every rescale is.
     """
     if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
             and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
@@ -123,8 +116,8 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng,
     for i, node in enumerate(nodes):
         h[i] = node.dist.inverse_cdf(uniform[:, i])
     del uniform  # so the noise's draw can take its memory
-    noise = generate_noise(len(nodes), x.size, noise_variance_w,
-                           rng if noise_rng is None else noise_rng)
-    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape), x=x, h=h, noise=noise)
+    noise = generate_noise(len(nodes), x.size, noise_variance_w, noise_rng)
+    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape), x=x, h=h, noise=noise,
+                          signal=h * x)
     frame.received(power_w, out=frame.y)
     return frame

@@ -327,13 +327,20 @@ def _forked(scenario: Scenario, bounds: list) -> list:
     """Summed error counts of each run of blocks ``bounds[i]`` to ``bounds[i + 1]`` - 1, each
     run in a forked child that pickles its counts, or the exception it raised, into a pipe and
     leaves through os._exit, so it never returns into the caller's code.  The parent reads the
-    pipes in order and re-raises a child's exception; every child still running when this
-    returns or raises is killed, and every child is reaped."""
+    pipes in order and re-raises a child's exception, or a ChildProcessError for a worker that
+    cannot start; every child still running is killed and every child reaped when this ends."""
     children = {}  # pid: the read end of its pipe, in fork order
     try:
         for first, stop in zip(bounds, bounds[1:]):
-            read, write = os.pipe()
-            pid = os.fork()
+            ends = ()
+            try:
+                read, write = ends = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # as EAGAIN or ENOMEM: close what this attempt opened
+                for end in ends:
+                    os.close(end)
+                raise ChildProcessError(
+                    f"could not start a worker process: {exc.strerror}") from exc
             if pid == 0:
                 status = 1
                 try:

@@ -2,6 +2,7 @@
 before any test module loads numpy, so numpy starts no OpenBLAS worker thread in this
 process and every fork in the suite forks a process of one thread."""
 
+import errno
 import os
 import sys
 from pathlib import Path
@@ -27,3 +28,19 @@ def one_thread_forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.fixture
+def second_fork_fails(monkeypatch):
+    """Make the second os.fork of the test fail with EAGAIN, as under a process limit; the value
+    is the message of the ChildProcessError that a run with two workers then raises."""
+    calls, fork = [], os.fork
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    return f"could not start a worker process: {os.strerror(errno.EAGAIN)}"

@@ -216,6 +216,18 @@ class TestRunCommand:
         with pytest.raises(ChildProcessError):  # both workers were reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_worker_that_cannot_start_is_one_runtime_error_line(self, second_fork_fails,
+                                                                   monkeypatch, capsys):
+        # a fork that fails as under a process limit exits 1 with one line, not
+        # a traceback, and the worker started before it is reaped
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert main(["run", "--preset", "fig4", "--symbols", "200", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"runtime error: {second_fork_fails}"]
+        assert "Traceback" not in captured.err and captured.out == ""
+        with pytest.raises(ChildProcessError):  # the first worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_overflowing_power_names_key(self, tmp_path, capsys):
         # a bad late power fails at load, not inside a block
         cfg = tmp_path / "bad.yaml"

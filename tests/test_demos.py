@@ -1,5 +1,5 @@
-"""Demos and README: the API they name exists; the simulating demos are not run,
-since each simulates 10^5+ symbols per point."""
+"""Demos and README: the API they name exists, every demo runs and prints its tables, and
+the demo scenario runs through the command line."""
 
 import ast
 import dataclasses
@@ -14,6 +14,7 @@ import pytest
 
 import bccsim
 from bccsim import Scenario, load_scenario
+from bccsim.cli import main, parse_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -41,16 +42,35 @@ def test_weak_group_scenario_loads():
     assert scenario.power_sweep_dbm == tuple(float(p) for p in range(-10, 31, 5))
 
 
-def test_channel_models_demo_runs():
+# The first column of each table a demo prints: channel names, powers in dBm or n_t.
+NAMES = [f"f{i}" for i in range(1, 10)]
+DEMO_TABLES = {
+    "channel_models.py": [NAMES] * 3,
+    "single_node_detection.py": [[str(p) for p in range(-20, 31, 5)]],
+    "distributed_reception.py": [[str(p) for p in range(-10, 31, 5)]] * 3,
+    "training_length.py": [["10", "20", "50", "100", "200", "500", "1000"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMOS.glob("*.py")))
+def test_demo_runs(name):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, str(DEMOS / "channel_models.py")], env=env,
+    result = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    registry, quantiles, fidelity = result.stdout.split("\n\n")[:3]
-    for table in (registry, quantiles, fidelity):
-        rows = [line.split()[0] for line in table.splitlines() if re.match(r"f\d ", line)]
-        assert rows == [f"f{i}" for i in range(1, 10)]
+    # a table is a run of rows that start with a channel name or an integer
+    tables = [[line.split()[0] for line in block.splitlines()
+               if re.match(r"\s*(f\d|-?\d+) ", line)]
+              for block in result.stdout.split("\n\n")]
+    assert [rows for rows in tables if rows] == DEMO_TABLES[name]
+
+
+def test_weak_group_runs_from_the_command_line(capsys):
+    # as README runs it, on a smaller budget: 9 powers x 3 techniques
+    assert main(["run", "--config", str(DEMOS / "weak_group.yaml"), "--symbols", "2000"]) == 0
+    points = parse_csv(capsys.readouterr().out)
+    assert len(points) == 27 and {p.symbol_count for p in points} == {2000}
 
 
 def test_readme_lower_level_names_exist():

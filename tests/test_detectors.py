@@ -535,8 +535,8 @@ class TestLeadingAxes:
     def frames():
         nodes = tuple(registry_entry(name) for name in ("f1", "f5", "f9"))
         rng = np.random.default_rng(41)
-        data = generate_received(generate_data_symbols(300, rng), nodes, 1e-3, 1e-12, rng)
-        training = generate_received(np.repeat([1, 0], 10), nodes, 1e-3, 1e-12, rng)
+        data = generate_received(generate_data_symbols(300, rng), nodes, 1e-3, 1e-12, rng, rng)
+        training = generate_received(np.repeat([1, 0], 10), nodes, 1e-3, 1e-12, rng, rng)
         return data, training
 
     def test_stacked_calls_match_bit_for_bit(self):

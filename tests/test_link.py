@@ -1,7 +1,7 @@
 """Physical-layer model: unit bridges, symbol frames, received signals."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,13 @@ class StubRng:
 
     def standard_normal(self, size=None):
         return self.noise if size is None else np.full(size, self.noise)
+
+
+def one_generator(seed):
+    """A generator seeded by ``seed`` as both the gains and the noise generator, so it draws
+    the gains and then the noise."""
+    rng = np.random.default_rng(seed)
+    return rng, rng
 
 
 class TestDbmToWatts:
@@ -107,13 +114,14 @@ class TestGenerateDataSymbols:
 class TestGenerateReceived:
     def test_zero_symbol_zero_noise_gives_zero(self):
         frame = generate_received(np.zeros(64, dtype=int), (registry_entry("f9"),),
-                                  dbm_to_watts(10.0), 0.0, np.random.default_rng(0))
+                                  dbm_to_watts(10.0), 0.0, *one_generator(0))
         assert np.all(frame.y == 0.0)
 
     def test_signal_only_equals_scaled_channel(self):
         node = registry_entry("f5")
+        rng = StubRng(uniform=0.5, noise=0.0)
         frame = generate_received(np.ones(8, dtype=int), (node,), dbm_to_watts(20.0), 0.0,
-                                  StubRng(uniform=0.5, noise=0.0))
+                                  rng, rng)
         expected = math.sqrt(dbm_to_watts(20.0)) * 1.76e-6 * math.log(2.0) ** (1.0 / 3.88)
         assert frame.y == pytest.approx(np.full((1, 8), expected), rel=1e-12)
 
@@ -121,13 +129,13 @@ class TestGenerateReceived:
         # P = 1 W, h = 2, noise draw = 0.3 at unit variance -> y = 2.3
         node = NodeProfile(1, Weibull(2.0, 1.7), "weak")
         u_at_scale = 1.0 - math.exp(-1.0)  # quantile there is the scale, h = 2
-        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, 1.0,
-                                  StubRng(uniform=u_at_scale, noise=0.3))
+        rng = StubRng(uniform=u_at_scale, noise=0.3)
+        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, 1.0, rng, rng)
         assert frame.y == pytest.approx(np.full((1, 3), 2.3), rel=1e-12)
 
     def test_noise_only_variance(self):
         frame = generate_received(np.zeros(1_000_000, dtype=int), (registry_entry("f1"),),
-                                  dbm_to_watts(10.0), NOISE_W, np.random.default_rng(8))
+                                  dbm_to_watts(10.0), NOISE_W, *one_generator(8))
         measured = frame.y.var()
         assert measured == pytest.approx(NOISE_W, rel=0.01)
 
@@ -135,46 +143,49 @@ class TestGenerateReceived:
         # scaling P by s^2 scales the signal part by s (noise disabled)
         node = registry_entry("f9")
         x = np.ones(1000, dtype=int)
-        lo = generate_received(x, (node,), dbm_to_watts(10.0), 0.0, np.random.default_rng(21))
-        hi = generate_received(x, (node,), dbm_to_watts(30.0), 0.0, np.random.default_rng(21))
+        lo = generate_received(x, (node,), dbm_to_watts(10.0), 0.0, *one_generator(21))
+        hi = generate_received(x, (node,), dbm_to_watts(30.0), 0.0, *one_generator(21))
         assert hi.y == pytest.approx(10.0 * lo.y, rel=1e-12)
 
     def test_reproducible_bit_exact(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = np.repeat([1, 0], 25)
-        a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
-        b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, np.random.default_rng(99))
+        a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99))
+        b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.h, b.h)
 
     def test_frames_compare_as_objects(self):
         # array fields have no single truth value, so == is identity
         nodes = (registry_entry("f1"), registry_entry("f9"))
         a, b = (generate_received(np.repeat([1, 0], 2), nodes, dbm_to_watts(10.0), NOISE_W,
-                                  np.random.default_rng(99)) for _ in range(2))
+                                  *one_generator(99)) for _ in range(2))
         assert a == a and a != b
 
     def test_shape_and_frame_fields(self):
         nodes = (registry_entry("f1"), registry_entry("f2"), registry_entry("f3"))
         frame = generate_received(np.repeat([1, 0], 5), nodes, dbm_to_watts(0.0), NOISE_W,
-                                  np.random.default_rng(1))
+                                  *one_generator(1))
         assert frame.y.shape == frame.h.shape == frame.noise.shape == (3, 10)
         assert frame.x.tolist() == [1] * 5 + [0] * 5
+        # the draw stores its h * x, which every rescale reads
+        assert [f.name for f in fields(ReceivedFrame)] == ["y", "x", "h", "noise", "signal"]
+        assert frame.signal.tobytes() == (frame.h * frame.x).tobytes()
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            generate_received(np.ones(4, dtype=int), (), 1.0, NOISE_W, rng)
+            generate_received(np.ones(4, dtype=int), (), 1.0, NOISE_W, rng, rng)
         with pytest.raises(ParameterError):
-            generate_received(np.array([]), (registry_entry("f1"),), 1.0, NOISE_W, rng)
+            generate_received(np.array([]), (registry_entry("f1"),), 1.0, NOISE_W, rng, rng)
         with pytest.raises(ParameterError):
-            generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), 1.0, NOISE_W, rng)
+            generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), 1.0, NOISE_W, rng, rng)
 
     @pytest.mark.parametrize("x", [[0, 2, 1], [0.5], [-1, 0], [1, 0, math.nan]],
                              ids=["two", "half", "minus-one", "nan"])
     def test_rejects_symbols_other_than_zero_and_one(self, x):
         with pytest.raises(ParameterError, match="symbols must be 0 or 1"):
             generate_received(np.array(x), (registry_entry("f1"),), 1.0, NOISE_W,
-                              np.random.default_rng(0))
+                              *one_generator(0))
 
     @pytest.mark.parametrize("power_w", [
         np.array([1e-3, math.nan]), np.array([1e-3, math.inf]), np.array([[1e-3], [-1e-3]]),
@@ -183,14 +194,14 @@ class TestGenerateReceived:
     def test_rejects_bad_power_arrays(self, power_w):
         with pytest.raises(ParameterError, match="power and noise variance"):
             generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
-                              NOISE_W, np.random.default_rng(0))
+                              NOISE_W, *one_generator(0))
 
     def test_accepts_an_empty_power_array_and_zero_powers(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
         for power_w, shape in ((np.array([]), (0, 2, 4)), (np.array([0.0, -0.0]), (2, 2, 4)),
                                (0.0, (2, 4))):
             frame = generate_received(np.ones(4, dtype=int), nodes, power_w, NOISE_W,
-                                      np.random.default_rng(0))
+                                      *one_generator(0))
             assert frame.y.shape == shape and frame.h.shape == (2, 4)
 
     @pytest.mark.parametrize("power_w, variance_w", [
@@ -201,7 +212,7 @@ class TestGenerateReceived:
     def test_rejects_bad_power_and_variance(self, power_w, variance_w):
         with pytest.raises(ParameterError, match="power and noise variance"):
             generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
-                              variance_w, np.random.default_rng(0))
+                              variance_w, *one_generator(0))
 
 
 class TestPieces:
@@ -219,13 +230,13 @@ class TestPieces:
         gains, noise = np.random.default_rng(21), np.random.default_rng(22)
         pieces = [generate_received(x[end - n:end], self.NODES, powers, NOISE_W, gains, noise)
                   for n, end in zip(self.LENGTHS, np.cumsum(self.LENGTHS))]
-        for name in ("y", "h", "noise"):
+        for name in ("y", "h", "noise", "signal"):
             joined = np.concatenate([getattr(frame, name) for frame in pieces], axis=-1)
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
             # C order, as the detectors' node sums add in memory order
             assert getattr(whole, name).flags.c_contiguous, name
         # one generator draws the gains and then the noise
-        one = generate_received(x, self.NODES, powers, NOISE_W, np.random.default_rng(21))
+        one = generate_received(x, self.NODES, powers, NOISE_W, *one_generator(21))
         assert one.h.tobytes() == whole.h.tobytes()
         assert one.noise.tobytes() != whole.noise.tobytes()
 
@@ -238,8 +249,8 @@ class TestAtPower:
         # bit for bit the amplitudes that the same stream draws at another power
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
-        low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, np.random.default_rng(4))
-        high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, np.random.default_rng(4))
+        low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, *one_generator(4))
+        high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, *one_generator(4))
         noise, y = low.noise.copy(), low.y.copy()
         assert np.array_equal(low.received(dbm_to_watts(25.0)), high.y)
         assert np.array_equal(low.received(dbm_to_watts(-10.0)), low.y)
@@ -249,8 +260,8 @@ class TestAtPower:
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
         powers = [dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)]
-        stacked = generate_received(x, nodes, np.array(powers), NOISE_W, np.random.default_rng(4))
-        singles = [generate_received(x, nodes, p, NOISE_W, np.random.default_rng(4))
+        stacked = generate_received(x, nodes, np.array(powers), NOISE_W, *one_generator(4))
+        singles = [generate_received(x, nodes, p, NOISE_W, *one_generator(4))
                    for p in powers]
         assert stacked.y.shape == (3, 2, 200) and stacked.h.shape == (2, 200)
         assert np.array_equal(stacked.y, np.stack([f.y for f in singles]))
@@ -263,7 +274,7 @@ class TestAtPower:
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
         frame = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W,
-                                  np.random.default_rng(4))
+                                  *one_generator(4))
         powers = np.array([dbm_to_watts(p) for p in (4.0, 25.0)])
         out = np.full((2, 2, 200), np.nan)
         assert frame.received(powers, out) is out

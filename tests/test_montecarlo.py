@@ -13,7 +13,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -389,13 +389,13 @@ class TestPowerPasses:
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
         # three training lengths reading one 2,000-slot ones pool, and nine data
         # passes of three powers: every length's margin tables come from one call
-        # and MRC's h . h from one, once per block, each frame is drawn once and
-        # its h * x formed once, in the draw, and each power of a frame is
-        # computed once, drawn with the first pass or rescaled.  The draw fills
-        # its y through received, which is not counted as a rescale
+        # and MRC's h . h from one, once per block, each frame is drawn once with
+        # its h * x, and each power of a frame is computed once, drawn with the
+        # first pass or rescaled.  The draw fills its y through received, which
+        # is not counted as a rescale
         scenario = replace(preset("fig6"), n_t=(10, 50, 4000), seed=11)
         expected = _run_block(scenario, 0, 1000, Workspace())
-        calls, signals, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], [], []
+        calls, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], []
         frames, drawing = [], []
         for name in calls:
             def counted(*args, name=name, original=getattr(detectors, name)):
@@ -404,11 +404,7 @@ class TestPowerPasses:
 
             monkeypatch.setattr(detectors, name, counted)
             monkeypatch.setattr(montecarlo, name, counted)
-        signal, received = ReceivedFrame.signal, ReceivedFrame.received
-
-        def counted_signal(frame):
-            signals.append(frame.x.size)
-            return signal.func(frame)
+        received = ReceivedFrame.received
 
         def counted_draw(x, nodes, power_w, *args, **kwargs):
             drawn.append((x.size, np.size(power_w)))
@@ -424,9 +420,6 @@ class TestPowerPasses:
                 rescaled.append((frame.x.size, np.size(power_w)))
             return received(frame, power_w, out)
 
-        spy = cached_property(counted_signal)
-        spy.__set_name__(ReceivedFrame, "signal")
-        monkeypatch.setattr(ReceivedFrame, "signal", spy)
         monkeypatch.setattr(ReceivedFrame, "received", counted_received)
         monkeypatch.setattr(montecarlo, "generate_received", counted_draw)
         assert montecarlo._PASS_ELEMENTS // (9 * 1000) == 3  # three powers per data pass
@@ -435,10 +428,10 @@ class TestPowerPasses:
         # the pool's passes are sized by the longest length, and 9 x 4,000 passes
         # 2^15, so the pool is taken one power at a time; the data frame takes
         # eight passes of 3 powers and one of 2
-        assert signals == [2000, 1000]
         assert drawn == [(2000, 1), (1000, 3)]
         assert rescaled == [(2000, 1)] * 25 + [(1000, 3)] * 7 + [(1000, 2)]
-        assert ["signal" in vars(frame) for frame in frames] == [True, True]
+        assert [frame.signal.tobytes() == (frame.h * frame.x).tobytes()
+                for frame in frames] == [True, True]
 
     @pytest.mark.parametrize("scenario, slots, count", [
         (preset("fig6"), 1000, 9),
@@ -828,6 +821,17 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError,
                            match=rf"ended without sending its counts \({how}\)"):
             run_scenario(small_scenario(), jobs=2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_worker_that_cannot_start_leaves_nothing_open(self, second_fork_fails):
+        # the first worker is killed and reaped, and the failed attempt's pipe is closed
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ChildProcessError) as raised:
+            run_scenario(small_scenario(), jobs=2)
+        assert str(raised.value) == second_fork_fails
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):  # the first worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_an_interrupt_kills_the_running_workers(self, monkeypatch):
         # the workers sleep; an alarm interrupts the parent as Ctrl-C would
