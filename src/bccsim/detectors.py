@@ -76,7 +76,7 @@ class TrainingStats:
 
 
 class MarginTables(namedtuple("MarginTables", "a_one a_zero a_th th_sum margin_flip margin_zero "
-                              "one_flip one_zero zero_flip zero_zero degenerate")):
+                              "one_flip one_zero zero_flip zero_zero")):
     """What margins and detect read of (..., K) statistics, derived once by ``margin_tables``."""
 
     def rows(self, index) -> MarginTables:
@@ -154,21 +154,19 @@ def compute_training_stats(ones_abs, zeros_abs) -> TrainingStats:
 
 def margin_tables(stats: TrainingStats) -> MarginTables:
     """(..., K, 1) tables of A1, A0 and a_th, the (..., 1) node sum of a_th in node order
-    (as numpy adds the node rows of |y| for N > 1), probability's margins, combination's
-    alpha1 and alpha0 as ``_pair`` gives them to ``_select``, and (...) flags of a zero
-    reference.  The alphas read each reference as at least 2**-1000, far below any
-    trained amplitude, so none overflows."""
+    (as numpy adds the node rows of |y| for N > 1), probability's margins, and combination's
+    alpha1 and alpha0 as ``_pair`` gives them to ``_select``.  The alphas read each reference
+    as at least 2**-1000, far below any trained amplitude, so none overflows."""
     a_one, a_zero, a_th, p11, p00 = (getattr(stats, name)[..., None]
                                      for name in ("a_one", "a_zero", "a_th", "p11", "p00"))
     log_p11, log_q11 = np.log(p11), np.log1p(-p11)
     log_q00, log_p00 = np.log1p(-p00), np.log(p00)
-    usable = np.logical_and.reduce(np.concatenate([stats.a_one, stats.a_zero, stats.a_th], -1), -1)
     th, one, zero = (np.maximum(a, 2.0 ** -1000) for a in (a_th, a_one, a_zero))
     inv_one, inv_zero = 1.0 / one, 1.0 / zero
     return MarginTables(a_one, a_zero, a_th, np.cumsum(stats.a_th, axis=-1)[..., -1:],
                         *_pair(log_p11 - log_q00, log_q11 - log_p00),
                         *_pair(log_p11 / th - inv_one, log_q11 / th - inv_one),
-                        *_pair(log_q00 / th - inv_zero, log_p00 / th - inv_zero), ~usable)
+                        *_pair(log_q00 / th - inv_zero, log_p00 / th - inv_zero))
 
 
 def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
@@ -183,8 +181,8 @@ def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     * combination  -- alpha1(d) (|y| - A1)**2 - alpha0(d) (|y| - A0)**2 with
       alpha_i(d) = L_i(d) / a_th - 1 / A_i, L_i(d) symbol i's log-probability score:
       w1 - w0 with w_i = -(|y| - A_i)**2 / A_i + (|y| - A_i)**2 / a_th * L_i(d).
-      Raises DegenerateTrainingError on a zero reference amplitude (a guard for
-      direct callers: run_scenario never gives it zero-noise statistics).
+      Raises DegenerateTrainingError on a zero A1, A0 or a_th, -0.0 included (a guard
+      for direct callers: run_scenario never gives it zero-noise statistics).
 
     ``stats`` are TrainingStats or their ``margin_tables``.  The hard decision, an
     int64 mask of all ones where |y| >= a_th, picks each coefficient by ``_select``.
@@ -192,7 +190,7 @@ def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     call reuses its mask, so amplitudes rewritten in place need fresh tables.
     """
     y, tables = _checked(technique, y_abs, stats)
-    if technique == COMBINATION and np.logical_or.reduce(tables.degenerate, axis=None):
+    if technique == COMBINATION and any(np.count_nonzero(a) < a.size for a in tables[:3]):
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     workspace = Workspace() if workspace is None else workspace

@@ -266,47 +266,47 @@ def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace,
                kept=None) -> np.ndarray:
     """Error counts of one (train, transmit) block at every grid point and technique.
 
-    The training pools are drawn and reduced to (lengths, powers, K)
-    statistics by _training_stats, and their margin tables derived once.  The
-    data phase is drawn in chunks of at most _CHUNK_ELEMENTS (K, slots)
-    elements, each counted by _chunk_errors before the next is drawn.  Counts
-    are (points, techniques) in grid order.  Combination on a zero-noise
-    scenario raises DegenerateTrainingError; run_scenario never asks for it.
-    ``kept`` is the worker's list of generators for _streams.
+    A block that counts a trained (noncoherent) technique draws its training pools,
+    reduces them by _training_stats and derives their margin tables once; MRC alone
+    draws none.  The data phase is drawn in chunks of at most _CHUNK_ELEMENTS (K, slots)
+    elements, each counted by _chunk_errors before the next is drawn.  Counts are
+    (points, techniques) in grid order.  Combination on a zero-noise scenario raises
+    DegenerateTrainingError; run_scenario never asks for it.  ``kept`` is the worker's
+    list of generators for _streams.
     """
-    streams = _streams(scenario.seed, block_index, kept)
-    tables = margin_tables(_training_stats(scenario, streams))
+    streams, techniques = _streams(scenario.seed, block_index, kept), scenario.techniques
+    trained = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
+    tables = margin_tables(_training_stats(scenario, streams)) if trained else None
     chunk = max(1, _CHUNK_ELEMENTS // len(scenario.nodes))
-    counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, tables, workspace)
-                 for start in range(0, n_symbols, chunk))
-    return counts.reshape(-1, len(scenario.techniques))
+    counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, trained, tables,
+                               workspace) for start in range(0, n_symbols, chunk))
+    return counts.reshape(-1, len(techniques))
 
 
-def _chunk_errors(scenario: Scenario, slots: int, streams, tables, workspace) -> np.ndarray:
+def _chunk_errors(scenario: Scenario, slots: int, streams, trained, tables, workspace):
     """(powers, lengths, techniques) error counts of the next ``slots`` data slots of a block.
 
-    The chunk is detected in data passes sized by it: MRC once for all lengths on
-    the signed y, on the chunk's own MRC tables, then |y| in place and each
-    technique once per training length on its slice of the block's ``tables`` (in
-    NONCOHERENT order, so combination reuses probability's hard decision).
+    The chunk is detected in data passes sized by it: MRC once for all lengths on the
+    signed y, on the chunk's own MRC tables, then |y| in place and each ``trained``
+    (column, technique) once per training length on its slice of the block's ``tables``
+    (in NONCOHERENT order, so combination reuses probability's hard decision).
     """
     powers, variance = scenario._watts
-    techniques = scenario.techniques
-    noncoherent = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
     x = generate_data_symbols(slots, streams[_SYMBOLS])
     data, passes = _passes(x, scenario.nodes, powers, variance,
                            (streams[_GAINS], streams[_NOISE]))
-    coherent = mrc_tables(data.h, powers) if MRC in techniques else None
-    counts = np.empty((len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
+    coherent = mrc_tables(data.h, powers) if MRC in scenario.techniques else None
+    counts = np.empty((len(powers), len(scenario.n_t), len(scenario.techniques)), dtype=np.int64)
     for at, y in passes:
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
-            counts[at, :, techniques.index(MRC)] = _errors(decisions, x)[:, None]
-        amplitudes = np.abs(y, out=y)  # MRC has read the signed y
-        for i in range(len(scenario.n_t)):
-            rows = tables.rows((i, at))
-            for j, technique in noncoherent:
-                counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
+            counts[at, :, scenario.techniques.index(MRC)] = _errors(decisions, x)[:, None]
+        if trained:  # else the block drew no training and has no tables
+            amplitudes = np.abs(y, out=y)  # MRC has read the signed y
+            for i in range(len(scenario.n_t)):
+                rows = tables.rows((i, at))
+                for j, technique in trained:
+                    counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
     return counts
 
 

@@ -932,15 +932,23 @@ class TestZeroNoiseRule:
     @pytest.mark.parametrize("techniques, noise", [(("mrc",), {}),
                                                    (("combination", "mrc"), {"bandwidth_hz": 0.0})],
                              ids=["mrc-alone", "zero-noise-combination-mrc"])
-    def test_mrc_counts_are_those_of_the_all_technique_run(self, techniques, noise):
+    def test_mrc_counts_are_those_of_the_all_technique_run(self, techniques, noise,
+                                                            monkeypatch):
         # MRC reads only the data streams, so its counts do not depend on which
-        # techniques share its blocks; every other RuntimeWarning stays an error
+        # techniques share its blocks, and a block that counts MRC alone draws and
+        # reduces no training pools; every other RuntimeWarning stays an error
+        def fail(*args, **kwargs):
+            raise AssertionError("an MRC-only block did training work")
+
         scn = replace(preset("fig6"), power_sweep_dbm=(-math.inf, -10.0, 10.0),
                       n_data_symbols=3000, blocks=3, seed=4, **noise)
         with warnings.catch_warnings(record=True) as caught:
             warnings.filterwarnings("always", "skipping BER point", RuntimeWarning)
             everything = run_scenario(scn)
-            alone = run_scenario(replace(scn, techniques=techniques))
+            with monkeypatch.context() as patch:
+                for name in ("compute_training_stats", "generate_noise", "margin_tables"):
+                    patch.setattr(montecarlo, name, fail)
+                alone = run_scenario(replace(scn, techniques=techniques))
         assert alone == [p for p in everything if p.technique == "mrc"] and len(alone) == 3
         assert len(caught) == (2 * 3 if noise else 0)  # each run's three combination points
 
