@@ -97,8 +97,8 @@ class Workspace(dict):
 
     Each (name, dtype) array grows to the largest size asked of it, and a smaller
     call gets a view of its front, made once per shape and cached beside the
-    arrays until the array grows.  A kernel may return one of these arrays, valid
-    until the workspace's next use, so a workspace is never shared between threads.
+    arrays until the array grows.  A kernel may return a view of one of these arrays,
+    valid until the workspace's next use, so a workspace is never shared between threads.
     ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 
@@ -251,8 +251,8 @@ def fuse(node_margins, workspace=None):
     if m.ndim < 2 or m.shape[-2] == 0:
         raise ParameterError(f"margins must be (K, N) with K >= 1, got shape {m.shape}")
     take = (Workspace() if workspace is None else workspace).take
-    total = np.add.reduce(m, axis=-2, out=take("total", m.shape[:-2] + m.shape[-1:]))
-    return np.greater(total, 0.0, out=take("decision", total.shape, np.int64))
+    total = np.add.reduce(m, axis=-2, out=take("scratch", m.shape[:-2] + m.shape[-1:]))
+    return np.greater(total, 0.0, out=take("margin", total.shape).view(np.int64))
 
 
 def detect(technique: str, y_abs, stats, workspace=None):
@@ -270,20 +270,20 @@ def detect(technique: str, y_abs, stats, workspace=None):
     y, tables = _checked(technique, y_abs, stats)
     y = np.ascontiguousarray(y)
     take = (Workspace() if workspace is None else workspace).take
-    total = np.add.reduce(y, axis=-2, out=take("total", y.shape[:-2] + y.shape[-1:]))
+    total = np.add.reduce(y, axis=-2, out=take("scratch", y.shape[:-2] + y.shape[-1:]))
     th_sum = (tables.th_sum if y.shape[-1] > 1
               else np.add.reduce(np.ascontiguousarray(tables.a_th), axis=-2))
-    return np.greater(total, th_sum, out=take("decision", total.shape, np.int64))
+    return np.greater(total, th_sum, out=take("margin", total.shape).view(np.int64))
 
 
 def mrc_tables(h, p_watts) -> MrcTables:
-    """The (K, N) gains, sum_k h_k^2 per slot and sqrt(P)/2 as a (..., 1) column."""
+    """The (..., K, N) gains, sum_k h_k^2 per slot as (..., N) and sqrt(P)/2 as a column."""
     h, p = np.asarray(h, dtype=float), np.asarray(p_watts, dtype=float)
-    if h.ndim != 2 or h.shape[0] == 0:
-        raise ParameterError(f"h must be a (K, N) array with K >= 1, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-2] == 0:
+        raise ParameterError(f"h must be (K, N) gains or a stack of them, K >= 1, got {h.shape}")
     if not np.logical_and.reduce((p >= 0.0) & (p < np.inf), axis=None):
         raise ParameterError(f"p_watts must be finite and >= 0, got {p_watts!r}")
-    return MrcTables(h, np.add.reduce(h * h, axis=0), (0.5 * np.sqrt(p))[..., None])
+    return MrcTables(h, np.add.reduce(h * h, axis=-2), (0.5 * np.sqrt(p))[..., None])
 
 
 def mrc_detect(y, h, p_watts=None, workspace=None):
@@ -291,16 +291,21 @@ def mrc_detect(y, h, p_watts=None, workspace=None):
 
     Matched-filter statistic sum_k h_k*y_k compared against the midpoint
     threshold (sqrt(P)/2) * sum_k h_k^2; ties resolve to 0.  Takes (..., K, N)
-    ``y``, (K, N) ``h`` and a float or (...) array of powers, or as ``h`` their
-    ``mrc_tables``; gives (..., N) ints.
+    ``y``, ``h`` whose leading axes broadcast against a float or array of powers'
+    to y's, and the powers, or as ``h`` their ``mrc_tables``; gives (..., N) ints.
     """
     tables = h if isinstance(h, MrcTables) else mrc_tables(h, p_watts)
     y = np.asarray(y, dtype=float)
-    if y.shape != tables.half_root.shape[:-1] + tables.h.shape:
+    try:  # the threshold's shape, (leading axes, N)
+        shape = np.broadcast(tables.half_root, tables.energy).shape
+    except ValueError:  # leading axes that do not broadcast
+        shape = None
+    if y.shape[:-2] + y.shape[-1:] != shape or y.shape[-2:] != tables.h.shape[-2:]:
         raise ParameterError(f"y and h must be matching (K, N) arrays, and y's leading axes "
-                             f"those of p_watts, got {y.shape} and {tables.h.shape}")
-    take = (Workspace() if workspace is None else workspace).take
-    z = np.add.reduce(np.multiply(tables.h, y, out=take("scratch", y.shape)), axis=-2,
-                      out=take("total", y.shape[:-2] + y.shape[-1:]))
-    threshold = np.multiply(tables.half_root, tables.energy, out=take("threshold", z.shape))
-    return np.greater(z, threshold, out=take("decision", z.shape, np.int64))
+                             f"those of h and p_watts, got {y.shape} and {tables.h.shape}")
+    workspace = Workspace() if workspace is None else workspace
+    z = np.add.reduce(np.multiply(tables.h, y, out=workspace.take("margin", y.shape)), axis=-2,
+                      out=workspace.take("scratch", y.shape[:-2] + y.shape[-1:]))
+    threshold = np.multiply(tables.half_root, tables.energy, out=workspace.take("margin", z.shape))
+    workspace.mask_of = None  # the decision is written over the mask
+    return np.greater(z, threshold, out=workspace.take("mask", z.shape, np.int64))

@@ -56,14 +56,13 @@ def generate_data_symbols(n: int, rng) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReceivedFrame:
-    """Received amplitudes of one frame.
+    """Received amplitudes of one frame, or of a group of frames.
 
-    ``y`` holds one row per node and one column per slot, behind the axes of
-    the transmit powers it was drawn at.  ``h`` carries the channel gains,
-    kept as oracle access for the coherent baseline.  ``x`` is the symbol
-    sequence, ``noise`` the additive noise and ``signal`` the noiseless h * x at
-    1 W; ``received``, which also fills the drawn ``y``, gives ``y`` at other
-    powers from the same draws.
+    ``y`` holds one row per node and one column per slot, behind the axes of the transmit
+    powers it was drawn at, behind the group axes of the (..., N) symbols ``x``.  ``h`` holds
+    the channel gains, kept as oracle access for the coherent baseline, ``noise`` the noise
+    and ``signal`` the noiseless h * x at 1 W, each (..., K, N); ``received``, which also
+    fills the drawn ``y``, gives ``y`` at other powers from the same draws.
     """
 
     y: np.ndarray
@@ -78,25 +77,29 @@ class ReceivedFrame:
         As x is 0 or 1, sqrt(P) * (h * x) has the bits of sqrt(P) * h * x unless
         sqrt(P) * h overflows, where x = 0 then gives the noise instead of NaN.
         """
-        y = np.multiply(np.sqrt(power_w)[..., None, None], self.signal, out=out)
-        return np.add(y, self.noise, out=y)
+        shape = self.x.shape[:-1] + (1,) * np.ndim(power_w) + self.signal.shape[-2:]
+        y = np.multiply(np.sqrt(power_w)[..., None, None], self.signal.reshape(shape), out=out)
+        return np.add(y, self.noise.reshape(shape), out=y)
 
 
-def generate_noise(k: int, n: int, noise_variance_w: float, rng) -> np.ndarray:
-    """(K, N) real Gaussian noise of variance ``noise_variance_w``: the N x K standard normals
-    ``rng`` gives next, slot-major, times the standard deviation, in C order."""
-    return np.multiply(rng.standard_normal((n, k)).T, np.sqrt(noise_variance_w), order="C")
+def generate_noise(noise_variance_w: float, normals) -> np.ndarray:
+    """(..., K, N) Gaussian noise of variance ``noise_variance_w``: the node-major transpose of
+    (..., N, K) slot-major standard normals times the deviation, in C order, over them."""
+    normals = np.asarray(normals, dtype=float)
+    return np.multiply(np.swapaxes(normals, -1, -2), np.sqrt(noise_variance_w),
+                       out=normals.reshape(normals.shape[:-2] + normals.shape[:-3:-1]))
 
 
-def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng) -> ReceivedFrame:
+def generate_received(x, nodes, power_w, noise_variance_w: float, uniforms,
+                      normals) -> ReceivedFrame:
     """Push symbols through K fading links: y = sqrt(P) * h * x + noise.
 
-    ``power_w`` is a float or an array of powers.  Every node and slot gets a fresh
-    independent channel draw, so no slot can be equalized from a neighbor: the N x K
-    uniforms ``rng`` gives next, slot-major, through each node's inverse CDF.  The noise is
-    ``generate_noise``'s draw from ``noise_rng``.  So frames drawn one after another from the
-    same two generators are the consecutive pieces of the frame drawn whole.  ``y`` is
-    filled by ``ReceivedFrame.received``, as every rescale is.
+    ``x`` is (..., N) symbols and ``power_w`` a float or an array of powers.  Every node and
+    slot gets a fresh independent channel draw, so no slot can be equalized from a neighbor:
+    the (..., N, K) ``uniforms``, slot-major as a generator draws them, through each node's
+    inverse CDF, which reads a node-major copy.  The noise is ``generate_noise``'s from the
+    (..., N, K) ``normals``, so pieces of the draws give the pieces of the frame drawn whole.
+    h and noise are written over C-ordered float draws.  ``y`` is filled by ``received``.
     """
     if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
             and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
@@ -104,20 +107,24 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, rng, noise_rng
         raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
                              f"got {power_w!r} and {noise_variance_w!r}")
     x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("x must be a nonempty 1-D symbol array")
+    if x.ndim == 0 or x.size == 0:
+        raise ParameterError("x must be a nonempty (..., N) symbol array")
     if not np.logical_and.reduce((x == 0) | (x == 1), axis=None):
         raise ParameterError("symbols must be 0 or 1")
     nodes = tuple(nodes)
     if not nodes:
         raise ParameterError("nodes must be a nonempty list of receive nodes")
-    uniform = rng.random((x.size, len(nodes)))
-    h = np.empty((len(nodes), x.size))
+    uniforms = np.asarray(uniforms, dtype=float)
+    if not uniforms.shape == np.shape(normals) == x.shape + (len(nodes),):
+        raise ParameterError(f"uniforms and normals must be {x.shape + (len(nodes),)} "
+                             f"(..., N, K) draws, got {uniforms.shape}, {np.shape(normals)}")
+    nodal = np.swapaxes(uniforms, -1, -2).copy()
+    h = uniforms.reshape(nodal.shape)
     for i, node in enumerate(nodes):
-        h[i] = node.dist.inverse_cdf(uniform[:, i])
-    del uniform  # so the noise's draw can take its memory
-    noise = generate_noise(len(nodes), x.size, noise_variance_w, noise_rng)
-    frame = ReceivedFrame(y=np.empty(np.shape(power_w) + h.shape), x=x, h=h, noise=noise,
-                          signal=h * x)
+        h[..., i, :] = node.dist.inverse_cdf(nodal[..., i, :])
+    del nodal  # so the noise can take its memory
+    noise = generate_noise(noise_variance_w, normals)
+    frame = ReceivedFrame(y=np.empty(x.shape[:-1] + np.shape(power_w) + h.shape[-2:]), x=x,
+                          h=h, noise=noise, signal=h * x[..., None, :])
     frame.received(power_w, out=frame.y)
     return frame

@@ -7,7 +7,8 @@ Block b draws every number from one generator seeded by the key
 the data symbols, gains and noise, and the training pools' gains and noise.
 Every power, training length and technique runs on those shared draws
 (common random numbers), which makes results identical for any worker count,
-execution order or subset of the grid that is run.
+execution order, grouping of small blocks (see _groups) or subset of the
+grid that is run.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ MAX_N_T = 100_000
 # Most (power, training length) points a Scenario's grid has: about 400x the preset grids' 26.
 MAX_POINTS = 10_000
 
-# Elements of the (powers, K, slots) array one pass of a block detects, or of its
-# training ones pool reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
+# Elements of the (powers, K, slots) array one pass of a block, or of a group's blocks, detects,
+# or of its training ones pool reduces, at once: 256 KB of float64.  Each pass has a fixed cost, so
 # wider passes are faster but hold more; BENCH_width.json measures 2^15 against 2^13.
 _PASS_ELEMENTS = 2 ** 15
 
@@ -199,20 +200,26 @@ def make_ber_point(technique: str, tx_power_dbm: float, n_t: int,
                     ber=ber, ci95=ci95)
 
 
-def _streams(seed: int, block: int, kept=None) -> list:
-    """The six generators of block ``block``: stream j is the PCG64DXSM seeded by
+def _streams(seed: int, block: int, kept=None, count: int = 6) -> list:
+    """The first ``count`` generators of block ``block``: stream j is the PCG64DXSM seeded by
     SeedSequence(seed, spawn_key=(STREAM_VERSION, block)), advanced j * 2^64 draws.  Streams
-    1 to 5 are the generators of ``kept`` restated, a list a worker keeps for its blocks and
+    1 on are generators of ``kept`` restated, a list a worker keeps for its blocks and
     this fills on first use, since restating a generator costs a third of seeding one."""
     base = np.random.PCG64DXSM(
         np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, block)))
     kept = [] if kept is None else kept
-    kept.extend(np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(5 - len(kept)))
+    kept.extend(np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(count - 1 - len(kept)))
     state = base.state
-    for j, generator in enumerate(kept, 1):
+    for j, generator in enumerate(kept[:count - 1], 1):
         generator.bit_generator.state = state
         generator.bit_generator.advance(j << 64)
-    return [np.random.Generator(base), *kept]
+    return [np.random.Generator(base), *kept[:count - 1]]
+
+
+def _draw(streams, out) -> None:
+    """Gain uniforms from the first stream into ``out[0]``, then normals from each next one."""
+    for j, (stream, array) in enumerate(zip(streams, out)):
+        (stream.standard_normal if j else stream.random)(out=array)
 
 
 def _errors(decisions, x):
@@ -220,105 +227,126 @@ def _errors(decisions, x):
     return np.add.reduce(np.bitwise_xor(decisions, x, out=decisions), axis=-1)
 
 
-def _passes(x, nodes, powers, variance: float, rng):
-    """The frame ``x`` sends over ``nodes`` and its passes: (slice of ``powers``, amplitudes)
-    pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of a (powers, K,
-    x.size) array, at least one, each valid until the next.  The first pass is drawn from
-    the (gains, noise) generators ``rng``, and each later one is rescaled from the draw's
+def _passes(x, nodes, powers, variance: float, uniforms, normals):
+    """The frames ``x`` sends over ``nodes`` and their passes: (slice of ``powers``,
+    amplitudes) pairs of as many consecutive powers as fit _PASS_ELEMENTS elements of an
+    (x.size, powers, K) array, at least one, each valid until the next.  The first pass is
+    drawn from ``uniforms`` and ``normals``, and each later one is rescaled from the draw's
     h * x into the front of that first pass's ``y``."""
     step = max(1, _PASS_ELEMENTS // (len(nodes) * x.size))
-    frame = generate_received(x, nodes, powers[:step], variance, *rng)
+    frame = generate_received(x, nodes, powers[:step], variance, uniforms, normals)
 
     def passes():
         yield slice(0, step), frame.y
         for i in range(step, len(powers), step):
             at = slice(i, i + step)
-            yield at, frame.received(powers[at], frame.y[:len(powers[at])])
+            yield at, frame.received(powers[at], frame.y[..., :len(powers[at]), :, :])
 
     return frame, passes()
 
 
-def _training_stats(scenario: Scenario, streams) -> TrainingStats:
-    """(lengths, powers, K) statistics of one block's training lengths, from its ``streams``.
-
-    Length n_t reads the first n_t/2 slots of two pools of max(n_t)/2 slots: the ones pool,
+def _training_stats(scenario: Scenario, pools) -> TrainingStats:
+    """(lengths, blocks, powers, K) statistics of a group's training lengths, from the
+    (3, blocks, max(n_t)/2, K) draws ``pools`` of the ones pool's gains and noise and the
+    zeros pool's noise.  Length n_t reads the first n_t/2 slots of each pool: the ones pool,
     drawn by generate_received and read in passes, and the zeros pool, whose amplitudes are
     its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains.  |y| is
     taken in place once per pass and once for the zeros pool, and each length's statistics
     are one compute_training_stats call per pass on the two pools' first n_t/2 slots."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
-    pool = lengths[-1] // 2  # n_t increases
-    _, passes = _passes(np.ones(pool, dtype=np.int64), nodes, powers, variance,
-                        (streams[_ONES_GAINS], streams[_ONES_NOISE]))
-    zeros = generate_noise(len(nodes), pool, variance, streams[_ZEROS_NOISE])
-    zeros = np.abs(zeros, out=zeros)
-    stats = TrainingStats(*np.empty((5, len(lengths), len(powers), len(nodes))))
+    _, passes = _passes(np.ones(pools.shape[1:3], dtype=np.int64), nodes, powers, variance,
+                        *pools[:2])
+    zeros = generate_noise(variance, pools[2])
+    zeros = np.abs(zeros, out=zeros)[:, None]  # one row for every power
+    stats = TrainingStats(*np.empty((5, len(lengths), len(zeros), len(powers), len(nodes))))
     for at, y in passes:
         ones = np.abs(y, out=y)
         for i, n_t in enumerate(lengths):
-            found = compute_training_stats(ones[..., :n_t // 2], zeros[:, :n_t // 2])
+            found = compute_training_stats(ones[..., :n_t // 2], zeros[..., :n_t // 2])
             for name, value in vars(found).items():
-                getattr(stats, name)[i, at] = value
+                getattr(stats, name)[i, :, at] = value
     return stats
 
 
-def _run_block(scenario: Scenario, block_index: int, n_symbols: int, workspace,
+def _groups(scenario: Scenario, first: int, stop: int):
+    """(blocks, slots) of each group of blocks ``first`` to ``stop`` - 1, made as asked for:
+    consecutive blocks of equal slots, as many as fit one pass and one chunk, at least one."""
+    k, pool = len(scenario.nodes), scenario.n_t[-1] // 2
+    while first < stop:
+        slots = scenario.block_slots(first)
+        size = min(_PASS_ELEMENTS // (len(scenario.power_sweep_dbm) * k * max(slots, pool)),
+                   _CHUNK_ELEMENTS // (k * slots))
+        end = min(stop, first + max(1, size))
+        if scenario.block_slots(end - 1) != slots:  # the first blocks have one slot more
+            end = scenario.n_data_symbols % scenario.block_count
+        yield range(first, end), slots
+        first = end
+
+
+def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
                kept=None) -> np.ndarray:
-    """Error counts of one (train, transmit) block at every grid point and technique.
-
-    A block that counts a trained (noncoherent) technique draws its training pools,
-    reduces them by _training_stats and derives their margin tables once; MRC alone
-    draws none.  The data phase is drawn in chunks of at most _CHUNK_ELEMENTS (K, slots)
-    elements, each counted by _chunk_errors before the next is drawn.  Counts are
-    (points, techniques) in grid order.  Combination on a zero-noise scenario raises
-    DegenerateTrainingError; run_scenario never asks for it.  ``kept`` is the worker's
-    list of generators for _streams.
-    """
-    streams, techniques = _streams(scenario.seed, block_index, kept), scenario.techniques
+    """(blocks, points, techniques) error counts, points in grid order, of a group of (train,
+    transmit) blocks of ``n_symbols`` slots.  Each block restates its streams (``kept`` is the
+    worker's list for _streams) and draws its first data chunk, and its training pools if it
+    counts a trained technique, into its row of the group's arrays.  The rest runs once for
+    the group: _training_stats, margin tables, then each data chunk of at most _CHUNK_ELEMENTS
+    (K, slots) elements by _chunk_errors; only a group of one has more chunks, drawn from its
+    block's streams.  Combination on a zero-noise scenario raises DegenerateTrainingError."""
+    techniques, k = scenario.techniques, len(scenario.nodes)
     trained = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
-    tables = margin_tables(_training_stats(scenario, streams)) if trained else None
-    chunk = max(1, _CHUNK_ELEMENTS // len(scenario.nodes))
-    counts = sum(_chunk_errors(scenario, min(chunk, n_symbols - start), streams, trained, tables,
-                               workspace) for start in range(0, n_symbols, chunk))
-    return counts.reshape(-1, len(techniques))
+    chunk = min(n_symbols, max(1, _CHUNK_ELEMENTS // k))
+    x, data = np.empty((len(blocks), chunk), np.int64), np.empty((2, len(blocks), chunk, k))
+    pools = np.empty((3 if trained else 0, len(blocks), scenario.n_t[-1] // 2, k))
+    for row, block in enumerate(blocks):
+        streams = _streams(scenario.seed, block, kept, 6 if trained else _ONES_GAINS)
+        _draw(streams[_ONES_GAINS:], pools[:, row])  # none for MRC alone
+        x[row] = generate_data_symbols(chunk, streams[_SYMBOLS])
+        _draw(streams[_GAINS:_ONES_GAINS], data[:, row])
+    tables = margin_tables(_training_stats(scenario, pools)) if trained else None
+    del pools  # so the data phase can take its memory
+    counts = 0
+    for start in range(0, n_symbols, chunk):
+        if start:
+            x = generate_data_symbols(min(chunk, n_symbols - start), streams[_SYMBOLS])[None]
+            data = np.empty((2, *x.shape, k))
+            _draw(streams[_GAINS:_ONES_GAINS], data[:, 0])
+        counts = counts + _chunk_errors(scenario, x, data, trained, tables, workspace)
+    return counts.reshape(len(blocks), -1, len(techniques))
 
 
-def _chunk_errors(scenario: Scenario, slots: int, streams, trained, tables, workspace):
-    """(powers, lengths, techniques) error counts of the next ``slots`` data slots of a block.
-
-    The chunk is detected in data passes sized by it: MRC once for all lengths on the
-    signed y, on the chunk's own MRC tables, then |y| in place and each ``trained``
-    (column, technique) once per training length on its slice of the block's ``tables``
-    (in NONCOHERENT order, so combination reuses probability's hard decision).
-    """
-    powers, variance = scenario._watts
-    x = generate_data_symbols(slots, streams[_SYMBOLS])
-    data, passes = _passes(x, scenario.nodes, powers, variance,
-                           (streams[_GAINS], streams[_NOISE]))
-    coherent = mrc_tables(data.h, powers) if MRC in scenario.techniques else None
-    counts = np.empty((len(powers), len(scenario.n_t), len(scenario.techniques)), dtype=np.int64)
+def _chunk_errors(scenario: Scenario, x, data, trained, tables, workspace):
+    """(blocks, powers, lengths, techniques) error counts of a group's (blocks, slots) data
+    symbols ``x`` sent over their (2, blocks, slots, K) gain and noise ``data``, in passes: MRC
+    once for all lengths on the signed y, on the chunk's own MRC tables, then |y| in place and
+    each ``trained`` (column, technique) once per training length on its slice of ``tables``
+    (in NONCOHERENT order, so combination reuses probability's hard decision)."""
+    (powers, variance), techniques = scenario._watts, scenario.techniques
+    frame, passes = _passes(x, scenario.nodes, powers, variance, *data)
+    x = x[:, None]  # against each power's decisions
+    coherent = mrc_tables(frame.h[:, None], powers) if MRC in techniques else None
+    counts = np.empty((len(x), len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
     for at, y in passes:
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
-            counts[at, :, scenario.techniques.index(MRC)] = _errors(decisions, x)[:, None]
-        if trained:  # else the block drew no training and has no tables
+            counts[:, at, :, techniques.index(MRC)] = _errors(decisions, x)[..., None]
+        if trained:  # else the group drew no training and has no tables
             amplitudes = np.abs(y, out=y)  # MRC has read the signed y
             for i in range(len(scenario.n_t)):
-                rows = tables.rows((i, at))
+                rows = tables.rows((i, slice(None), at))
                 for j, technique in trained:
-                    counts[at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
+                    counts[:, at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
     return counts
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1 in one workspace, with one list
-    of kept generators, run with a ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer
-    is restored after."""
+    """Summed error counts of blocks ``first`` to ``stop`` - 1 in their _groups, in one
+    workspace, with one list of kept generators, run with a ufunc buffer of _UFUNC_BUFFER
+    elements; the caller's buffer is restored after."""
     workspace, kept = Workspace(), []
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
-        return sum(_run_block(scenario, b, scenario.block_slots(b), workspace, kept)
-                   for b in range(first, stop))
+        return sum(_run_block(scenario, blocks, slots, workspace, kept).sum(axis=0)
+                   for blocks, slots in _groups(scenario, first, stop))
     finally:
         np.setbufsize(buffer)
 

@@ -473,9 +473,29 @@ class TestMrcDetect:
             mrc_detect(np.ones((2, 1)), np.ones((3, 1)), 1.0)
 
     def test_rejects_non_2d_input(self):
-        for shape in ((), (3,), (3, 2, 1)):
+        for shape in ((), (3,)):
             with pytest.raises(ParameterError, match=r"\(K, N\)"):
                 mrc_detect(np.ones(shape), np.ones(shape), 1.0)
+        with pytest.raises(ParameterError, match=r"\(K, N\)"):
+            mrc_detect(np.ones((3, 0, 1)), np.ones((3, 0, 1)), 1.0)
+
+    def test_gains_with_leading_axes_broadcast_against_the_powers(self):
+        # (blocks, 1, K, N) gains against (powers,) give (blocks, powers) leading
+        # axes, each the bits of its block detected alone at its power
+        rng = np.random.default_rng(19)
+        h = rng.lognormal(size=(4, 1, 9, 7))
+        powers = np.array([1e-3, 0.5, 2.0])
+        y = np.sqrt(powers)[:, None, None] * h * (rng.random((4, 1, 1, 7)) < 0.5)
+        y = y + rng.normal(size=y.shape)
+        group = mrc_detect(y, h, powers)
+        assert group.shape == (4, 3, 7)
+        for b, p in itertools.product(range(4), range(3)):
+            assert np.array_equal(group[b, p], mrc_detect(y[b, p], h[b, 0], powers[p]))
+        tables = mrc_tables(h, powers)
+        assert tables.energy.shape == (4, 1, 7)
+        assert np.array_equal(mrc_detect(y[:, 1:], tables.rows(slice(1, 3))), group[:, 1:])
+        with pytest.raises(ParameterError, match=r"\(K, N\)"):
+            mrc_detect(y[:2], h, powers)
 
     @pytest.mark.parametrize("p_watts", [np.inf, np.array([1.0, np.inf])], ids=["scalar", "array"])
     def test_rejects_an_infinite_power(self, p_watts):
@@ -535,8 +555,11 @@ class TestLeadingAxes:
     def frames():
         nodes = tuple(registry_entry(name) for name in ("f1", "f5", "f9"))
         rng = np.random.default_rng(41)
-        data = generate_received(generate_data_symbols(300, rng), nodes, 1e-3, 1e-12, rng, rng)
-        training = generate_received(np.repeat([1, 0], 10), nodes, 1e-3, 1e-12, rng, rng)
+        x = generate_data_symbols(300, rng)
+        data = generate_received(x, nodes, 1e-3, 1e-12, rng.random((300, 3)),
+                                 rng.standard_normal((300, 3)))
+        training = generate_received(np.repeat([1, 0], 10), nodes, 1e-3, 1e-12,
+                                     rng.random((20, 3)), rng.standard_normal((20, 3)))
         return data, training
 
     def test_stacked_calls_match_bit_for_bit(self):

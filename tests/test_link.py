@@ -41,11 +41,11 @@ class StubRng:
         return self.noise if size is None else np.full(size, self.noise)
 
 
-def one_generator(seed):
-    """A generator seeded by ``seed`` as both the gains and the noise generator, so it draws
-    the gains and then the noise."""
+def one_generator(seed, slots, k=1):
+    """The (slots, K) gain uniforms and then the noise normals that one generator seeded by
+    ``seed`` draws, slot-major."""
     rng = np.random.default_rng(seed)
-    return rng, rng
+    return rng.random((slots, k)), rng.standard_normal((slots, k))
 
 
 class TestDbmToWatts:
@@ -114,14 +114,14 @@ class TestGenerateDataSymbols:
 class TestGenerateReceived:
     def test_zero_symbol_zero_noise_gives_zero(self):
         frame = generate_received(np.zeros(64, dtype=int), (registry_entry("f9"),),
-                                  dbm_to_watts(10.0), 0.0, *one_generator(0))
+                                  dbm_to_watts(10.0), 0.0, *one_generator(0, 64))
         assert np.all(frame.y == 0.0)
 
     def test_signal_only_equals_scaled_channel(self):
         node = registry_entry("f5")
         rng = StubRng(uniform=0.5, noise=0.0)
         frame = generate_received(np.ones(8, dtype=int), (node,), dbm_to_watts(20.0), 0.0,
-                                  rng, rng)
+                                  rng.random((8, 1)), rng.standard_normal((8, 1)))
         expected = math.sqrt(dbm_to_watts(20.0)) * 1.76e-6 * math.log(2.0) ** (1.0 / 3.88)
         assert frame.y == pytest.approx(np.full((1, 8), expected), rel=1e-12)
 
@@ -130,12 +130,13 @@ class TestGenerateReceived:
         node = NodeProfile(1, Weibull(2.0, 1.7), "weak")
         u_at_scale = 1.0 - math.exp(-1.0)  # quantile there is the scale, h = 2
         rng = StubRng(uniform=u_at_scale, noise=0.3)
-        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, 1.0, rng, rng)
+        frame = generate_received(np.ones(3, dtype=int), (node,), 1.0, 1.0, rng.random((3, 1)),
+                                  rng.standard_normal((3, 1)))
         assert frame.y == pytest.approx(np.full((1, 3), 2.3), rel=1e-12)
 
     def test_noise_only_variance(self):
         frame = generate_received(np.zeros(1_000_000, dtype=int), (registry_entry("f1"),),
-                                  dbm_to_watts(10.0), NOISE_W, *one_generator(8))
+                                  dbm_to_watts(10.0), NOISE_W, *one_generator(8, 1_000_000))
         measured = frame.y.var()
         assert measured == pytest.approx(NOISE_W, rel=0.01)
 
@@ -143,28 +144,28 @@ class TestGenerateReceived:
         # scaling P by s^2 scales the signal part by s (noise disabled)
         node = registry_entry("f9")
         x = np.ones(1000, dtype=int)
-        lo = generate_received(x, (node,), dbm_to_watts(10.0), 0.0, *one_generator(21))
-        hi = generate_received(x, (node,), dbm_to_watts(30.0), 0.0, *one_generator(21))
+        lo = generate_received(x, (node,), dbm_to_watts(10.0), 0.0, *one_generator(21, 1000))
+        hi = generate_received(x, (node,), dbm_to_watts(30.0), 0.0, *one_generator(21, 1000))
         assert hi.y == pytest.approx(10.0 * lo.y, rel=1e-12)
 
     def test_reproducible_bit_exact(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = np.repeat([1, 0], 25)
-        a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99))
-        b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99))
+        a = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99, 50, 2))
+        b = generate_received(x, nodes, dbm_to_watts(10.0), NOISE_W, *one_generator(99, 50, 2))
         assert np.array_equal(a.y, b.y) and np.array_equal(a.h, b.h)
 
     def test_frames_compare_as_objects(self):
         # array fields have no single truth value, so == is identity
         nodes = (registry_entry("f1"), registry_entry("f9"))
         a, b = (generate_received(np.repeat([1, 0], 2), nodes, dbm_to_watts(10.0), NOISE_W,
-                                  *one_generator(99)) for _ in range(2))
+                                  *one_generator(99, 4, 2)) for _ in range(2))
         assert a == a and a != b
 
     def test_shape_and_frame_fields(self):
         nodes = (registry_entry("f1"), registry_entry("f2"), registry_entry("f3"))
         frame = generate_received(np.repeat([1, 0], 5), nodes, dbm_to_watts(0.0), NOISE_W,
-                                  *one_generator(1))
+                                  *one_generator(1, 10, 3))
         assert frame.y.shape == frame.h.shape == frame.noise.shape == (3, 10)
         assert frame.x.tolist() == [1] * 5 + [0] * 5
         # the draw stores its h * x, which every rescale reads
@@ -172,20 +173,27 @@ class TestGenerateReceived:
         assert frame.signal.tobytes() == (frame.h * frame.x).tobytes()
 
     def test_rejects_bad_inputs(self):
-        rng = np.random.default_rng(0)
+        f1 = (registry_entry("f1"),)
         with pytest.raises(ParameterError):
-            generate_received(np.ones(4, dtype=int), (), 1.0, NOISE_W, rng, rng)
+            generate_received(np.ones(4, dtype=int), (), 1.0, NOISE_W, *one_generator(0, 4, 0))
         with pytest.raises(ParameterError):
-            generate_received(np.array([]), (registry_entry("f1"),), 1.0, NOISE_W, rng, rng)
+            generate_received(np.array([]), f1, 1.0, NOISE_W, *one_generator(0, 0))
         with pytest.raises(ParameterError):
-            generate_received(np.array([0, 2, 1]), (registry_entry("f1"),), 1.0, NOISE_W, rng, rng)
+            generate_received(np.array([0, 2, 1]), f1, 1.0, NOISE_W, *one_generator(0, 3))
+        # draws of another shape than (N, K), slot-major, behind the leading axes of x
+        for draws in (one_generator(0, 4, 2), one_generator(0, 5), (np.zeros((1, 4)),) * 2):
+            with pytest.raises(ParameterError, match="uniforms and normals"):
+                generate_received(np.ones(4, dtype=int), f1, 1.0, NOISE_W, *draws)
+        uniforms, normals = one_generator(0, 4)
+        with pytest.raises(ParameterError, match="uniforms and normals"):
+            generate_received(np.ones(4, dtype=int), f1, 1.0, NOISE_W, uniforms, normals[:3])
 
     @pytest.mark.parametrize("x", [[0, 2, 1], [0.5], [-1, 0], [1, 0, math.nan]],
                              ids=["two", "half", "minus-one", "nan"])
     def test_rejects_symbols_other_than_zero_and_one(self, x):
         with pytest.raises(ParameterError, match="symbols must be 0 or 1"):
             generate_received(np.array(x), (registry_entry("f1"),), 1.0, NOISE_W,
-                              *one_generator(0))
+                              *one_generator(0, len(x)))
 
     @pytest.mark.parametrize("power_w", [
         np.array([1e-3, math.nan]), np.array([1e-3, math.inf]), np.array([[1e-3], [-1e-3]]),
@@ -194,14 +202,14 @@ class TestGenerateReceived:
     def test_rejects_bad_power_arrays(self, power_w):
         with pytest.raises(ParameterError, match="power and noise variance"):
             generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
-                              NOISE_W, *one_generator(0))
+                              NOISE_W, *one_generator(0, 4))
 
     def test_accepts_an_empty_power_array_and_zero_powers(self):
         nodes = (registry_entry("f1"), registry_entry("f9"))
         for power_w, shape in ((np.array([]), (0, 2, 4)), (np.array([0.0, -0.0]), (2, 2, 4)),
                                (0.0, (2, 4))):
             frame = generate_received(np.ones(4, dtype=int), nodes, power_w, NOISE_W,
-                                      *one_generator(0))
+                                      *one_generator(0, 4, 2))
             assert frame.y.shape == shape and frame.h.shape == (2, 4)
 
     @pytest.mark.parametrize("power_w, variance_w", [
@@ -212,12 +220,13 @@ class TestGenerateReceived:
     def test_rejects_bad_power_and_variance(self, power_w, variance_w):
         with pytest.raises(ParameterError, match="power and noise variance"):
             generate_received(np.ones(4, dtype=int), (registry_entry("f1"),), power_w,
-                              variance_w, *one_generator(0))
+                              variance_w, *one_generator(0, 4))
 
 
 class TestPieces:
-    """generate_received draws each stream slot-major, so frames drawn one after another
-    from the same (gains, noise) generators are the pieces of the frame drawn whole."""
+    """generate_received reads its draws slot-major, so frames drawn one after another from
+    the same (gains, noise) generators are the pieces of the frame drawn whole, and a group
+    of frames, each row drawn from its own generators, is those frames stacked."""
 
     NODES = (registry_entry("f1"), registry_entry("f5"), registry_entry("f9"))  # both laws
     LENGTHS = (10, 4, 50)
@@ -225,10 +234,13 @@ class TestPieces:
     def test_consecutive_frames_join_the_frame_drawn_whole(self):
         powers = np.array([dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)])
         x = generate_data_symbols(sum(self.LENGTHS), np.random.default_rng(3))
-        whole = generate_received(x, self.NODES, powers, NOISE_W, np.random.default_rng(21),
-                                  np.random.default_rng(22))
+        shape = (x.size, len(self.NODES))
+        whole = generate_received(x, self.NODES, powers, NOISE_W,
+                                  np.random.default_rng(21).random(shape),
+                                  np.random.default_rng(22).standard_normal(shape))
         gains, noise = np.random.default_rng(21), np.random.default_rng(22)
-        pieces = [generate_received(x[end - n:end], self.NODES, powers, NOISE_W, gains, noise)
+        pieces = [generate_received(x[end - n:end], self.NODES, powers, NOISE_W,
+                                    gains.random((n, 3)), noise.standard_normal((n, 3)))
                   for n, end in zip(self.LENGTHS, np.cumsum(self.LENGTHS))]
         for name in ("y", "h", "noise", "signal"):
             joined = np.concatenate([getattr(frame, name) for frame in pieces], axis=-1)
@@ -236,9 +248,29 @@ class TestPieces:
             # C order, as the detectors' node sums add in memory order
             assert getattr(whole, name).flags.c_contiguous, name
         # one generator draws the gains and then the noise
-        one = generate_received(x, self.NODES, powers, NOISE_W, *one_generator(21))
+        one = generate_received(x, self.NODES, powers, NOISE_W, *one_generator(21, *shape))
         assert one.h.tobytes() == whole.h.tobytes()
         assert one.noise.tobytes() != whole.noise.tobytes()
+
+    @pytest.mark.parametrize("powers", [np.array([dbm_to_watts(p) for p in (-10.0, 25.0)]),
+                                        dbm_to_watts(4.0)], ids=["array", "float"])
+    def test_a_group_of_frames_is_its_frames_stacked(self, powers):
+        # x of (blocks, N) symbols and (blocks, N, K) draws give (blocks, powers, K, N)
+        # amplitudes and (blocks, K, N) gains, noise and signal, each row the bits of its
+        # frame drawn alone
+        rng = np.random.default_rng(5)
+        x = generate_data_symbols(4 * 20, rng).reshape(4, 20)
+        draws = [one_generator(seed, 20, 3) for seed in range(4)]
+        group = generate_received(x, self.NODES, powers, NOISE_W,
+                                  *(np.stack(d) for d in zip(*draws)))
+        alone = [generate_received(row, self.NODES, powers, NOISE_W, *d)
+                 for row, d in zip(x, draws)]
+        assert group.y.shape == (4,) + np.shape(powers) + (3, 20)
+        for name in ("y", "h", "noise", "signal"):
+            stacked = np.stack([getattr(frame, name) for frame in alone])
+            assert getattr(group, name).tobytes() == stacked.tobytes(), name
+            assert getattr(group, name).flags.c_contiguous, name
+        assert group.received(powers).tobytes() == group.y.tobytes()
 
 
 class TestAtPower:
@@ -249,8 +281,8 @@ class TestAtPower:
         # bit for bit the amplitudes that the same stream draws at another power
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
-        low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, *one_generator(4))
-        high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, *one_generator(4))
+        low = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W, *one_generator(4, 200, 2))
+        high = generate_received(x, nodes, dbm_to_watts(25.0), NOISE_W, *one_generator(4, 200, 2))
         noise, y = low.noise.copy(), low.y.copy()
         assert np.array_equal(low.received(dbm_to_watts(25.0)), high.y)
         assert np.array_equal(low.received(dbm_to_watts(-10.0)), low.y)
@@ -260,8 +292,9 @@ class TestAtPower:
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
         powers = [dbm_to_watts(p) for p in (-10.0, 4.0, 25.0)]
-        stacked = generate_received(x, nodes, np.array(powers), NOISE_W, *one_generator(4))
-        singles = [generate_received(x, nodes, p, NOISE_W, *one_generator(4))
+        stacked = generate_received(x, nodes, np.array(powers), NOISE_W,
+                                    *one_generator(4, 200, 2))
+        singles = [generate_received(x, nodes, p, NOISE_W, *one_generator(4, 200, 2))
                    for p in powers]
         assert stacked.y.shape == (3, 2, 200) and stacked.h.shape == (2, 200)
         assert np.array_equal(stacked.y, np.stack([f.y for f in singles]))
@@ -274,7 +307,7 @@ class TestAtPower:
         nodes = (registry_entry("f1"), registry_entry("f9"))
         x = generate_data_symbols(200, np.random.default_rng(3))
         frame = generate_received(x, nodes, dbm_to_watts(-10.0), NOISE_W,
-                                  *one_generator(4))
+                                  *one_generator(4, 200, 2))
         powers = np.array([dbm_to_watts(p) for p in (4.0, 25.0)])
         out = np.full((2, 2, 200), np.nan)
         assert frame.received(powers, out) is out
@@ -307,7 +340,7 @@ class TestAtPower:
         monkeypatch.setattr(montecarlo, "generate_received", counted)
         monkeypatch.setattr(ReceivedFrame, "received", counted_rescale)
         scenario = replace(preset("fig7"), power_sweep_dbm=tuple(range(-10, 11, 2)))
-        _run_block(scenario, 0, slots, Workspace())
+        _run_block(scenario, range(1), slots, Workspace())
         assert len(scenario.n_t) == 7 and max(scenario.n_t) // 2 == 500 != slots
         assert montecarlo._PASS_ELEMENTS // (6 * 500) == 10
         assert drawn == [500, slots]

@@ -87,6 +87,15 @@ def inline_forks(runs, scenario, bounds):
     return [montecarlo._run_blocks(scenario, first, stop) for first, stop in runs[-1]]
 
 
+def training_stats(scenario, blocks):
+    """The (lengths, blocks, powers, K) training statistics of a group of ``blocks``, each
+    row's pools drawn from that block's own streams, as a group draws them."""
+    pools = np.empty((3, len(blocks), scenario.n_t[-1] // 2, len(scenario.nodes)))
+    for row, block in enumerate(blocks):
+        montecarlo._draw(_streams(scenario.seed, block)[montecarlo._ONES_GAINS:], pools[:, row])
+    return montecarlo._training_stats(scenario, pools)
+
+
 def small_scenario(**overrides):
     base = dict(nodes=F9, power_sweep_dbm=(0.0, 10.0), n_data_symbols=4000,
                 techniques=("probability", "deviation"), seed=5)
@@ -281,12 +290,15 @@ class TestPowerPasses:
     def test_pass_size_does_not_change_counts(self, name, monkeypatch):
         # one power per pass, uneven last passes (700 splits fig4's 26 powers
         # into 7, 7, 7 and 5; 1,000 splits grid's 3 into 2 and 1), and every
-        # power of the block in one pass
+        # power of the block in one pass; the three blocks as one group count
+        # what they count alone at every pass size
         scenario, slots = self.SCENARIOS[name]
         runs = []
         for budget in (1, 700, 1000, 2 ** 30):
             monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", budget)
-            runs.append([_run_block(scenario, b, slots, Workspace()) for b in range(3)])
+            runs.append([_run_block(scenario, range(b, b + 1), slots, Workspace())[0]
+                         for b in range(3)])
+            runs.append(list(_run_block(scenario, range(3), slots, Workspace())))
         assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
         assert runs[0][0].shape == (len(scenario.power_sweep_dbm) * len(scenario.n_t),
                                     len(scenario.techniques))
@@ -294,7 +306,7 @@ class TestPowerPasses:
             # MRC runs once per pass and serves every training length
             j = scenario.techniques.index("mrc")
             longest = replace(scenario, n_t=scenario.n_t[-1:])
-            alone = _run_block(longest, 0, slots, Workspace())[:, j]
+            alone = _run_block(longest, range(1), slots, Workspace())[0, :, j]
             by_length = runs[0][0][:, j].reshape(len(scenario.power_sweep_dbm), -1)
             assert (by_length == alone[:, None]).all()
 
@@ -308,7 +320,8 @@ class TestPowerPasses:
         scenario = replace(self.SCENARIOS[name][0], n_data_symbols=1001, blocks=4)
         sizes = [251, 250, 250, 250]
         monkeypatch.setattr(montecarlo, "_PASS_ELEMENTS", 1800)
-        fresh = [_run_block(scenario, b, n, Workspace()) for b, n in enumerate(sizes)]
+        fresh = [_run_block(scenario, range(b, b + 1), n, Workspace())[0]
+                 for b, n in enumerate(sizes)]
         errors = sum(fresh)
         grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
         expected = {(t, p, n_t): (errors[i, j], 1001)
@@ -316,9 +329,9 @@ class TestPowerPasses:
                         enumerate(grid), enumerate(scenario.techniques))}
         forked, planned = [], []
 
-        def recorded(scenario, block_index, n_symbols, *args):
-            planned.append(n_symbols)
-            return _run_block(scenario, block_index, n_symbols, *args)
+        def recorded(scenario, blocks, n_symbols, *args):
+            planned.extend([n_symbols] * len(blocks))
+            return _run_block(scenario, blocks, n_symbols, *args)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
         monkeypatch.setattr(montecarlo, "_forked", partial(inline_forks, forked))
@@ -350,16 +363,16 @@ class TestPowerPasses:
             tracemalloc.stop()
 
     @staticmethod
-    def held_by_a_worker(scenario, slots):
-        """What a worker holds while its second block of ``slots`` slots runs: its
-        workspace's bytes plus that warm block's traced allocation peak."""
+    def held_by_a_worker(scenario, slots, size=1):
+        """What a worker holds while its second group of ``size`` blocks of ``slots`` slots
+        runs: its workspace's bytes plus that warm group's traced allocation peak."""
         workspace = Workspace()
         tracemalloc.start()
         try:
-            _run_block(scenario, 0, slots, workspace)
+            _run_block(scenario, range(size), slots, workspace)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _run_block(scenario, 1, slots, workspace)
+            _run_block(scenario, range(size, 2 * size), slots, workspace)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -386,6 +399,14 @@ class TestPowerPasses:
         scenario = replace(preset("fig6"), n_data_symbols=2000, blocks=2, seed=1)
         assert self.held_by_a_worker(scenario, 1000) <= 1318 * 1024
 
+    def test_a_fig4_group_holds_what_a_fig6_block_holds(self):
+        # a group of twelve fig4 blocks (K=1, 100 slots, 26 powers) is one
+        # (12, 26, 1, 100) pass of 31,200 elements, which holds no more than
+        # the fig6 block above, whatever the blocks' draws take
+        scenario = replace(preset("fig4"), n_data_symbols=10 ** 4, seed=1)
+        assert [len(blocks) for blocks, _ in montecarlo._groups(scenario, 0, 24)] == [12, 12]
+        assert self.held_by_a_worker(scenario, 100, 12) <= 1318 * 1024
+
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
         # three training lengths reading one 2,000-slot ones pool, and nine data
         # passes of three powers: every length's margin tables come from one call
@@ -394,7 +415,7 @@ class TestPowerPasses:
         # first pass or rescaled.  The draw fills its y through received, which
         # is not counted as a rescale
         scenario = replace(preset("fig6"), n_t=(10, 50, 4000), seed=11)
-        expected = _run_block(scenario, 0, 1000, Workspace())
+        expected = _run_block(scenario, range(1), 1000, Workspace())
         calls, drawn, rescaled = {"margin_tables": 0, "mrc_tables": 0}, [], []
         frames, drawing = [], []
         for name in calls:
@@ -423,7 +444,7 @@ class TestPowerPasses:
         monkeypatch.setattr(ReceivedFrame, "received", counted_received)
         monkeypatch.setattr(montecarlo, "generate_received", counted_draw)
         assert montecarlo._PASS_ELEMENTS // (9 * 1000) == 3  # three powers per data pass
-        assert np.array_equal(_run_block(scenario, 0, 1000, Workspace()), expected)
+        assert np.array_equal(_run_block(scenario, range(1), 1000, Workspace()), expected)
         assert calls == {"margin_tables": 1, "mrc_tables": 1}
         # the pool's passes are sized by the longest length, and 9 x 4,000 passes
         # 2^15, so the pool is taken one power at a time; the data frame takes
@@ -445,8 +466,9 @@ class TestPowerPasses:
         powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
         x = montecarlo.generate_data_symbols(slots, np.random.default_rng(3))
-        rng = np.random.default_rng(4)
-        frame, passes = montecarlo._passes(x, scenario.nodes, powers, variance, (rng, rng))
+        rng, shape = np.random.default_rng(4), (slots, len(scenario.nodes))
+        frame, passes = montecarlo._passes(x, scenario.nodes, powers, variance,
+                                           rng.random(shape), rng.standard_normal(shape))
         first = frame.y
         starts = []
         for at, y in passes:
@@ -462,12 +484,12 @@ class TestPowerPasses:
         # chunks) does, where drawing it whole would hold 100 times as much
         scenario = replace(preset("fig7"), seed=1)
         workspace = Workspace()
-        _run_block(scenario, 0, 10 ** 4, workspace)  # the workspace's arrays stay out
+        _run_block(scenario, range(1), 10 ** 4, workspace)  # the workspace's arrays stay out
 
         def peak(slots):
             tracemalloc.start()
             try:
-                _run_block(scenario, 1, slots, workspace)
+                _run_block(scenario, range(1, 2), slots, workspace)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -494,7 +516,7 @@ class TestPowerPasses:
         runs, sizes = [], []
         for size in (montecarlo._CHUNK_ELEMENTS, elements, 2 ** 30):
             monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", size)
-            runs.append(_run_block(scenario, 0, slots, Workspace()))
+            runs.append(_run_block(scenario, range(1), slots, Workspace()))
             sizes.append(drawn[:])
             drawn.clear()
         assert sizes[0] == chunks and sizes[2] == [slots]
@@ -504,8 +526,9 @@ class TestPowerPasses:
 
     def test_the_ufunc_buffer_is_the_callers_after_a_run(self, monkeypatch):
         # blocks run under _UFUNC_BUFFER; the caller's buffer comes back after
-        # run_scenario returns and after a block raises
-        scenario = small_scenario(n_data_symbols=200, blocks=2)
+        # run_scenario returns and after a block raises.  Blocks of 101 and 100
+        # slots run as two groups
+        scenario = small_scenario(n_data_symbols=201, blocks=2)
         seen = []
 
         def watched(*args):
@@ -544,7 +567,8 @@ class TestPowerPasses:
             tables.append([])
             runs.append(run_scenario(scenario))
         assert runs[0] == runs[1]
-        assert len(tables[0]) == 3 == len(tables[1])  # one call per block, every length
+        # one call per group, every length: fig7's three 1,000-slot blocks are one group
+        assert len(tables[0]) == (1 if name == "fig7" else 3) == len(tables[1])
         assert all(np.array_equal(a, b) for t16, t8192 in zip(*tables)
                    for a, b in zip(t16, t8192))
 
@@ -555,7 +579,7 @@ class TestPowerPasses:
                                 techniques=("probability",), n_data_symbols=100, blocks=1)
             tracemalloc.start()
             try:
-                _run_block(scenario, 0, 100, Workspace())
+                _run_block(scenario, range(1), 100, Workspace())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -577,13 +601,13 @@ class TestPowerPasses:
             return compute_training_stats(ones, zeros)
 
         monkeypatch.setattr(montecarlo, "compute_training_stats", counted)
-        _run_block(replace(preset("fig6"), seed=11), 0, 1000, Workspace())
-        assert calls == [((26, 9, 25), (9, 25))]
+        _run_block(replace(preset("fig6"), seed=11), range(1), 1000, Workspace())
+        assert calls == [((1, 26, 9, 25), (1, 1, 9, 25))]
         calls.clear()
         step = montecarlo._PASS_ELEMENTS // (9 * 200)
-        _run_block(replace(preset("fig6"), n_t=(400,), seed=11), 0, 1000, Workspace())
+        _run_block(replace(preset("fig6"), n_t=(400,), seed=11), range(1), 1000, Workspace())
         assert len(calls) == math.ceil(26 / step) == 2
-        assert calls == [((18, 9, 200), (9, 200)), ((8, 9, 200), (9, 200))]
+        assert calls == [((1, 18, 9, 200), (1, 1, 9, 200)), ((1, 8, 9, 200), (1, 1, 9, 200))]
 
     @pytest.mark.parametrize("name", ["fig4", "fig6", "fig7"])
     def test_a_workers_workspace_holds_only_the_detectors_arrays(self, name, monkeypatch):
@@ -591,18 +615,16 @@ class TestPowerPasses:
         # workspace a worker keeps across its blocks holds detector scratch alone
         workspaces = []
 
-        def recorded(scenario, block_index, n_symbols, workspace, kept):
+        def recorded(scenario, blocks, n_symbols, workspace, kept):
             workspaces.append(workspace)
-            return _run_block(scenario, block_index, n_symbols, workspace, kept)
+            return _run_block(scenario, blocks, n_symbols, workspace, kept)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
-        scenario = replace(preset(name), n_data_symbols=4000, blocks=2, seed=1)
+        # blocks of 2,001 and 2,000 slots, two groups
+        scenario = replace(preset(name), n_data_symbols=4001, blocks=2, seed=1)
         montecarlo._run_blocks(scenario, 0, 2)
         assert len(workspaces) == 2 and workspaces[0] is workspaces[1]
-        scratch = {"margin", "mask", "scratch", "total", "decision"}
-        if "mrc" in scenario.techniques:
-            scratch.add("threshold")
-        assert {key for key, _ in workspaces[0]} == scratch
+        assert {key for key, _ in workspaces[0]} == {"margin", "mask", "scratch"}
 
     def test_a_long_training_frame_is_not_kept_in_the_workspace(self):
         # a training frame whose one power passes _PASS_ELEMENTS is rescaled
@@ -611,7 +633,7 @@ class TestPowerPasses:
         # arrays the size of a data pass
         scenario = replace(preset("fig6"), power_sweep_dbm=(4.0, 10.0), n_t=(MAX_N_T,), seed=1)
         workspace = Workspace()
-        _run_block(scenario, 0, 100, workspace)
+        _run_block(scenario, range(1), 100, workspace)
         assert 9 * MAX_N_T > montecarlo._PASS_ELEMENTS
         assert workspace and max(a.size for a in workspace.values()) <= montecarlo._PASS_ELEMENTS
 
@@ -623,7 +645,7 @@ class TestPowerPasses:
                                 techniques=("deviation",), n_data_symbols=100, blocks=1)
             tracemalloc.start()
             try:
-                _run_block(scenario, 0, 100, Workspace())
+                _run_block(scenario, range(1), 100, Workspace())
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -631,6 +653,70 @@ class TestPowerPasses:
         peak((10.0,))  # first-call allocations stay out of the comparison
         alone = peak((10.0,))
         assert peak(tuple(float(p) for p in range(-20, 31, 2))) <= 1.5 * alone
+
+
+class TestBlockGroups:
+    """A worker runs its blocks in groups: consecutive blocks of equal slots, as many as fit
+    one pass, each drawing from its own streams into its row of the group's arrays, and the
+    rest run once for the group."""
+
+    def test_a_fig4_run_draws_and_detects_once_per_group(self, monkeypatch):
+        # 100 blocks of 100 slots at K=1 and 26 powers: 32,768 // 2,600 = 12
+        # blocks a group, so nine groups each draw two frames, the training
+        # pool's and the data's, and detect each trained technique once, where
+        # running the blocks alone drew 200 frames and detected 300 times
+        calls = collections.Counter()
+        for name in ("generate_received", "detect"):
+            def counted(*args, original=getattr(montecarlo, name), name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(montecarlo, name, counted)
+        run_scenario(replace(preset("fig4"), n_data_symbols=10 ** 4, seed=1))
+        groups = math.ceil(100 / 12)
+        assert calls == {"generate_received": 2 * groups, "detect": 3 * groups}
+
+    def test_groups_count_what_their_blocks_count_alone(self, monkeypatch):
+        # 10,050 symbols are 50 blocks of 101 slots, then 50 of 100, so a group
+        # ends where the size changes; the workers of --jobs 3 start at blocks
+        # 33 and 66, inside groups that --jobs 1 runs
+        scenario = replace(preset("fig4"), n_data_symbols=10_050, seed=3)
+        plan = [(len(blocks), slots) for blocks, slots in montecarlo._groups(scenario, 0, 100)]
+        assert plan == ([(12, 101)] * 4 + [(2, 101)] + [(12, 100)] * 4 + [(2, 100)])
+        assert [len(blocks) for blocks, _ in montecarlo._groups(scenario, 33, 66)] == [12, 5,
+                                                                                      12, 4]
+        errors = sum(_run_block(scenario, range(b, b + 1), scenario.block_slots(b),
+                                Workspace())[0] for b in range(100))
+        grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
+        expected = {(t, p, n_t): errors[i, j]
+                    for (i, (p, n_t)), (j, t) in itertools.product(
+                        enumerate(grid), enumerate(scenario.techniques))}
+        forked = []
+        monkeypatch.setattr(montecarlo, "_forked", partial(inline_forks, forked))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        for jobs in (1, 3):
+            points = run_scenario(scenario, jobs=jobs)
+            assert {(p.technique, p.tx_power_dbm, p.n_t): p.error_count
+                    for p in points} == expected
+        assert forked == [[(0, 33), (33, 66), (66, 100)]]
+
+    def test_an_mrc_only_group_restates_only_its_data_streams(self):
+        # MRC reads the symbols, gains and noise alone, so a block that counts
+        # it alone restates two kept generators, not five, each left where its
+        # stream is after the block's draws; a trained block restates all five
+        scenario = replace(preset("fig6"), techniques=("mrc",), n_data_symbols=200, blocks=2,
+                           seed=3)
+        kept = []
+        _run_block(scenario, range(2), 100, Workspace(), kept)
+        streams = _streams(scenario.seed, 1)
+        streams[montecarlo._GAINS].random((100, 9))
+        streams[montecarlo._NOISE].standard_normal((100, 9))
+        assert len(kept) == 2
+        assert [g.bit_generator.state for g in kept] == [
+            g.bit_generator.state for g in streams[montecarlo._GAINS:montecarlo._ONES_GAINS]]
+        _run_block(replace(scenario, techniques=("probability", "mrc")), range(2), 100,
+                   Workspace(), kept)
+        assert len(kept) == 5
 
 
 class TestTrainingGroups:
@@ -662,20 +748,21 @@ class TestTrainingGroups:
 
         monkeypatch.setattr(montecarlo, "margin_tables", kept)
         for b in range(2):
-            _run_block(scenario, b, 100, Workspace())
+            _run_block(scenario, range(b, b + 1), 100, Workspace())
             assert len(derived) == b + 1  # one call covers every length
             for i, n_t in enumerate(scenario.n_t):
-                streams = _streams(scenario.seed, b)
+                streams, shape = _streams(scenario.seed, b), (n_t // 2, k)
                 ones = generate_received(np.ones(n_t // 2, dtype=np.int64), scenario.nodes,
-                                         powers, variance, streams[montecarlo._ONES_GAINS],
-                                         streams[montecarlo._ONES_NOISE])
-                zeros = link.generate_noise(k, n_t // 2, variance,
-                                            streams[montecarlo._ZEROS_NOISE])
+                                         powers, variance,
+                                         streams[montecarlo._ONES_GAINS].random(shape),
+                                         streams[montecarlo._ONES_NOISE].standard_normal(shape))
+                zeros = link.generate_noise(
+                    variance, streams[montecarlo._ZEROS_NOISE].standard_normal(shape))
                 y = np.concatenate([ones.y, np.broadcast_to(zeros, ones.y.shape)], axis=-1)
                 pattern = np.repeat([1, 0], n_t // 2)
                 alone = detectors.margin_tables(frame_training_stats(y, pattern))
                 for field, single, pooled in zip(MarginTables._fields, alone,
-                                                 derived[-1].rows(i)):
+                                                 derived[-1].rows((i, 0))):
                     assert (pooled.dtype, pooled.shape) == (single.dtype, single.shape), field
                     assert pooled.tobytes() == single.tobytes(), (n_t, field)
 
@@ -687,39 +774,42 @@ class TestTrainingGroups:
                  n_data_symbols=3000, seed=3),
     ], ids=["fig4", "fig6", "fig7", "config"])
     def test_block_statistics_are_those_of_each_lengths_frame(self, scenario):
-        # a block reduces the fronts of its two pools' amplitudes; the same pools
-        # joined into each length's (powers, K, n_t) frame of ones then zeros,
-        # as a block once built it, give the same bits.  config is the nine
-        # nodes of tools/identity_csvs.py, whose pool is read a power at a time
+        # a group reduces the fronts of its blocks' two pools' amplitudes; each
+        # block's pools joined into each length's (powers, K, n_t) frame of ones
+        # then zeros, as a block once built it alone, give the same bits.  config
+        # is the nine nodes of tools/identity_csvs.py, whose pool is read a power
+        # at a time
         powers = np.array([dbm_to_watts(p) for p in scenario.power_sweep_dbm])
         variance = noise_variance(scenario.n0_dbm_per_hz, scenario.bandwidth_hz)
-        pool, k = scenario.n_t[-1] // 2, len(scenario.nodes)
+        shape = (scenario.n_t[-1] // 2, len(scenario.nodes))
+        stats = training_stats(scenario, range(2))
         for b in range(2):
-            stats = montecarlo._training_stats(scenario, _streams(scenario.seed, b))
             streams = _streams(scenario.seed, b)
-            ones = generate_received(np.ones(pool, dtype=np.int64), scenario.nodes, powers,
-                                     variance, streams[montecarlo._ONES_GAINS],
-                                     streams[montecarlo._ONES_NOISE]).y
-            zeros = link.generate_noise(k, pool, variance, streams[montecarlo._ZEROS_NOISE])
+            ones = generate_received(np.ones(shape[0], dtype=np.int64), scenario.nodes, powers,
+                                     variance, streams[montecarlo._ONES_GAINS].random(shape),
+                                     streams[montecarlo._ONES_NOISE].standard_normal(shape)).y
+            zeros = link.generate_noise(
+                variance, streams[montecarlo._ZEROS_NOISE].standard_normal(shape))
             for i, n_t in enumerate(scenario.n_t):
                 half = n_t // 2
                 y = np.empty(ones.shape[:-1] + (n_t,))
                 y[..., :half], y[..., half:] = ones[..., :half], zeros[:, :half]
                 reference = frame_training_stats(y, np.repeat([1, 0], n_t // 2))
                 for field, value in vars(reference).items():
-                    pooled = getattr(stats, field)[i]
-                    assert pooled.shape == value.shape == (len(powers), k)
+                    pooled = getattr(stats, field)[i, b]
+                    assert pooled.shape == value.shape == (len(powers), shape[1])
                     assert pooled.tobytes() == value.tobytes(), (n_t, field)
 
     def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
         # counts repeat exactly where times do not.  A warm fig7 block seeds one
         # generator and draws two frames, the ones pool of its seven training
         # lengths and the data's, with one inverse_cdf call per node each, reduces
-        # each length once and derives every length's tables in one call; a
-        # scenario's powers and noise are converted once, when it is built
+        # each length once and derives every length's tables in one call; the
+        # three blocks of a run are one group, which draws the two frames of all
+        # three; a scenario's powers and noise are converted once, when it is built
         scenario = replace(preset("fig7"), n_data_symbols=3000, blocks=3, seed=5)
         workspace = Workspace()
-        _run_block(scenario, 0, 1000, workspace)
+        _run_block(scenario, range(1), 1000, workspace)
         calls = collections.Counter()
         for owner, name in [(montecarlo, "_streams"), (montecarlo, "generate_received"),
                             (montecarlo, "margin_tables"),
@@ -731,13 +821,14 @@ class TestTrainingGroups:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        _run_block(scenario, 1, 1000, workspace)
+        _run_block(scenario, range(1, 2), 1000, workspace)
         assert calls == {"_streams": 1, "generate_received": 2, "inverse_cdf": 12,
                          "margin_tables": 1, "compute_training_stats": 7}
         calls.clear()
         montecarlo._run_blocks(scenario, 0, 3)
         assert calls["dbm_to_watts"] == 0  # the run reads the watts the scenario kept
-        assert calls["generate_received"] == 3 * 2 and calls["_streams"] == 3
+        assert calls["generate_received"] == 2 and calls["_streams"] == 3
+        assert calls["margin_tables"] == 1 and calls["compute_training_stats"] == 7
         calls.clear()
         montecarlo._run_blocks(replace(scenario), 0, 3)  # a scenario's whole life
         assert calls["dbm_to_watts"] == 2  # the one power and the noise density
@@ -892,30 +983,24 @@ class TestZeroNoiseRule:
 
     NODES = preset("fig6").nodes  # all nine channel laws
 
-    @staticmethod
-    def references(scenario):
-        for b in range(5):
-            yield montecarlo._training_stats(scenario, _streams(scenario.seed, b))
-
     @pytest.mark.parametrize("n_t", [4, 50, 1000])
     def test_zero_noise_zeros_reference_is_exactly_zero(self, n_t):
         scn = Scenario(nodes=self.NODES, bandwidth_hz=0.0,
                        power_sweep_dbm=(float("-inf"),) + Scenario.power_sweep_dbm)
-        for stats in self.references(replace(scn, n_t=n_t)):
-            assert stats.a_zero.shape == (1, 27, 9) and (stats.a_zero == 0.0).all()
+        stats = training_stats(replace(scn, n_t=n_t), range(5))
+        assert stats.a_zero.shape == (1, 5, 27, 9) and (stats.a_zero == 0.0).all()
         with pytest.raises(DegenerateTrainingError):  # the guard stays loud in a block
-            _run_block(replace(scn, techniques=("combination",)), 0, 100, Workspace())
+            _run_block(replace(scn, techniques=("combination",)), range(1), 100, Workspace())
 
     @pytest.mark.parametrize("n0", [-174.0, -3200.0])  # default and subnormal variance
     def test_noisy_references_are_positive(self, n0):
         scn = Scenario(nodes=self.NODES, n_t=(4, 50), n0_dbm_per_hz=n0,
                        power_sweep_dbm=(float("-inf"), -20.0, 30.0), techniques=("combination",))
         assert 0.0 < noise_variance(n0, scn.bandwidth_hz) < 1e-15
-        for stats in self.references(scn):  # both lengths, read from one pair of pools
-            assert stats.a_one.shape == (2, 3, 9)
-            assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
-        for b in range(5):
-            assert _run_block(scn, b, 100, Workspace()).shape == (6, 1)
+        stats = training_stats(scn, range(5))  # both lengths, read from one pair of pools
+        assert stats.a_one.shape == (2, 5, 3, 9)
+        assert all((ref > 0.0).all() for ref in (stats.a_one, stats.a_zero, stats.a_th))
+        assert _run_block(scn, range(5), 100, Workspace()).shape == (5, 6, 1)
 
     def test_zero_noise_combination_alone_draws_nothing(self, monkeypatch):
         def fail(*args, **kwargs):

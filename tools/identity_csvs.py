@@ -2,9 +2,12 @@
 
     PYTHONPATH=src python3 tools/identity_csvs.py OUT_DIR
 
-The set is fixed at 33 CSVs: each of the 14 presets at seeds 1 and 7 with
+The set is fixed at 35 CSVs: each of the 14 presets at seeds 1 and 7 with
 30,000 symbols, fig6 at seed 3 with 10^5 symbols, fig7 at seed 3 with its own
-budget, fig4 at seed 3 with 10^4 symbols, and two ``--config`` documents at
+budget, fig4 at seed 3 with 10^4 and with 10,050 symbols (50 blocks of 101
+slots, then 50 of 100, so a group of blocks ends where the block size
+changes), fig6 at seed 3 with 150 symbols (one- and two-slot blocks at K = 9,
+whose one-slot node sums numpy adds pairwise), and two ``--config`` documents at
 seed 3 over the nine nodes and two powers.  The first has ``n_t`` 10, 1,000
 and 4,000 and 3,000 symbols, whose longest training length is longer than a
 pass, so each block reads its training pools one power at a time; the second
@@ -23,7 +26,8 @@ from bccsim.cli import main
 from bccsim.presets import PRESET_NAMES
 
 RUNS = ([(name, seed, 30_000) for seed in (1, 7) for name in PRESET_NAMES]
-        + [("fig6", 3, 100_000), ("fig7", 3, None), ("fig4", 3, 10_000)])
+        + [("fig6", 3, 100_000), ("fig7", 3, None), ("fig4", 3, 10_000), ("fig4", 3, 10_050),
+           ("fig6", 3, 150)])
 
 # The --config runs, each written as the CSV it is keyed by.
 CONFIGS = {
