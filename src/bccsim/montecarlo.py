@@ -203,12 +203,12 @@ def make_ber_point(technique: str, tx_power_dbm: float, n_t: int,
 def _streams(seed: int, block: int, kept=None, count: int = 6) -> list:
     """The first ``count`` generators of block ``block``: stream j is the PCG64DXSM seeded by
     SeedSequence(seed, spawn_key=(STREAM_VERSION, block)), advanced j * 2^64 draws.  Streams
-    1 on are generators of ``kept`` restated, a list a worker keeps for its blocks and
-    this fills on first use, since restating a generator costs a third of seeding one."""
-    base = np.random.PCG64DXSM(
-        np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, block)))
-    kept = [] if kept is None else kept
-    kept.extend(np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(count - 1 - len(kept)))
+    1 on are generators of ``kept``, a worker's list for one row of its groups that this fills
+    on first use, restated, since restating a generator costs a third of seeding one."""
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, block))
+    base, kept = np.random.PCG64DXSM(sequence), [] if kept is None else kept
+    kept.extend(np.random.Generator(np.random.PCG64DXSM(sequence))
+                for _ in range(count - 1 - len(kept)))
     state = base.state
     for j, generator in enumerate(kept[:count - 1], 1):
         generator.bit_generator.state = state
@@ -245,15 +245,18 @@ def _passes(x, nodes, powers, variance: float, uniforms, normals):
     return frame, passes()
 
 
-def _training_stats(scenario: Scenario, pools) -> TrainingStats:
-    """(lengths, blocks, powers, K) statistics of a group's training lengths, from the
-    (3, blocks, max(n_t)/2, K) draws ``pools`` of the ones pool's gains and noise and the
-    zeros pool's noise.  Length n_t reads the first n_t/2 slots of each pool: the ones pool,
-    drawn by generate_received and read in passes, and the zeros pool, whose amplitudes are
-    its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains.  |y| is
-    taken in place once per pass and once for the zeros pool, and each length's statistics
+def _training_stats(scenario: Scenario, streams) -> TrainingStats:
+    """(lengths, blocks, powers, K) statistics of a group's training lengths, from the ones
+    pool's gains and noise and the zeros pool's noise, max(n_t)/2 slots a row, drawn here from
+    each row of ``streams``.  Length n_t reads the first n_t/2 slots of each pool: the ones
+    pool, drawn by generate_received and read in passes, and the zeros pool, whose amplitudes
+    are its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains.  |y|
+    is taken in place once per pass and once for the zeros pool, and each length's statistics
     are one compute_training_stats call per pass on the two pools' first n_t/2 slots."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
+    pools = np.empty((3, len(streams), lengths[-1] // 2, len(nodes)))
+    for row, generators in enumerate(streams):
+        _draw(generators[_ONES_GAINS:], pools[:, row])
     _, passes = _passes(np.ones(pools.shape[1:3], dtype=np.int64), nodes, powers, variance,
                         *pools[:2])
     zeros = generate_noise(variance, pools[2])
@@ -270,12 +273,11 @@ def _training_stats(scenario: Scenario, pools) -> TrainingStats:
 
 def _groups(scenario: Scenario, first: int, stop: int):
     """(blocks, slots) of each group of blocks ``first`` to ``stop`` - 1, made as asked for:
-    consecutive blocks of equal slots, as many as fit one pass and one chunk, at least one."""
+    consecutive blocks of equal slots, as many as fit one pass, at least one."""
     k, pool = len(scenario.nodes), scenario.n_t[-1] // 2
     while first < stop:
         slots = scenario.block_slots(first)
-        size = min(_PASS_ELEMENTS // (len(scenario.power_sweep_dbm) * k * max(slots, pool)),
-                   _CHUNK_ELEMENTS // (k * slots))
+        size = _PASS_ELEMENTS // (len(scenario.power_sweep_dbm) * k * max(slots, pool))
         end = min(stop, first + max(1, size))
         if scenario.block_slots(end - 1) != slots:  # the first blocks have one slot more
             end = scenario.n_data_symbols % scenario.block_count
@@ -286,41 +288,35 @@ def _groups(scenario: Scenario, first: int, stop: int):
 def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
                kept=None) -> np.ndarray:
     """(blocks, points, techniques) error counts, points in grid order, of a group of (train,
-    transmit) blocks of ``n_symbols`` slots.  Each block restates its streams (``kept`` is the
-    worker's list for _streams) and draws its first data chunk, and its training pools if it
-    counts a trained technique, into its row of the group's arrays.  The rest runs once for
-    the group: _training_stats, margin tables, then each data chunk of at most _CHUNK_ELEMENTS
-    (K, slots) elements by _chunk_errors; only a group of one has more chunks, drawn from its
-    block's streams.  Combination on a zero-noise scenario raises DegenerateTrainingError."""
+    transmit) blocks of ``n_symbols`` slots: row g restates block g's streams into ``kept[g]``,
+    then _training_stats and margin tables run if the group counts a trained technique, and
+    _chunk_errors on each chunk of at most _CHUNK_ELEMENTS (K, slots) elements a row.
+    Combination on a zero-noise scenario raises DegenerateTrainingError."""
     techniques, k = scenario.techniques, len(scenario.nodes)
     trained = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
-    chunk = min(n_symbols, max(1, _CHUNK_ELEMENTS // k))
-    x, data = np.empty((len(blocks), chunk), np.int64), np.empty((2, len(blocks), chunk, k))
-    pools = np.empty((3 if trained else 0, len(blocks), scenario.n_t[-1] // 2, k))
-    for row, block in enumerate(blocks):
-        streams = _streams(scenario.seed, block, kept, 6 if trained else _ONES_GAINS)
-        _draw(streams[_ONES_GAINS:], pools[:, row])  # none for MRC alone
-        x[row] = generate_data_symbols(chunk, streams[_SYMBOLS])
-        _draw(streams[_GAINS:_ONES_GAINS], data[:, row])
-    tables = margin_tables(_training_stats(scenario, pools)) if trained else None
-    del pools  # so the data phase can take its memory
-    counts = 0
-    for start in range(0, n_symbols, chunk):
-        if start:
-            x = generate_data_symbols(min(chunk, n_symbols - start), streams[_SYMBOLS])[None]
-            data = np.empty((2, *x.shape, k))
-            _draw(streams[_GAINS:_ONES_GAINS], data[:, 0])
-        counts = counts + _chunk_errors(scenario, x, data, trained, tables, workspace)
+    kept = [] if kept is None else kept
+    kept.extend([] for _ in range(len(blocks) - len(kept)))
+    streams = [_streams(scenario.seed, block, row, 6 if trained else _ONES_GAINS)
+               for block, row in zip(blocks, kept)]  # no training streams for MRC alone
+    tables = margin_tables(_training_stats(scenario, streams)) if trained else None
+    chunk = max(1, _CHUNK_ELEMENTS // k)
+    counts = sum(_chunk_errors(scenario, streams, min(chunk, n_symbols - start), trained, tables,
+                               workspace) for start in range(0, n_symbols, chunk))
     return counts.reshape(len(blocks), -1, len(techniques))
 
 
-def _chunk_errors(scenario: Scenario, x, data, trained, tables, workspace):
-    """(blocks, powers, lengths, techniques) error counts of a group's (blocks, slots) data
-    symbols ``x`` sent over their (2, blocks, slots, K) gain and noise ``data``, in passes: MRC
-    once for all lengths on the signed y, on the chunk's own MRC tables, then |y| in place and
+def _chunk_errors(scenario: Scenario, streams, slots: int, trained, tables, workspace):
+    """(blocks, powers, lengths, techniques) error counts of the next ``slots`` data symbols
+    of each row of ``streams``, drawn here with their gains and noise, in passes: MRC once
+    for all lengths on the signed y, on the chunk's own MRC tables, then |y| in place and
     each ``trained`` (column, technique) once per training length on its slice of ``tables``
     (in NONCOHERENT order, so combination reuses probability's hard decision)."""
     (powers, variance), techniques = scenario._watts, scenario.techniques
+    x = np.empty((len(streams), slots), np.int64)
+    data = np.empty((2, len(streams), slots, len(scenario.nodes)))
+    for row, generators in enumerate(streams):
+        x[row] = generate_data_symbols(slots, generators[_SYMBOLS])
+        _draw(generators[_GAINS:_ONES_GAINS], data[:, row])
     frame, passes = _passes(x, scenario.nodes, powers, variance, *data)
     x = x[:, None]  # against each power's decisions
     coherent = mrc_tables(frame.h[:, None], powers) if MRC in techniques else None
@@ -340,8 +336,8 @@ def _chunk_errors(scenario: Scenario, x, data, trained, tables, workspace):
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
     """Summed error counts of blocks ``first`` to ``stop`` - 1 in their _groups, in one
-    workspace, with one list of kept generators, run with a ufunc buffer of _UFUNC_BUFFER
-    elements; the caller's buffer is restored after."""
+    workspace, with one list of kept generators for each row of a group, run with a ufunc
+    buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
     workspace, kept = Workspace(), []
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
@@ -356,7 +352,7 @@ def _forked(scenario: Scenario, bounds: list) -> list:
     run in a forked child that pickles its counts, or the exception it raised, into a pipe and
     leaves through os._exit, so it never returns into the caller's code.  The parent reads the
     pipes in order and re-raises a child's exception, or a ChildProcessError for a worker that
-    cannot start; every child still running is killed and every child reaped when this ends."""
+    cannot start or exits non-zero; every child still running is killed, all reaped at the end."""
     children = {}  # pid: the read end of its pipe, in fork order
     try:
         for first, stop in zip(bounds, bounds[1:]):
@@ -389,7 +385,7 @@ def _forked(scenario: Scenario, bounds: list) -> list:
                 payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            if not payload:
+            if code:  # what it wrote may be cut short
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(f"worker process {pid} ended without sending its "
                                         f"counts ({how})")
@@ -417,8 +413,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     processes, no more than ``jobs``, the blocks or the CPUs, each summing the
     counts of one contiguous run of blocks (see _forked); where os.fork is
     missing, they run in this process.  A worker's exception is raised here
-    with its own type, and ChildProcessError names how a worker that sent no
-    counts ended.  Every point reports ``n_data_symbols`` symbols, and the
+    with its own type, and ChildProcessError names how a worker that did not
+    exit 0 ended.  Every point reports ``n_data_symbols`` symbols, and the
     output is sorted by (technique, power, n_t).
 
     Combination needs nonzero training references, and the zeros half-frame's

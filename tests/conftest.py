@@ -4,6 +4,7 @@ process and every fork in the suite forks a process of one thread."""
 
 import errno
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -44,3 +45,28 @@ def second_fork_fails(monkeypatch):
 
     monkeypatch.setattr(os, "fork", second_fails)
     return f"could not start a worker process: {os.strerror(errno.EAGAIN)}"
+
+
+@pytest.fixture
+def killed_while_sending(monkeypatch):
+    """Make each forked worker write the first half of its pickled counts into its pipe and
+    then die by SIGKILL, as a worker killed while it sends them; montecarlo's other opens, the
+    parent's read ends, are the builtin's."""
+    class HalfThenKilled:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            os.close(self.fd)
+
+        def write(self, payload):
+            os.write(self.fd, payload[:len(payload) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def stand_in(file, mode="r", *args, **kwargs):
+        return HalfThenKilled(file) if mode == "wb" else open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(bccsim.montecarlo, "open", stand_in, raising=False)

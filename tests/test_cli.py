@@ -216,6 +216,20 @@ class TestRunCommand:
         with pytest.raises(ChildProcessError):  # both workers were reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_worker_killed_while_it_sends_its_counts_is_one_runtime_error_line(
+            self, killed_while_sending, monkeypatch, capsys):
+        # each worker writes half its counts and is killed; the cut payload is
+        # not unpickled, so the run exits 1 with one line, not a traceback
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert main(["run", "--preset", "fig4", "--symbols", "400", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("runtime error: worker process ")
+        assert line.endswith("ended without sending its counts (killed by signal 9)")
+        assert "Traceback" not in captured.err and captured.out == ""
+        with pytest.raises(ChildProcessError):  # both workers were reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_a_worker_that_cannot_start_is_one_runtime_error_line(self, second_fork_fails,
                                                                    monkeypatch, capsys):
         # a fork that fails as under a process limit exits 1 with one line, not

@@ -90,10 +90,7 @@ def inline_forks(runs, scenario, bounds):
 def training_stats(scenario, blocks):
     """The (lengths, blocks, powers, K) training statistics of a group of ``blocks``, each
     row's pools drawn from that block's own streams, as a group draws them."""
-    pools = np.empty((3, len(blocks), scenario.n_t[-1] // 2, len(scenario.nodes)))
-    for row, block in enumerate(blocks):
-        montecarlo._draw(_streams(scenario.seed, block)[montecarlo._ONES_GAINS:], pools[:, row])
-    return montecarlo._training_stats(scenario, pools)
+    return montecarlo._training_stats(scenario, [_streams(scenario.seed, b) for b in blocks])
 
 
 def small_scenario(**overrides):
@@ -701,22 +698,35 @@ class TestBlockGroups:
         assert forked == [[(0, 33), (33, 66), (66, 100)]]
 
     def test_an_mrc_only_group_restates_only_its_data_streams(self):
-        # MRC reads the symbols, gains and noise alone, so a block that counts
-        # it alone restates two kept generators, not five, each left where its
-        # stream is after the block's draws; a trained block restates all five
+        # MRC reads the symbols, gains and noise alone, so each row of a group
+        # that counts it alone restates two kept generators, not five, and a
+        # trained group's rows restate all five; each is left where its stream
+        # is after the row's draws: 100 data slots, and 25 of each training pool
         scenario = replace(preset("fig6"), techniques=("mrc",), n_data_symbols=200, blocks=2,
                            seed=3)
         kept = []
-        _run_block(scenario, range(2), 100, Workspace(), kept)
-        streams = _streams(scenario.seed, 1)
-        streams[montecarlo._GAINS].random((100, 9))
-        streams[montecarlo._NOISE].standard_normal((100, 9))
-        assert len(kept) == 2
-        assert [g.bit_generator.state for g in kept] == [
-            g.bit_generator.state for g in streams[montecarlo._GAINS:montecarlo._ONES_GAINS]]
-        _run_block(replace(scenario, techniques=("probability", "mrc")), range(2), 100,
-                   Workspace(), kept)
-        assert len(kept) == 5
+        for techniques, count in [(("mrc",), 2), (("probability", "mrc"), 5)]:
+            _run_block(replace(scenario, techniques=techniques), range(2), 100, Workspace(),
+                       kept)
+            assert [len(row) for row in kept] == [count, count]
+            for block, row in enumerate(kept):
+                streams = _streams(scenario.seed, block)
+                montecarlo._draw(streams[montecarlo._GAINS:montecarlo._ONES_GAINS],
+                                 np.empty((2, 100, 9)))
+                montecarlo._draw(streams[montecarlo._ONES_GAINS:], np.empty((3, 25, 9)))
+                assert [g.bit_generator.state for g in row] == [
+                    g.bit_generator.state for g in streams[1:count + 1]]
+
+    def test_a_group_of_many_chunks_counts_what_its_blocks_count_alone(self):
+        # three 5,000-slot fig6 blocks take two data chunks each (3,640 and
+        # 1,360 slots at K=9); a group of them, which _groups does not make,
+        # draws every row's chunks from that row's own streams
+        scenario = replace(preset("fig6"), power_sweep_dbm=(-10.0, 0.0), n_data_symbols=15_000,
+                           blocks=3, seed=5)
+        alone = np.stack([_run_block(scenario, range(b, b + 1), 5000, Workspace())[0]
+                          for b in range(3)])
+        assert alone.sum() > 0
+        assert np.array_equal(_run_block(scenario, range(3), 5000, Workspace()), alone)
 
 
 class TestTrainingGroups:
@@ -912,6 +922,14 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError,
                            match=rf"ended without sending its counts \({how}\)"):
             run_scenario(small_scenario(), jobs=2)
+
+    def test_a_worker_killed_while_it_sends_its_counts_names_how_it_ended(
+            self, killed_while_sending):
+        # each worker writes half its counts and is killed: a cut payload is no
+        # pickle, so the exit status, not the bytes, tells that the worker failed
+        with pytest.raises(ChildProcessError,
+                           match=r"ended without sending its counts \(killed by signal 9\)"):
+            run_scenario(replace(preset("fig4"), n_data_symbols=400), jobs=2)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_a_worker_that_cannot_start_leaves_nothing_open(self, second_fork_fails):
