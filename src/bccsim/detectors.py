@@ -99,16 +99,19 @@ class Workspace(dict):
     call gets a view of its front, made once per shape and cached beside the
     arrays until the array grows.  A kernel may return a view of one of these arrays,
     valid until the workspace's next use, so a workspace is never shared between threads.
-    ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
+    ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds, and
+    ``sum_of`` the amplitudes whose node sum the front of "scratch" holds until it is next taken.
     """
 
     def __init__(self):
         super().__init__()
         self._views = {}
-        self.mask_of = None
+        self.mask_of = self.sum_of = None
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised ``shape`` array of ``dtype`` under ``name``."""
+        if name == "scratch":
+            self.sum_of = None
         view = self._views.get((name, dtype, shape))
         if view is None:
             size = math.prod(shape)
@@ -263,17 +266,21 @@ def detect(technique: str, y_abs, stats, workspace=None):
     order, so a slot where every node ties its threshold decides 0.  numpy's order follows
     the memory layout, so |y| is taken C-contiguous: its node rows then add in node order,
     as ``th_sum`` does, when N > 1, and pairwise from K = 8 on when N = 1, as a C-contiguous
-    a_th does.  The others ``fuse``.
+    a_th does.  A call on the amplitudes of the workspace's last deviation call, with no other
+    technique between, reuses their node sum, so every training length's tables share one, and
+    amplitudes rewritten in place need another workspace.  The others ``fuse``.
     """
     if technique != DEVIATION:
         return fuse(margins(technique, y_abs, stats, workspace), workspace)
     y, tables = _checked(technique, y_abs, stats)
-    y = np.ascontiguousarray(y)
-    take = (Workspace() if workspace is None else workspace).take
-    total = np.add.reduce(y, axis=-2, out=take("scratch", y.shape[:-2] + y.shape[-1:]))
+    y, workspace = np.ascontiguousarray(y), Workspace() if workspace is None else workspace
+    summed, total = workspace.sum_of is y, workspace.take("scratch", y.shape[:-2] + y.shape[-1:])
+    if not summed:  # the take has cleared sum_of
+        np.add.reduce(y, axis=-2, out=total)
+    workspace.sum_of = y
     th_sum = (tables.th_sum if y.shape[-1] > 1
               else np.add.reduce(np.ascontiguousarray(tables.a_th), axis=-2))
-    return np.greater(total, th_sum, out=take("margin", total.shape).view(np.int64))
+    return np.greater(total, th_sum, out=workspace.take("margin", total.shape).view(np.int64))
 
 
 def mrc_tables(h, p_watts) -> MrcTables:

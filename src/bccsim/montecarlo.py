@@ -7,8 +7,9 @@ Block b draws every number from one generator seeded by the key
 the data symbols, gains and noise, and the training pools' gains and noise.
 Every power, training length and technique runs on those shared draws
 (common random numbers), which makes results identical for any worker count,
-execution order, grouping of small blocks (see _groups) or subset of the
-grid that is run.
+execution order, subset of the grid that is run or grouping of blocks: a
+worker trains each run of data groups whose training pools fit one pass at
+once (_training_groups), then detects each data group (_groups).
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import (COMBINATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats, Workspace,
-                        compute_training_stats, detect, margin_tables, mrc_detect, mrc_tables)
+from .detectors import (COMBINATION, DEVIATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats,
+                        Workspace, compute_training_stats, detect, margin_tables, mrc_detect,
+                        mrc_tables)
 from .errors import ParameterError, _integer, _number
 from .link import (dbm_to_watts, generate_data_symbols, generate_noise, generate_received,
                    noise_variance)
@@ -272,8 +275,8 @@ def _training_stats(scenario: Scenario, streams) -> TrainingStats:
 
 
 def _groups(scenario: Scenario, first: int, stop: int):
-    """(blocks, slots) of each group of blocks ``first`` to ``stop`` - 1, made as asked for:
-    consecutive blocks of equal slots, as many as fit one pass, at least one."""
+    """(blocks, slots) of each data group of blocks ``first`` to ``stop`` - 1, made as asked
+    for: consecutive blocks of equal slots, as many as fit one pass, at least one."""
     k, pool = len(scenario.nodes), scenario.n_t[-1] // 2
     while first < stop:
         slots = scenario.block_slots(first)
@@ -285,32 +288,58 @@ def _groups(scenario: Scenario, first: int, stop: int):
         first = end
 
 
-def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
-               kept=None) -> np.ndarray:
-    """(blocks, points, techniques) error counts, points in grid order, of a group of (train,
-    transmit) blocks of ``n_symbols`` slots: row g restates block g's streams into ``kept[g]``,
-    then _training_stats and margin tables run if the group counts a trained technique, and
-    _chunk_errors on each chunk of at most _CHUNK_ELEMENTS (K, slots) elements a row.
-    Combination on a zero-noise scenario raises DegenerateTrainingError."""
-    techniques, k = scenario.techniques, len(scenario.nodes)
+def _training_groups(scenario: Scenario, first: int, stop: int):
+    """Lists of the consecutive _groups of blocks ``first`` to ``stop`` - 1 that train as one:
+    a group of many blocks, which shares one training pass already, or as many groups of one
+    block as fit one pass of their (powers, K, max(n_t)/2) ones pools, at least one."""
+    pool, run = len(scenario.power_sweep_dbm) * len(scenario.nodes) * (scenario.n_t[-1] // 2), []
+    for group in _groups(scenario, first, stop):
+        if run and (len(group[0]) > 1 or len(run[0][0]) > 1
+                    or (len(run) + 1) * pool > _PASS_ELEMENTS):
+            yield run
+            run = []
+        run.append(group)
+    if run:
+        yield run
+
+
+def _train(scenario: Scenario, blocks: range, kept=None) -> tuple:
+    """(blocks, streams, trained, tables) of a training group: row g restates block g's
+    streams into ``kept[g]``, a worker's list of rows that this extends; ``trained`` are the
+    (column, technique) pairs of NONCOHERENT the scenario counts, and ``tables`` their margin
+    tables on a block axis, of every row's _training_stats at once, or None if there are none."""
+    techniques = scenario.techniques
     trained = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
     kept = [] if kept is None else kept
     kept.extend([] for _ in range(len(blocks) - len(kept)))
     streams = [_streams(scenario.seed, block, row, 6 if trained else _ONES_GAINS)
                for block, row in zip(blocks, kept)]  # no training streams for MRC alone
     tables = margin_tables(_training_stats(scenario, streams)) if trained else None
-    chunk = max(1, _CHUNK_ELEMENTS // k)
-    counts = sum(_chunk_errors(scenario, streams, min(chunk, n_symbols - start), trained, tables,
-                               workspace) for start in range(0, n_symbols, chunk))
-    return counts.reshape(len(blocks), -1, len(techniques))
+    return blocks, streams, trained, tables
+
+
+def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
+               kept=None) -> np.ndarray:
+    """(blocks, points, techniques) error counts, points in grid order, of a data group of
+    (train, transmit) blocks of ``n_symbols`` slots: _chunk_errors on each chunk of at most
+    _CHUNK_ELEMENTS (K, slots) elements a row, on their rows of ``kept()``, the _train of a
+    group that holds them, or of _train(scenario, blocks, kept) if ``kept`` is not callable.
+    Combination on a zero-noise scenario raises DegenerateTrainingError."""
+    group, streams, trained, tables = kept() if callable(kept) else _train(scenario, blocks, kept)
+    k, at = len(scenario.nodes), slice(blocks.start - group.start, blocks.stop - group.start)
+    tables, chunk = tables and tables.rows((slice(None), at)), max(1, _CHUNK_ELEMENTS // k)
+    counts = sum(_chunk_errors(scenario, streams[at], min(chunk, n_symbols - start), trained,
+                               tables, workspace) for start in range(0, n_symbols, chunk))
+    return counts.reshape(len(blocks), -1, len(scenario.techniques))
 
 
 def _chunk_errors(scenario: Scenario, streams, slots: int, trained, tables, workspace):
     """(blocks, powers, lengths, techniques) error counts of the next ``slots`` data symbols
     of each row of ``streams``, drawn here with their gains and noise, in passes: MRC once
     for all lengths on the signed y, on the chunk's own MRC tables, then |y| in place and
-    each ``trained`` (column, technique) once per training length on its slice of ``tables``
-    (in NONCOHERENT order, so combination reuses probability's hard decision)."""
+    each ``trained`` (column, technique) once per training length on its slice of ``tables``:
+    deviation first at every length, so they share one node sum (see detectors.detect), then
+    the others in NONCOHERENT order, so combination reuses probability's hard decision."""
     (powers, variance), techniques = scenario._watts, scenario.techniques
     x = np.empty((len(streams), slots), np.int64)
     data = np.empty((2, len(streams), slots, len(scenario.nodes)))
@@ -321,28 +350,33 @@ def _chunk_errors(scenario: Scenario, streams, slots: int, trained, tables, work
     x = x[:, None]  # against each power's decisions
     coherent = mrc_tables(frame.h[:, None], powers) if MRC in techniques else None
     counts = np.empty((len(x), len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
+    calls = sorted(product(range(len(scenario.n_t)), trained), key=lambda c: c[1][1] != DEVIATION)
     for at, y in passes:
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
             counts[:, at, :, techniques.index(MRC)] = _errors(decisions, x)[..., None]
         if trained:  # else the group drew no training and has no tables
             amplitudes = np.abs(y, out=y)  # MRC has read the signed y
-            for i in range(len(scenario.n_t)):
-                rows = tables.rows((i, slice(None), at))
-                for j, technique in trained:
-                    counts[:, at, i, j] = _errors(detect(technique, amplitudes, rows, workspace), x)
+            rows = [tables.rows((i, slice(None), at)) for i in range(len(scenario.n_t))]
+            for i, (j, technique) in calls:
+                counts[:, at, i, j] = _errors(detect(technique, amplitudes, rows[i], workspace), x)
     return counts
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1 in their _groups, in one
-    workspace, with one list of kept generators for each row of a group, run with a ufunc
-    buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
-    workspace, kept = Workspace(), []
+    """Summed error counts of blocks ``first`` to ``stop`` - 1, each of their _training_groups
+    trained once and its data groups run on it, in one workspace, with one list of kept
+    generators for each row of a training group, run with a ufunc buffer of _UFUNC_BUFFER
+    elements; the caller's buffer is restored after."""
+    workspace, kept, total = Workspace(), [], 0
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
-        return sum(_run_block(scenario, blocks, slots, workspace, kept).sum(axis=0)
-                   for blocks, slots in _groups(scenario, first, stop))
+        for groups in _training_groups(scenario, first, stop):
+            blocks = range(groups[0][0].start, groups[-1][0].stop)
+            trained = cache(partial(_train, scenario, blocks, kept))  # trains at its first call
+            total += sum(_run_block(scenario, rows, slots, workspace, trained).sum(axis=0)
+                         for rows, slots in groups)
+        return total
     finally:
         np.setbufsize(buffer)
 

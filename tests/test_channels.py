@@ -122,6 +122,22 @@ class TestRegistryLaws:
         x = profile.dist.inverse_cdf(u)
         assert np.all(np.diff(x) >= 0.0)
 
+    def test_in_place_steps_give_the_bits_of_the_closed_form(self, profile):
+        # the quantile runs every step in place in its checked copy of u, folding the
+        # negation of -log1p(-u) / k into the divide; each value keeps the bits of the
+        # closed-form expression, at the ends of [0, 1) and on a grid, and u is not written
+        u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                            np.random.default_rng(profile.node_id).random(10_000)])
+        before, law = u.copy(), profile.dist
+        if isinstance(law, BurrXII):
+            closed = law.alpha * np.expm1(-np.log1p(-u) / law.k) ** (1.0 / law.c)
+        else:
+            closed = law.a * (-np.log1p(-u)) ** (1.0 / law.b)
+        assert law.inverse_cdf(u).tobytes() == closed.tobytes()
+        assert u.tobytes() == before.tobytes()
+        for value, expected in zip(u[:4], closed[:4]):
+            assert law.inverse_cdf(float(value)).tobytes() == expected.tobytes()
+
     def test_scalar_in_float_out(self, profile):
         assert type(profile.dist.inverse_cdf(0.5)) is np.float64
         assert type(profile.dist.cdf(1e-6)) is np.float64

@@ -341,6 +341,25 @@ class TestDetect:
                 assert np.array_equal(detect(technique, y, stats, workspace),
                                       ((w1 - w0).sum(axis=-2) > 0.0).astype(np.int64))
 
+    def test_deviation_calls_share_one_node_sum_until_another_technique_runs(self):
+        # a training length's deviation call on the amplitudes of the one before reads the
+        # node sum that call left in the front of "scratch" (an infinite sum planted there
+        # decides every slot 1); any other technique takes "scratch" and ends the sharing,
+        # so each call decides as a fresh workspace does
+        rng = np.random.default_rng(73)
+        tables = [margin_tables(random_stats(rng, (3, 6))) for _ in range(3)]
+        y = tables[0].a_th * rng.uniform(0.0, 2.5, size=(3, 6, 400))
+        workspace = Workspace()
+        for technique, i in [(DEVIATION, 0), (DEVIATION, 1), (PROBABILITY, 1), (DEVIATION, 2),
+                             (COMBINATION, 0), (DEVIATION, 0), (DEVIATION, 2)]:
+            got = detect(technique, y, tables[i], workspace)
+            assert np.array_equal(got, detect(technique, y, tables[i]))
+            assert (workspace.sum_of is y) == (technique == DEVIATION)
+        workspace.take("margin", y.shape)  # another array: the sum stays
+        workspace["scratch", float][:3 * 400] = np.inf
+        assert detect(DEVIATION, y, tables[1], workspace).all()
+        assert not detect(DEVIATION, y.copy(), tables[1], workspace).all()
+
     def test_workspace_holds_three_full_size_arrays(self):
         # mask, scratch and margin, plus the (P, N) node sum and decisions;
         # deviation alone needs only the last two

@@ -564,8 +564,9 @@ class TestPowerPasses:
             tables.append([])
             runs.append(run_scenario(scenario))
         assert runs[0] == runs[1]
-        # one call per group, every length: fig7's three 1,000-slot blocks are one group
-        assert len(tables[0]) == (1 if name == "fig7" else 3) == len(tables[1])
+        # one call per training group, every length: each preset's three 1,000-slot
+        # blocks train as one group
+        assert len(tables[0]) == 1 == len(tables[1])
         assert all(np.array_equal(a, b) for t16, t8192 in zip(*tables)
                    for a, b in zip(t16, t8192))
 
@@ -727,6 +728,47 @@ class TestBlockGroups:
                           for b in range(3)])
         assert alone.sum() > 0
         assert np.array_equal(_run_block(scenario, range(3), 5000, Workspace()), alone)
+
+    # fig7: 15 blocks of 5,501 slots, then 7 of 5,500, each a data group of its own, training
+    # ten a group (32,768 // (6 x 500)), so blocks 10 to 19 hold both sizes; fig6: 7 blocks of
+    # 201 slots, then 5 of 200, training five a group (32,768 // (26 x 9 x 25)), so blocks 5
+    # to 9 hold both.  --jobs 3 starts workers at blocks 7 and 14 (fig7) and 4 and 8 (fig6),
+    # inside the training groups --jobs 1 runs; each of its workers trains as one group
+    TRAINING_GROUPS = {
+        "fig7": (121_015, 22, {1: [(0, 10), (10, 20), (20, 22)], 3: [(0, 7), (7, 14), (14, 22)]}),
+        "fig6": (2407, 12, {1: [(0, 5), (5, 10), (10, 12)], 3: [(0, 4), (4, 8), (8, 12)]}),
+    }
+
+    @pytest.mark.parametrize("name", TRAINING_GROUPS)
+    def test_training_groups_count_what_their_blocks_count_alone(self, name, monkeypatch):
+        symbols, blocks, plans = self.TRAINING_GROUPS[name]
+        scenario = replace(preset(name), n_data_symbols=symbols, blocks=blocks, seed=3)
+        groups = list(montecarlo._training_groups(scenario, 0, blocks))
+        assert [(run[0][0].start, run[-1][0].stop) for run in groups] == plans[1]
+        assert len({slots for _, slots in groups[1]}) == 2  # both block sizes train as one
+        errors = sum(_run_block(scenario, range(b, b + 1), scenario.block_slots(b),
+                                Workspace())[0] for b in range(blocks))
+        grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
+        expected = {(t, p, n_t): errors[i, j]
+                    for (i, (p, n_t)), (j, t) in itertools.product(
+                        enumerate(grid), enumerate(scenario.techniques))}
+        derived, forked = [], []
+
+        def kept(stats):
+            derived.append(detectors.margin_tables(stats))
+            return derived[-1]
+
+        monkeypatch.setattr(montecarlo, "margin_tables", kept)
+        monkeypatch.setattr(montecarlo, "_forked", partial(inline_forks, forked))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        for jobs, plan in plans.items():
+            derived.clear()
+            points = run_scenario(scenario, jobs=jobs)
+            assert {(p.technique, p.tx_power_dbm, p.n_t): p.error_count
+                    for p in points} == expected
+            # one set of tables for each training group, a row for each of its blocks
+            assert [tables.a_th.shape[1] for tables in derived] == [b - a for a, b in plan]
+        assert forked == [plans[3]]
 
 
 class TestTrainingGroups:

@@ -62,15 +62,18 @@ class TestIdentityCsvs:
     def test_the_config_run_reads_its_training_pools_a_power_at_a_time(self):
         # the first document: nine nodes, whose n_t = 4,000 makes a (K, n_t)
         # frame larger than a pass, so the lengths' training pools are read one
-        # power at a time; the second runs MRC alone
+        # power at a time; the second runs MRC alone; the third runs three
+        # lengths on one- and two-slot blocks at K = 9
         path = _PATH.parent / "identity_csvs.py"
         spec = importlib.util.spec_from_file_location("identity_csvs", path)
         identity = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(identity)
-        scenario, mrc = (loads_scenario(doc) for doc in identity.CONFIGS.values())
+        scenario, mrc, lengths = (loads_scenario(doc) for doc in identity.CONFIGS.values())
+        assert lengths.nodes == scenario.nodes and lengths.n_t == (10, 50, 100)
+        assert lengths.n_data_symbols == 150 and lengths.block_slots(99) == 1
         assert len(scenario.nodes) == 9 and scenario.n_t == (10, 1000, 4000)
         assert len(scenario.power_sweep_dbm) == 2 and scenario.n_data_symbols == 3000
         assert montecarlo._PASS_ELEMENTS // (9 * 4000) == 0
         assert mrc.techniques == ("mrc",) and mrc.nodes == scenario.nodes and mrc.seed == 3
         assert mrc.power_sweep_dbm == scenario.power_sweep_dbm
-        assert len(identity.RUNS) + len(identity.CONFIGS) == 35
+        assert len(identity.RUNS) + len(identity.CONFIGS) == 37
