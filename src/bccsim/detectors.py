@@ -3,7 +3,9 @@
 All operations are pure and vectorized: per-node inputs are (..., K, N)
 arrays with the node axis second to last, so a block of data slots is
 detected in one call, at every index of any leading axes (one per transmit
-power, say) with matching (..., K) statistics.  A single slot is (K, 1).
+power or training length, say): those of the statistics, tables or gains
+broadcast against the amplitudes', and so do the results'.  K must match.
+A single slot is (K, 1).
 
 Three noncoherent techniques share the same training phase and the same
 fusion rule.  Each turns a node's amplitude |y| into a margin, its evidence
@@ -95,23 +97,19 @@ class MrcTables(namedtuple("MrcTables", "h energy half_root")):
 class Workspace(dict):
     """Scratch arrays that margins, fuse, detect and mrc_detect reuse from call to call.
 
-    Each (name, dtype) array grows to the largest size asked of it, and a smaller
-    call gets a view of its front, made once per shape and cached beside the
-    arrays until the array grows.  A kernel may return a view of one of these arrays,
-    valid until the workspace's next use, so a workspace is never shared between threads.
-    ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds, and
-    ``sum_of`` the amplitudes whose node sum the front of "scratch" holds until it is next taken.
+    Each (name, dtype) array grows to the largest size asked of it, and a smaller call gets
+    a cached view of its front.  A kernel may return a view of one of these arrays, valid
+    until the workspace's next use, so a workspace is never shared between threads.
+    ``mask_of`` is the (amplitudes, tables) pair whose hard decision "mask" holds.
     """
 
     def __init__(self):
         super().__init__()
         self._views = {}
-        self.mask_of = self.sum_of = None
+        self.mask_of = None
 
     def take(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised ``shape`` array of ``dtype`` under ``name``."""
-        if name == "scratch":
-            self.sum_of = None
         view = self._views.get((name, dtype, shape))
         if view is None:
             size = math.prod(shape)
@@ -128,24 +126,20 @@ def compute_training_stats(ones_abs, zeros_abs) -> TrainingStats:
     """Reference values from the (..., K, n_t/2) amplitudes |y| of a training frame's
     halves, n_t/2 ones then n_t/2 zeros, whose leading axes broadcast to the (..., K) result.
 
-    The amplitude threshold is the midpoint of the two half-frame means,
-    which is algebraically the full-frame mean; computing it as the
-    midpoint keeps the identity exact in floating point.  Each training
-    slot is re-detected against the threshold (>= maps to symbol 1) and
-    the per-half correct-detection rates are clamped into
-    [2/n_t, 1 - 2/n_t] so that downstream log-weights stay finite.
+    The amplitude threshold is the midpoint of the two half-frame means, which is
+    algebraically the full-frame mean; computing it as the midpoint keeps the identity exact
+    in floating point.  Each training slot is re-detected against the threshold (>= maps to
+    symbol 1) and the per-half correct-detection rates are clamped into [2/n_t, 1 - 2/n_t]
+    so that downstream log-weights stay finite.
     """
     ones, zeros = np.asarray(ones_abs, dtype=float), np.asarray(zeros_abs, dtype=float)
     half = ones.shape[-1] if ones.ndim else 0
-    try:
-        shape = np.broadcast(ones, zeros).shape[:-1]  # of the (..., K) statistics
-    except ValueError:  # leading axes that do not broadcast
-        half = 0
-    if half < 2 or zeros.shape[-1:] != (half,):
+    shape = _broadcast(ones, zeros)  # of the halves, so shape[:-1] is the statistics'
+    if shape is None or half < 2 or zeros.shape[-1:] != (half,):
         raise ParameterError(f"training halves must be (..., K, n_t/2) amplitudes of one even "
                              f"n_t >= 4, with leading axes that broadcast, got shapes "
                              f"{ones.shape} and {zeros.shape}")
-    a_one, a_zero = (np.divide(np.add.reduce(amplitudes, axis=-1), half, out=np.empty(shape))
+    a_one, a_zero = (np.divide(np.add.reduce(amplitudes, axis=-1), half, out=np.empty(shape[:-1]))
                      for amplitudes in (ones, zeros))  # ndarray.mean's sum and divide
     a_th = 0.5 * (a_one + a_zero)
     lo, hi = 1.0 / half, 1.0 - 1.0 / half  # 2/n_t, to the bit
@@ -173,10 +167,9 @@ def margin_tables(stats: TrainingStats) -> MarginTables:
 
 
 def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
-    """Each node's evidence for symbol 1 minus its evidence for symbol 0.
-
-    Takes (..., K, N) amplitudes and returns (..., K, N) margins, each a
-    polynomial in |y| whose coefficients the hard decision d = (|y| >= a_th) picks:
+    """Each node's evidence for symbol 1 minus its evidence for symbol 0: the (..., K, N)
+    margins of (..., K, N) amplitudes, each a polynomial in |y| whose coefficients the hard
+    decision d = (|y| >= a_th) picks:
 
     * probability  -- log(p11) - log(1 - p00) when detected, log(1 - p11) -
       log(p00) otherwise; training's clamping keeps each log argument in (0, 1).
@@ -192,21 +185,21 @@ def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
     A call on the same amplitude and table objects as the workspace's last probability
     call reuses its mask, so amplitudes rewritten in place need fresh tables.
     """
-    y, tables = _checked(technique, y_abs, stats)
+    y, tables, shape = _checked(technique, y_abs, stats)
     if technique == COMBINATION and any(np.count_nonzero(a) < a.size for a in tables[:3]):
         raise DegenerateTrainingError(
             "training produced a zero reference amplitude; combination margins are undefined")
     workspace = Workspace() if workspace is None else workspace
-    margin = workspace.take("margin", y.shape)
+    margin = workspace.take("margin", shape)
     if technique == DEVIATION:
         return np.multiply(np.subtract(y, tables.a_th, out=margin), 2.0, out=margin)
-    mask, source = workspace.take("mask", y.shape, np.int64), workspace.mask_of
+    mask, source = workspace.take("mask", shape, np.int64), workspace.mask_of
     if not (source and source[0] is y and source[1] is tables):
         np.negative(np.greater_equal(y, tables.a_th, out=mask), out=mask)
     workspace.mask_of = (y, tables) if technique == PROBABILITY else None
     if technique == PROBABILITY:
         return _select(mask, tables.margin_flip, tables.margin_zero, margin)
-    scratch = workspace.take("scratch", y.shape)
+    scratch = workspace.take("scratch", shape)
     alpha = _select(mask, tables.one_flip, tables.one_zero, scratch)
     np.multiply(np.square(np.subtract(y, tables.a_one, out=margin), out=margin), alpha, out=margin)
     alpha = _select(mask, tables.zero_flip, tables.zero_zero, mask)
@@ -215,16 +208,25 @@ def margins(technique: str, y_abs, stats, workspace=None) -> np.ndarray:
 
 
 def _checked(technique: str, y_abs, stats):
-    """(..., K, N) amplitudes as floats and the tables of ``stats``, checked to match."""
+    """(..., K, N) amplitudes as floats, the tables of ``stats`` and the margins' shape."""
     if technique not in NONCOHERENT:
         raise ParameterError(f"unknown noncoherent technique {technique!r}; "
                              f"expected one of {sorted(NONCOHERENT)}")
     tables = stats if isinstance(stats, MarginTables) else margin_tables(stats)
     y = np.asarray(y_abs, dtype=float)
-    if y.shape[:-1] != tables.a_th.shape[:-1] or y.shape[-2:-1] == (0,):
-        raise ParameterError(f"y_abs must be (K, N) with K >= 1, with the leading axes of the "
-                             f"(..., K) statistics {tables.a_th.shape[:-1]}, got shape {y.shape}")
-    return y, tables
+    shape = y.shape if y.shape[:-1] == tables.a_th.shape[:-1] else _broadcast(y, tables.a_th)
+    if shape is None or y.shape[-2:-1] != tables.a_th.shape[-2:-1] or y.shape[-2:-1] == (0,):
+        raise ParameterError(f"y_abs must be (K, N) with K >= 1, its leading axes broadcasting "
+                             f"with the statistics' {tables.a_th.shape[:-1]}, got {y.shape}")
+    return y, tables, shape
+
+
+def _broadcast(*arrays):
+    """The shape ``arrays`` broadcast to, or None where they do not broadcast."""
+    try:
+        return np.broadcast(*arrays).shape
+    except ValueError:
+        return None
 
 
 def _pair(if_one, if_zero):
@@ -261,26 +263,22 @@ def fuse(node_margins, workspace=None):
 def detect(technique: str, y_abs, stats, workspace=None):
     """Detect the (..., N) symbols of a (..., K, N) block with one noncoherent technique.
 
-    Deviation compares the node sum of |y| with the node sum of a_th: its summed margins
-    2 (|y_k| - a_th,k) are positive when the first is larger.  Both sums add in the same
-    order, so a slot where every node ties its threshold decides 0.  numpy's order follows
-    the memory layout, so |y| is taken C-contiguous: its node rows then add in node order,
-    as ``th_sum`` does, when N > 1, and pairwise from K = 8 on when N = 1, as a C-contiguous
-    a_th does.  A call on the amplitudes of the workspace's last deviation call, with no other
-    technique between, reuses their node sum, so every training length's tables share one, and
-    amplitudes rewritten in place need another workspace.  The others ``fuse``.
+    Deviation compares the node sum of |y|, taken once for tables of any leading axes, with
+    each node sum of a_th: its summed margins 2 (|y_k| - a_th,k) are positive when the first
+    is larger.  Both sums add in the same order, so a slot where every node ties its threshold
+    decides 0.  numpy's order follows the memory layout, so |y| is taken C-contiguous: its
+    node rows then add in node order, as ``th_sum`` does, when N > 1, and pairwise from
+    K = 8 on when N = 1, as a C-contiguous a_th does.  The others ``fuse``.
     """
     if technique != DEVIATION:
         return fuse(margins(technique, y_abs, stats, workspace), workspace)
-    y, tables = _checked(technique, y_abs, stats)
+    y, tables, shape = _checked(technique, y_abs, stats)
     y, workspace = np.ascontiguousarray(y), Workspace() if workspace is None else workspace
-    summed, total = workspace.sum_of is y, workspace.take("scratch", y.shape[:-2] + y.shape[-1:])
-    if not summed:  # the take has cleared sum_of
-        np.add.reduce(y, axis=-2, out=total)
-    workspace.sum_of = y
+    total = np.add.reduce(y, axis=-2, out=workspace.take("scratch", y.shape[:-2] + y.shape[-1:]))
     th_sum = (tables.th_sum if y.shape[-1] > 1
               else np.add.reduce(np.ascontiguousarray(tables.a_th), axis=-2))
-    return np.greater(total, th_sum, out=workspace.take("margin", total.shape).view(np.int64))
+    return np.greater(total, th_sum,
+                      out=workspace.take("margin", shape[:-2] + shape[-1:]).view(np.int64))
 
 
 def mrc_tables(h, p_watts) -> MrcTables:
@@ -303,10 +301,7 @@ def mrc_detect(y, h, p_watts=None, workspace=None):
     """
     tables = h if isinstance(h, MrcTables) else mrc_tables(h, p_watts)
     y = np.asarray(y, dtype=float)
-    try:  # the threshold's shape, (leading axes, N)
-        shape = np.broadcast(tables.half_root, tables.energy).shape
-    except ValueError:  # leading axes that do not broadcast
-        shape = None
+    shape = _broadcast(tables.half_root, tables.energy)  # the threshold's (..., N)
     if y.shape[:-2] + y.shape[-1:] != shape or y.shape[-2:] != tables.h.shape[-2:]:
         raise ParameterError(f"y and h must be matching (K, N) arrays, and y's leading axes "
                              f"those of h and p_watts, got {y.shape} and {tables.h.shape}")

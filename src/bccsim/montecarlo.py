@@ -19,15 +19,14 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from itertools import product
 
 import numpy as np
 
 from .channels import NodeProfile
-from .detectors import (COMBINATION, DEVIATION, MRC, NONCOHERENT, TECHNIQUES, TrainingStats,
-                        Workspace, compute_training_stats, detect, margin_tables, mrc_detect,
-                        mrc_tables)
+from .detectors import (COMBINATION, DEVIATION, MRC, NONCOHERENT, PROBABILITY, TECHNIQUES,
+                        TrainingStats, Workspace, compute_training_stats, detect, margin_tables,
+                        mrc_detect, mrc_tables)
 from .errors import ParameterError, _integer, _number
 from .link import (dbm_to_watts, generate_data_symbols, generate_noise, generate_received,
                    noise_variance)
@@ -66,11 +65,10 @@ _PASS_ELEMENTS = 2 ** 15
 # numpy adds pairwise (see detectors.detect), so the size is part of stream 3.
 _CHUNK_ELEMENTS = 2 ** 15
 
-# Elements of numpy's ufunc buffer while a worker runs its blocks.  numpy's buffered iterator
-# copies a broadcast (powers, K, 1) table into its buffer when a row of slots is short against
-# the buffer: at the default 8,192 a table subtract on fig6's (3, 9, 1000) pass took 17-20 us,
-# at 1,024 the 7 us of a full-array subtract.  Rows of 100 slots are copied at both sizes, rows
-# of 10^4 at neither; 128 also spares rows of 500 but makes casting ufuncs about 2x slower.
+# Elements of numpy's ufunc buffer while a worker runs its blocks.  numpy copies a broadcast
+# (powers, K, 1) table into its buffer when a row of slots is short against it: a table subtract
+# on fig6's (3, 9, 1000) pass took 17-20 us at the default 8,192, 7 us at 1,024.  128 also spares
+# rows of 500 slots but makes casting ufuncs about 2x slower.
 _UFUNC_BUFFER = 1024
 
 
@@ -78,14 +76,12 @@ _UFUNC_BUFFER = 1024
 class Scenario:
     """One full experiment: nodes, point grid, budget, seed.
 
-    The BER points are every (power, training length) pair of
-    ``power_sweep_dbm`` x ``n_t``; an int ``n_t`` is a one-entry tuple,
-    each entry is an even training length in [4, ``MAX_N_T``], and the
-    grid has at most ``MAX_POINTS`` points.
-    ``blocks`` is the number of independent (train, transmit) repetitions
-    each point is averaged over.  A field of the wrong type or value raises
-    ParameterError naming it; lists are stored as tuples, and a bool is
-    rejected where a number is expected.
+    The BER points are every (power, training length) pair of ``power_sweep_dbm`` x
+    ``n_t``; an int ``n_t`` is a one-entry tuple, each entry is an even training length in
+    [4, ``MAX_N_T``], and the grid has at most ``MAX_POINTS`` points.  ``blocks`` is the
+    number of independent (train, transmit) repetitions each point is averaged over.  A
+    field of the wrong type or value raises ParameterError naming it; lists are stored as
+    tuples, and a bool is rejected where a number is expected.
     """
 
     nodes: tuple[NodeProfile, ...]
@@ -251,11 +247,9 @@ def _passes(x, nodes, powers, variance: float, uniforms, normals):
 def _training_stats(scenario: Scenario, streams) -> TrainingStats:
     """(lengths, blocks, powers, K) statistics of a group's training lengths, from the ones
     pool's gains and noise and the zeros pool's noise, max(n_t)/2 slots a row, drawn here from
-    each row of ``streams``.  Length n_t reads the first n_t/2 slots of each pool: the ones
-    pool, drawn by generate_received and read in passes, and the zeros pool, whose amplitudes
-    are its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains.  |y|
-    is taken in place once per pass and once for the zeros pool, and each length's statistics
-    are one compute_training_stats call per pass on the two pools' first n_t/2 slots."""
+    each row of ``streams``.  Length n_t reads the first n_t/2 slots of each pool, in one
+    compute_training_stats call per pass of the ones pool.  The zeros pool's amplitudes are
+    its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
     pools = np.empty((3, len(streams), lengths[-1] // 2, len(nodes)))
     for row, generators in enumerate(streams):
@@ -304,42 +298,40 @@ def _training_groups(scenario: Scenario, first: int, stop: int):
 
 
 def _train(scenario: Scenario, blocks: range, kept=None) -> tuple:
-    """(blocks, streams, trained, tables) of a training group: row g restates block g's
-    streams into ``kept[g]``, a worker's list of rows that this extends; ``trained`` are the
-    (column, technique) pairs of NONCOHERENT the scenario counts, and ``tables`` their margin
-    tables on a block axis, of every row's _training_stats at once, or None if there are none."""
-    techniques = scenario.techniques
-    trained = [(techniques.index(t), t) for t in NONCOHERENT if t in techniques]
+    """(blocks, streams, tables) of a training group: row g restates block g's streams into
+    ``kept[g]``, a worker's list of rows that this extends, and ``tables`` are the margin
+    tables on a block axis of every row's _training_stats at once, or None if the scenario
+    counts no NONCOHERENT technique."""
+    trained = any(technique in NONCOHERENT for technique in scenario.techniques)
     kept = [] if kept is None else kept
     kept.extend([] for _ in range(len(blocks) - len(kept)))
     streams = [_streams(scenario.seed, block, row, 6 if trained else _ONES_GAINS)
                for block, row in zip(blocks, kept)]  # no training streams for MRC alone
     tables = margin_tables(_training_stats(scenario, streams)) if trained else None
-    return blocks, streams, trained, tables
+    return blocks, streams, tables
 
 
 def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
-               kept=None) -> np.ndarray:
+               trained=None) -> np.ndarray:
     """(blocks, points, techniques) error counts, points in grid order, of a data group of
-    (train, transmit) blocks of ``n_symbols`` slots: _chunk_errors on each chunk of at most
-    _CHUNK_ELEMENTS (K, slots) elements a row, on their rows of ``kept()``, the _train of a
-    group that holds them, or of _train(scenario, blocks, kept) if ``kept`` is not callable.
-    Combination on a zero-noise scenario raises DegenerateTrainingError."""
-    group, streams, trained, tables = kept() if callable(kept) else _train(scenario, blocks, kept)
+    (train, transmit) blocks of ``n_symbols`` slots, on their rows of ``trained``, the _train
+    of a group that holds them (by default their own): _chunk_errors on each chunk of at most
+    _CHUNK_ELEMENTS (K, slots) elements a row.  Combination on zero noise raises
+    DegenerateTrainingError."""
+    group, streams, tables = trained or _train(scenario, blocks)
     k, at = len(scenario.nodes), slice(blocks.start - group.start, blocks.stop - group.start)
     tables, chunk = tables and tables.rows((slice(None), at)), max(1, _CHUNK_ELEMENTS // k)
-    counts = sum(_chunk_errors(scenario, streams[at], min(chunk, n_symbols - start), trained,
-                               tables, workspace) for start in range(0, n_symbols, chunk))
-    return counts.reshape(len(blocks), -1, len(scenario.techniques))
+    counts = sum(_chunk_errors(scenario, streams[at], min(chunk, n_symbols - start), tables,
+                               workspace) for start in range(0, n_symbols, chunk))
+    return counts.transpose(1, 2, 0, 3).reshape(len(blocks), -1, len(scenario.techniques))
 
 
-def _chunk_errors(scenario: Scenario, streams, slots: int, trained, tables, workspace):
-    """(blocks, powers, lengths, techniques) error counts of the next ``slots`` data symbols
-    of each row of ``streams``, drawn here with their gains and noise, in passes: MRC once
-    for all lengths on the signed y, on the chunk's own MRC tables, then |y| in place and
-    each ``trained`` (column, technique) once per training length on its slice of ``tables``:
-    deviation first at every length, so they share one node sum (see detectors.detect), then
-    the others in NONCOHERENT order, so combination reuses probability's hard decision."""
+def _chunk_errors(scenario: Scenario, streams, slots: int, tables, workspace):
+    """(lengths, blocks, powers, techniques) error counts of the next ``slots`` data symbols
+    of each row of ``streams``, drawn here with their gains and noise, in passes: MRC on the
+    signed y and the chunk's own MRC tables, then, on |y| taken in place and the pass's slice
+    of ``tables`` if there are any, deviation, both once for all lengths, then probability and
+    combination once per length, so combination reuses probability's hard decision."""
     (powers, variance), techniques = scenario._watts, scenario.techniques
     x = np.empty((len(streams), slots), np.int64)
     data = np.empty((2, len(streams), slots, len(scenario.nodes)))
@@ -349,31 +341,33 @@ def _chunk_errors(scenario: Scenario, streams, slots: int, trained, tables, work
     frame, passes = _passes(x, scenario.nodes, powers, variance, *data)
     x = x[:, None]  # against each power's decisions
     coherent = mrc_tables(frame.h[:, None], powers) if MRC in techniques else None
-    counts = np.empty((len(x), len(powers), len(scenario.n_t), len(techniques)), dtype=np.int64)
-    calls = sorted(product(range(len(scenario.n_t)), trained), key=lambda c: c[1][1] != DEVIATION)
+    counts = np.empty((len(scenario.n_t), len(x), len(powers), len(techniques)), dtype=np.int64)
+    others = [(techniques.index(t), t) for t in (PROBABILITY, COMBINATION) if t in techniques]
     for at, y in passes:
         if coherent is not None:  # MRC needs no training: one count serves every length
             decisions = mrc_detect(y, coherent.rows(at), workspace=workspace)
-            counts[:, at, :, techniques.index(MRC)] = _errors(decisions, x)[..., None]
-        if trained:  # else the group drew no training and has no tables
+            counts[:, :, at, techniques.index(MRC)] = _errors(decisions, x)
+        if tables is not None:  # else the group drew no training
             amplitudes = np.abs(y, out=y)  # MRC has read the signed y
-            rows = [tables.rows((i, slice(None), at)) for i in range(len(scenario.n_t))]
-            for i, (j, technique) in calls:
-                counts[:, at, i, j] = _errors(detect(technique, amplitudes, rows[i], workspace), x)
+            rows = tables.rows((slice(None), slice(None), at))
+            if DEVIATION in techniques:  # one node sum against every length's th_sum
+                decisions = detect(DEVIATION, amplitudes, rows, workspace)
+                counts[:, :, at, techniques.index(DEVIATION)] = _errors(decisions, x)
+            lengths = [rows.rows(i) for i in range(len(scenario.n_t))]
+            for (i, length), (j, technique) in product(enumerate(lengths), others):
+                counts[i, :, at, j] = _errors(detect(technique, amplitudes, length, workspace), x)
     return counts
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1, each of their _training_groups
-    trained once and its data groups run on it, in one workspace, with one list of kept
-    generators for each row of a training group, run with a ufunc buffer of _UFUNC_BUFFER
-    elements; the caller's buffer is restored after."""
+    """Summed error counts of blocks ``first`` to ``stop`` - 1: each of their _training_groups
+    trained, then its data groups run, in one workspace and one list of kept generator rows,
+    under a ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
     workspace, kept, total = Workspace(), [], 0
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
         for groups in _training_groups(scenario, first, stop):
-            blocks = range(groups[0][0].start, groups[-1][0].stop)
-            trained = cache(partial(_train, scenario, blocks, kept))  # trains at its first call
+            trained = _train(scenario, range(groups[0][0].start, groups[-1][0].stop), kept)
             total += sum(_run_block(scenario, rows, slots, workspace, trained).sum(axis=0)
                          for rows, slots in groups)
         return total
@@ -443,12 +437,11 @@ def _forked(scenario: Scenario, bounds: list) -> list:
 def run_scenario(scenario: Scenario, jobs: int = 1) -> list[BerPoint]:
     """BER of every (technique, power, n_t) point of the scenario's grid.
 
-    Blocks are independent; with ``jobs`` > 1 they run in forked worker
-    processes, no more than ``jobs``, the blocks or the CPUs, each summing the
-    counts of one contiguous run of blocks (see _forked); where os.fork is
-    missing, they run in this process.  A worker's exception is raised here
-    with its own type, and ChildProcessError names how a worker that did not
-    exit 0 ended.  Every point reports ``n_data_symbols`` symbols, and the
+    Blocks are independent; with ``jobs`` > 1 they run in forked worker processes, no more
+    than ``jobs``, the blocks or the CPUs, each summing the counts of one contiguous run of
+    blocks (see _forked); where os.fork is missing, they run in this process.  A worker's
+    exception is raised here with its own type, and ChildProcessError names how a worker
+    that did not exit 0 ended.  Every point reports ``n_data_symbols`` symbols, and the
     output is sorted by (technique, power, n_t).
 
     Combination needs nonzero training references, and the zeros half-frame's

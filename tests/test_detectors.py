@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +24,16 @@ from bccsim import (
     registry_entry,
 )
 from bccsim import detectors
-from bccsim.detectors import (COMBINATION, DEVIATION, NONCOHERENT, PROBABILITY, Workspace,
-                              _pair, _select, margin_tables, mrc_tables)
+from bccsim.detectors import (COMBINATION, DEVIATION, NONCOHERENT, PROBABILITY, MarginTables,
+                              Workspace, _pair, _select, margin_tables, mrc_tables)
 
 
 def poison(workspace):
-    """Fill every scratch array with 0xFF bytes (NaN, -1, True), so a stale read shows."""
+    """Fill every scratch array with 0xFF bytes (NaN, -1, True), so a stale read shows, and
+    forget whose hard decision the mask held, which the fill has overwritten."""
     for array in workspace.values():
         array.view(np.uint8).fill(0xFF)
+    workspace.mask_of = None
     return workspace
 
 
@@ -341,24 +344,24 @@ class TestDetect:
                 assert np.array_equal(detect(technique, y, stats, workspace),
                                       ((w1 - w0).sum(axis=-2) > 0.0).astype(np.int64))
 
-    def test_deviation_calls_share_one_node_sum_until_another_technique_runs(self):
-        # a training length's deviation call on the amplitudes of the one before reads the
-        # node sum that call left in the front of "scratch" (an infinite sum planted there
-        # decides every slot 1); any other technique takes "scratch" and ends the sharing,
-        # so each call decides as a fresh workspace does
+    def test_calls_in_any_order_decide_as_a_fresh_workspace_does(self):
+        # three training lengths' tables, alone and stacked on a leading axis, in an
+        # order that puts deviation's one call on the stack between probability and the
+        # combination that reuses its hard decision: the workspace keeps nothing from
+        # call to call but that decision, so each call decides as a fresh workspace does
         rng = np.random.default_rng(73)
         tables = [margin_tables(random_stats(rng, (3, 6))) for _ in range(3)]
+        stack = MarginTables._make(np.stack(fields) for fields in zip(*tables))
         y = tables[0].a_th * rng.uniform(0.0, 2.5, size=(3, 6, 400))
         workspace = Workspace()
-        for technique, i in [(DEVIATION, 0), (DEVIATION, 1), (PROBABILITY, 1), (DEVIATION, 2),
-                             (COMBINATION, 0), (DEVIATION, 0), (DEVIATION, 2)]:
-            got = detect(technique, y, tables[i], workspace)
-            assert np.array_equal(got, detect(technique, y, tables[i]))
-            assert (workspace.sum_of is y) == (technique == DEVIATION)
-        workspace.take("margin", y.shape)  # another array: the sum stays
-        workspace["scratch", float][:3 * 400] = np.inf
-        assert detect(DEVIATION, y, tables[1], workspace).all()
-        assert not detect(DEVIATION, y.copy(), tables[1], workspace).all()
+        for technique, i in [(DEVIATION, 0), (PROBABILITY, 1), (DEVIATION, None),
+                             (COMBINATION, 1), (DEVIATION, 2), (COMBINATION, 0),
+                             (DEVIATION, None)]:
+            expected = (np.stack([detect(technique, y, t) for t in tables]) if i is None
+                        else detect(technique, y, tables[i]))
+            got = detect(technique, y, stack if i is None else tables[i], workspace)
+            assert np.array_equal(got, expected)
+        assert set(vars(workspace)) == {"_views", "mask_of"}
 
     def test_workspace_holds_three_full_size_arrays(self):
         # mask, scratch and margin, plus the (P, N) node sum and decisions;
@@ -657,6 +660,53 @@ class TestLeadingAxes:
         for fn in (margins, detect):
             with pytest.raises(DegenerateTrainingError):
                 fn("combination", y, stats)
+
+
+class TestOneShapeRule:
+    """margins and detect broadcast the leading axes of the statistics or tables against the
+    amplitudes', as compute_training_stats and mrc_detect do; K must match."""
+
+    @pytest.mark.parametrize("k, slots", [(6, 40), (9, 1), (6, 1)])
+    def test_a_stack_of_lengths_decides_as_each_length_alone(self, k, slots):
+        # four lengths' (blocks, powers, K) statistics against one (blocks, powers, K, N)
+        # block, as a pass reads every training length: bit for bit the stacked calls of
+        # each length.  Every third slot ties length 0's a_th on every node, so deviation
+        # there decides 0, and at N = 1 and K = 9 only if the stack's node sums of a_th
+        # add pairwise, as numpy adds the amplitudes'
+        rng = np.random.default_rng(100 * k + slots)
+        stats = random_stats(rng, (4, 2, 3, k))
+        y = stats.a_th[0][..., None] * rng.uniform(0.0, 2.5, size=(2, 3, k, slots))
+        y[..., ::3] = stats.a_th[0][..., None]
+        alone = [TrainingStats(*(v[i] for v in vars(stats).values())) for i in range(4)]
+        workspace = Workspace()
+        for technique in NONCOHERENT:
+            expected = np.stack([margins(technique, y, s) for s in alone])
+            decided = np.stack([detect(technique, y, s) for s in alone])
+            assert expected.shape == (4, 2, 3, k, slots) and decided.shape == (4, 2, 3, slots)
+            for given in (stats, margin_tables(stats)):
+                assert same_bits(margins(technique, y, given, poison(workspace)), expected)
+                assert np.array_equal(detect(technique, y, given, poison(workspace)), decided)
+        assert not np.stack([detect(DEVIATION, y, s) for s in alone])[0][..., ::3].any()
+
+    def test_only_leading_axes_that_broadcast_are_accepted(self):
+        # (4, 3, 6) statistics broadcast against amplitudes of 3 powers, of 1, of none
+        # and with an axis of their own in front; 2 powers, 5 lengths or another K,
+        # 1 included where numpy alone would broadcast it, raise naming both shapes
+        rng = np.random.default_rng(79)
+        stats = random_stats(rng, (4, 3, 6))
+        for shape, result in [((3, 6, 10), (4, 3)), ((1, 6, 10), (4, 3)), ((6, 10), (4, 3)),
+                              ((2, 1, 3, 6, 10), (2, 4, 3))]:
+            y = rng.uniform(size=shape)
+            for technique in NONCOHERENT:
+                assert margins(technique, y, stats).shape == result + (6, 10)
+                assert detect(technique, y, stats).shape == result + (10,)
+        for given, shape in [(stats, (2, 6, 10)), (stats, (5, 3, 6, 10)), (stats, (3, 5, 10)),
+                             (stats, (3, 1, 10)), (stats, (10,)),
+                             (random_stats(rng, (3, 1)), (3, 6, 10))]:
+            named = f"{re.escape(str(given.a_th.shape))}.*{re.escape(str(shape))}"
+            for technique, fn in itertools.product(NONCOHERENT, (margins, detect)):
+                with pytest.raises(ParameterError, match=named):
+                    fn(technique, rng.uniform(size=shape), given)
 
 
 class TestSlicedTables:

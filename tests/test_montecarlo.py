@@ -38,7 +38,7 @@ from bccsim import (
 )
 from bccsim import cli, detectors, link, montecarlo
 from bccsim.detectors import MarginTables, Workspace, compute_training_stats
-from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _streams
+from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _streams, _train
 from bccsim.presets import PRESET_NAMES
 
 F9 = (registry_entry("f9"),)
@@ -341,14 +341,14 @@ class TestPowerPasses:
 
     def test_a_block_plan_holds_nothing_per_block(self, monkeypatch):
         # 10**7 one-slot blocks: each block's size comes from its index, so
-        # nothing is built per block before the first one runs
+        # nothing is built per block before the first training group trains
         class FirstBlock(Exception):
             pass
 
         def first_block(*args):
             raise FirstBlock
 
-        monkeypatch.setattr(montecarlo, "_run_block", first_block)
+        monkeypatch.setattr(montecarlo, "_train", first_block)
         scenario = Scenario(nodes=F9, power_sweep_dbm=(10.0,), techniques=("probability",),
                             n_data_symbols=10 ** 7, blocks=10 ** 7)
         tracemalloc.start()
@@ -613,9 +613,9 @@ class TestPowerPasses:
         # workspace a worker keeps across its blocks holds detector scratch alone
         workspaces = []
 
-        def recorded(scenario, blocks, n_symbols, workspace, kept):
+        def recorded(scenario, blocks, n_symbols, workspace, trained):
             workspaces.append(workspace)
-            return _run_block(scenario, blocks, n_symbols, workspace, kept)
+            return _run_block(scenario, blocks, n_symbols, workspace, trained)
 
         monkeypatch.setattr(montecarlo, "_run_block", recorded)
         # blocks of 2,001 and 2,000 slots, two groups
@@ -707,8 +707,8 @@ class TestBlockGroups:
                            seed=3)
         kept = []
         for techniques, count in [(("mrc",), 2), (("probability", "mrc"), 5)]:
-            _run_block(replace(scenario, techniques=techniques), range(2), 100, Workspace(),
-                       kept)
+            counted = replace(scenario, techniques=techniques)
+            _run_block(counted, range(2), 100, Workspace(), _train(counted, range(2), kept))
             assert [len(row) for row in kept] == [count, count]
             for block, row in enumerate(kept):
                 streams = _streams(scenario.seed, block)
@@ -851,6 +851,27 @@ class TestTrainingGroups:
                     pooled = getattr(stats, field)[i, b]
                     assert pooled.shape == value.shape == (len(powers), shape[1])
                     assert pooled.tobytes() == value.tobytes(), (n_t, field)
+
+    def test_deviation_decides_every_length_of_a_pass_in_one_call(self, monkeypatch):
+        # fig7's seven lengths at three powers, two blocks of 6,000 slots: each block's
+        # data runs in chunks of 5,461 and 539 slots at K = 6, the first in three
+        # one-power passes (2^15 // (6 * 5,461) = 1), the second in one of all three.
+        # Each pass calls deviation once, on its (lengths, blocks, powers, K, 1) tables,
+        # and probability and combination once per length
+        scenario = replace(preset("fig7"), power_sweep_dbm=(-10.0, 0.0, 10.0),
+                           n_data_symbols=12_000, blocks=2, seed=5)
+        calls = collections.defaultdict(list)
+
+        def recorded(technique, y, tables, workspace):
+            calls[technique].append((y.shape, tables.a_th.shape))
+            return detectors.detect(technique, y, tables, workspace)
+
+        monkeypatch.setattr(montecarlo, "detect", recorded)
+        montecarlo._run_blocks(scenario, 0, 2)
+        passes = [(1, 1, 6, 5461)] * 3 + [(1, 3, 6, 539)]
+        assert calls[detectors.DEVIATION] == [(y, (7,) + y[:3] + (1,)) for y in passes * 2]
+        for technique in (detectors.PROBABILITY, detectors.COMBINATION):
+            assert calls[technique] == [(y, y[:3] + (1,)) for y in passes * 2 for _ in range(7)]
 
     def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
         # counts repeat exactly where times do not.  A warm fig7 block seeds one

@@ -15,8 +15,18 @@ For every end-to-end metric of BENCHMARK.json the output gives each side's
 median and quartiles (``statistics.quantiles``, n=4) over the pairs, the
 ratio of the medians ``change_over_parent``, ``change_wins`` (the pairs in
 which the change reads better in the metric's direction; ties count for
-neither side) and the per-pair runs in seed order.  ``all_correct`` is true
-when every run of both sides printed ``"correct": true``.  The script only
+neither side), the per-pair runs in seed order, the metric's BENCHMARK.json
+``bound`` and a ``verdict``, the first of these that holds:
+
+* ``regression``: the change median is worse than the parent median by more
+  than ``bound`` times the parent median;
+* ``gain``: the change wins at least nine tenths of the pairs and its median
+  is better than the parent's by more than the parent's quartile distance;
+* ``unresolved``: the parent's quartile distance is wider than ``bound`` times
+  its median, and not every change run is better than every parent run;
+* ``no_change``.
+
+``all_correct`` is true when every run of both sides printed ``"correct": true``.  The script only
 invokes ``run.py``; it edits nothing in either tree.
 """
 
@@ -37,30 +47,49 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def summarize(parent_runs, change_runs, better: str, unit: str) -> dict:
-    """Medians, quartiles, their ratio and the change's wins over paired runs of one metric."""
+def _quartiles(runs) -> list:
+    if len(runs) < 2:
+        return [runs[0], runs[0]]
+    low, _, high = statistics.quantiles(runs, n=4)
+    return [low, high]
+
+
+def verdict(parent_runs, change_runs, better: str, bound: float) -> str:
+    """``regression``, ``gain``, ``unresolved`` or ``no_change``: see the module docstring."""
+    sign = 1 if better == "higher" else -1
+    parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    low, high = _quartiles(parent_runs)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+    if sign * (parent - change) > bound * abs(parent):
+        return "regression"
+    if wins >= 0.9 * len(parent_runs) and sign * (change - parent) > high - low:
+        return "gain"
+    if high - low > bound * abs(parent) and not (min(sign * c for c in change_runs)
+                                                 > max(sign * p for p in parent_runs)):
+        return "unresolved"
+    return "no_change"
+
+
+def summarize(parent_runs, change_runs, better: str, unit: str, bound: float) -> dict:
+    """Medians, quartiles, their ratio, the change's wins and the verdict over paired runs of
+    one metric whose BENCHMARK.json bound is ``bound``."""
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same nonzero number of parent and change runs")
     sign = 1 if better == "higher" else -1
     parent_median, change_median = (statistics.median(runs) for runs in (parent_runs,
                                                                          change_runs))
-
-    def quartiles(runs):
-        if len(runs) < 2:
-            return [runs[0], runs[0]]
-        low, _, high = statistics.quantiles(runs, n=4)
-        return [low, high]
-
     return {
         "unit": unit,
         "parent_median": parent_median,
-        "parent_quartiles": quartiles(parent_runs),
+        "parent_quartiles": _quartiles(parent_runs),
         "change_median": change_median,
-        "change_quartiles": quartiles(change_runs),
+        "change_quartiles": _quartiles(change_runs),
         "change_over_parent": change_median / parent_median if parent_median else None,
         "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs)),
         "parent_runs": list(parent_runs),
         "change_runs": list(change_runs),
+        "bound": bound,
+        "verdict": verdict(parent_runs, change_runs, better, bound),
     }
 
 
@@ -79,7 +108,7 @@ def summarize_workload(seeds, results, end_to_end) -> dict:
         "summary": {
             m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in results["parent"]],
                                  [r["metrics"][m["name"]]["value"] for r in results["change"]],
-                                 m["better"], m["unit"])
+                                 m["better"], m["unit"], m["bound"])
             for m in end_to_end
         },
     }
