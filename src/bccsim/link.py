@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 
 __all__ = [
     "ReceivedFrame",
@@ -49,7 +49,7 @@ def noise_variance(n0_dbm_per_hz: float, bandwidth_hz: float) -> float:
 
 def generate_data_symbols(n: int, rng) -> np.ndarray:
     """n i.i.d. equiprobable OOK symbols; a uniform draw < 0.5 maps to symbol 1."""
-    if n < 1:
+    if _integer("symbol count", n) < 1:
         raise ParameterError(f"symbol count must be >= 1, got {n!r}")
     return (rng.random(n) < 0.5).astype(np.int64)
 
@@ -82,9 +82,19 @@ class ReceivedFrame:
         return np.add(y, self.noise.reshape(shape), out=y)
 
 
+def _check_watts(power_w, noise_variance_w) -> None:
+    """Raise ParameterError unless each of ``power_w`` and the noise variance is finite, >= 0 W."""
+    if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
+            and 0.0 <= noise_variance_w < np.inf):
+        raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
+                             f"got {power_w!r} and {noise_variance_w!r}")
+
+
 def generate_noise(noise_variance_w: float, normals) -> np.ndarray:
     """(..., K, N) Gaussian noise of variance ``noise_variance_w``: the node-major transpose of
     (..., N, K) slot-major standard normals times the deviation, in C order, over them."""
+    _check_watts(0.0, noise_variance_w)
     normals = np.asarray(normals, dtype=float)
     return np.multiply(np.swapaxes(normals, -1, -2), np.sqrt(noise_variance_w),
                        out=normals.reshape(normals.shape[:-2] + normals.shape[:-3:-1]))
@@ -101,11 +111,7 @@ def generate_received(x, nodes, power_w, noise_variance_w: float, uniforms,
     (..., N, K) ``normals``, so pieces of the draws give the pieces of the frame drawn whole.
     h and noise are written over C-ordered float draws.  ``y`` is filled by ``received``.
     """
-    if not (np.minimum.reduce(power_w, axis=None, initial=0.0) >= 0.0
-            and np.maximum.reduce(power_w, axis=None, initial=0.0) < np.inf
-            and 0.0 <= noise_variance_w < np.inf):
-        raise ParameterError(f"power and noise variance must be finite and >= 0 W, "
-                             f"got {power_w!r} and {noise_variance_w!r}")
+    _check_watts(power_w, noise_variance_w)
     x = np.asarray(x)
     if x.ndim == 0 or x.size == 0:
         raise ParameterError("x must be a nonempty (..., N) symbol array")

@@ -8,8 +8,9 @@ the data symbols, gains and noise, and the training pools' gains and noise.
 Every power, training length and technique runs on those shared draws
 (common random numbers), which makes results identical for any worker count,
 execution order, subset of the grid that is run or grouping of blocks: a
-worker trains each run of data groups whose training pools fit one pass at
-once (_training_groups), then detects each data group (_groups).
+worker restates six generators as a block's streams before it draws, trains
+each run of data groups whose training pools fit one pass at once, then
+detects each data group (_groups).
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class Scenario:
 
     def block_slots(self, index: int) -> int:
         """Slots of block ``index``: n_data_symbols dealt evenly, the remainder to the first."""
+        if not 0 <= _integer("index", index) < self.block_count:
+            raise ParameterError(f"block index must be in [0, {self.block_count}), got {index}")
         base, extra = divmod(self.n_data_symbols, self.block_count)
         return base + (index < extra)
 
@@ -199,20 +202,16 @@ def make_ber_point(technique: str, tx_power_dbm: float, n_t: int,
                     ber=ber, ci95=ci95)
 
 
-def _streams(seed: int, block: int, kept=None, count: int = 6) -> list:
-    """The first ``count`` generators of block ``block``: stream j is the PCG64DXSM seeded by
-    SeedSequence(seed, spawn_key=(STREAM_VERSION, block)), advanced j * 2^64 draws.  Streams
-    1 on are generators of ``kept``, a worker's list for one row of its groups that this fills
-    on first use, restated, since restating a generator costs a third of seeding one."""
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_VERSION, block))
-    base, kept = np.random.PCG64DXSM(sequence), [] if kept is None else kept
-    kept.extend(np.random.Generator(np.random.PCG64DXSM(sequence))
-                for _ in range(count - 1 - len(kept)))
-    state = base.state
-    for j, generator in enumerate(kept[:count - 1], 1):
-        generator.bit_generator.state = state
-        generator.bit_generator.advance(j << 64)
-    return [np.random.Generator(base), *kept[:count - 1]]
+def _generators() -> list:
+    """Six generators for a worker to restate as each block's streams; their seed is never read."""
+    return [np.random.Generator(np.random.PCG64DXSM(0)) for _ in range(6)]
+
+
+def _restate(generators, state: dict, streams: range) -> None:
+    """Restate ``generators[j]``, j in ``streams``, as stream j: ``state`` advanced j * 2^64."""
+    for j in streams:
+        generators[j].bit_generator.state = state
+        generators[j].bit_generator.advance(j << 64)
 
 
 def _draw(streams, out) -> None:
@@ -244,15 +243,16 @@ def _passes(x, nodes, powers, variance: float, uniforms, normals):
     return frame, passes()
 
 
-def _training_stats(scenario: Scenario, streams) -> TrainingStats:
+def _training_stats(scenario: Scenario, generators, states) -> TrainingStats:
     """(lengths, blocks, powers, K) statistics of a group's training lengths, from the ones
-    pool's gains and noise and the zeros pool's noise, max(n_t)/2 slots a row, drawn here from
-    each row of ``streams``.  Length n_t reads the first n_t/2 slots of each pool, in one
-    compute_training_stats call per pass of the ones pool.  The zeros pool's amplitudes are
-    its |noise| at every power, as |sqrt(P) * (h * 0) + n| is, so it draws no gains."""
+    pool's gains and noise and the zeros pool's noise, max(n_t)/2 slots a row, drawn here
+    from ``generators`` restated at each row's entry of ``states``.  Length n_t reads the
+    first n_t/2 slots of each pool, in one compute_training_stats call per pass of the ones
+    pool.  The zeros pool draws no gains: its amplitudes are |noise| at every power."""
     nodes, lengths, (powers, variance) = scenario.nodes, scenario.n_t, scenario._watts
-    pools = np.empty((3, len(streams), lengths[-1] // 2, len(nodes)))
-    for row, generators in enumerate(streams):
+    pools = np.empty((3, len(states), lengths[-1] // 2, len(nodes)))
+    for row, state in enumerate(states):
+        _restate(generators, state, range(_ONES_GAINS, len(generators)))
         _draw(generators[_ONES_GAINS:], pools[:, row])
     _, passes = _passes(np.ones(pools.shape[1:3], dtype=np.int64), nodes, powers, variance,
                         *pools[:2])
@@ -269,46 +269,34 @@ def _training_stats(scenario: Scenario, streams) -> TrainingStats:
 
 
 def _groups(scenario: Scenario, first: int, stop: int):
-    """(blocks, slots) of each data group of blocks ``first`` to ``stop`` - 1, made as asked
-    for: consecutive blocks of equal slots, as many as fit one pass, at least one."""
-    k, pool = len(scenario.nodes), scenario.n_t[-1] // 2
+    """Training groups of blocks ``first`` to ``stop`` - 1, made as asked for: lists of
+    consecutive (blocks, slots) data groups, as many as fit one pass of their blocks' (powers,
+    K, max(n_t)/2) ones pools, at least one, each consecutive blocks of equal slots, as many as
+    fit one pass, at least one."""
+    row, pool, run = len(scenario.power_sweep_dbm) * len(scenario.nodes), scenario.n_t[-1] // 2, []
     while first < stop:
         slots = scenario.block_slots(first)
-        size = _PASS_ELEMENTS // (len(scenario.power_sweep_dbm) * k * max(slots, pool))
-        end = min(stop, first + max(1, size))
+        end = min(stop, first + max(1, _PASS_ELEMENTS // (row * max(slots, pool))))
         if scenario.block_slots(end - 1) != slots:  # the first blocks have one slot more
             end = scenario.n_data_symbols % scenario.block_count
-        yield range(first, end), slots
-        first = end
-
-
-def _training_groups(scenario: Scenario, first: int, stop: int):
-    """Lists of the consecutive _groups of blocks ``first`` to ``stop`` - 1 that train as one:
-    a group of many blocks, which shares one training pass already, or as many groups of one
-    block as fit one pass of their (powers, K, max(n_t)/2) ones pools, at least one."""
-    pool, run = len(scenario.power_sweep_dbm) * len(scenario.nodes) * (scenario.n_t[-1] // 2), []
-    for group in _groups(scenario, first, stop):
-        if run and (len(group[0]) > 1 or len(run[0][0]) > 1
-                    or (len(run) + 1) * pool > _PASS_ELEMENTS):
+        if run and (end - run[0][0].start) * row * pool > _PASS_ELEMENTS:
             yield run
             run = []
-        run.append(group)
+        run.append((range(first, end), slots))
+        first = end
     if run:
         yield run
 
 
-def _train(scenario: Scenario, blocks: range, kept=None) -> tuple:
-    """(blocks, streams, tables) of a training group: row g restates block g's streams into
-    ``kept[g]``, a worker's list of rows that this extends, and ``tables`` are the margin
-    tables on a block axis of every row's _training_stats at once, or None if the scenario
-    counts no NONCOHERENT technique."""
+def _train(scenario: Scenario, blocks: range, generators: list) -> tuple:
+    """(blocks, generators, states, tables) of a training group: the six ``generators``, each
+    block's stream-0 PCG64DXSM state, and the margin tables of every row's _training_stats on
+    a block axis, or None if the scenario counts no NONCOHERENT technique."""
+    states = [np.random.PCG64DXSM(np.random.SeedSequence(
+        scenario.seed, spawn_key=(STREAM_VERSION, block))).state for block in blocks]
     trained = any(technique in NONCOHERENT for technique in scenario.techniques)
-    kept = [] if kept is None else kept
-    kept.extend([] for _ in range(len(blocks) - len(kept)))
-    streams = [_streams(scenario.seed, block, row, 6 if trained else _ONES_GAINS)
-               for block, row in zip(blocks, kept)]  # no training streams for MRC alone
-    tables = margin_tables(_training_stats(scenario, streams)) if trained else None
-    return blocks, streams, tables
+    tables = margin_tables(_training_stats(scenario, generators, states)) if trained else None
+    return blocks, generators, states, tables
 
 
 def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
@@ -316,26 +304,32 @@ def _run_block(scenario: Scenario, blocks: range, n_symbols: int, workspace,
     """(blocks, points, techniques) error counts, points in grid order, of a data group of
     (train, transmit) blocks of ``n_symbols`` slots, on their rows of ``trained``, the _train
     of a group that holds them (by default their own): _chunk_errors on each chunk of at most
-    _CHUNK_ELEMENTS (K, slots) elements a row.  Combination on zero noise raises
-    DegenerateTrainingError."""
-    group, streams, tables = trained or _train(scenario, blocks)
+    _CHUNK_ELEMENTS (K, slots) elements a row, the first restating each row's data streams and
+    a later one continuing its one row's, so a group of many blocks must fit one chunk, else
+    ParameterError.  Combination on zero noise raises DegenerateTrainingError."""
+    group, generators, states, tables = trained or _train(scenario, blocks, _generators())
     k, at = len(scenario.nodes), slice(blocks.start - group.start, blocks.stop - group.start)
     tables, chunk = tables and tables.rows((slice(None), at)), max(1, _CHUNK_ELEMENTS // k)
-    counts = sum(_chunk_errors(scenario, streams[at], min(chunk, n_symbols - start), tables,
-                               workspace) for start in range(0, n_symbols, chunk))
+    if len(blocks) > 1 and n_symbols > chunk:
+        raise ParameterError(f"a {len(blocks)}-block group must fit one chunk of {chunk} slots")
+    counts = sum(_chunk_errors(scenario, generators, [None] if start else states[at],
+                               min(chunk, n_symbols - start), tables, workspace)
+                 for start in range(0, n_symbols, chunk))
     return counts.transpose(1, 2, 0, 3).reshape(len(blocks), -1, len(scenario.techniques))
 
 
-def _chunk_errors(scenario: Scenario, streams, slots: int, tables, workspace):
+def _chunk_errors(scenario: Scenario, generators, states, slots: int, tables, workspace):
     """(lengths, blocks, powers, techniques) error counts of the next ``slots`` data symbols
-    of each row of ``streams``, drawn here with their gains and noise, in passes: MRC on the
-    signed y and the chunk's own MRC tables, then, on |y| taken in place and the pass's slice
-    of ``tables`` if there are any, deviation, both once for all lengths, then probability and
-    combination once per length, so combination reuses probability's hard decision."""
+    of each row, drawn here from ``generators``, restated first at a row's ``states`` entry if
+    it is not None, in passes: MRC on the signed y and the chunk's own MRC tables, then, on |y|
+    taken in place and the pass's slice of ``tables`` if any, deviation, both once for all
+    lengths, then probability and combination, which reuses its hard decision, once a length."""
     (powers, variance), techniques = scenario._watts, scenario.techniques
-    x = np.empty((len(streams), slots), np.int64)
-    data = np.empty((2, len(streams), slots, len(scenario.nodes)))
-    for row, generators in enumerate(streams):
+    x = np.empty((len(states), slots), np.int64)
+    data = np.empty((2, len(states), slots, len(scenario.nodes)))
+    for row, state in enumerate(states):
+        if state is not None:  # else the one row continues its streams from the last chunk
+            _restate(generators, state, range(_ONES_GAINS))
         x[row] = generate_data_symbols(slots, generators[_SYMBOLS])
         _draw(generators[_GAINS:_ONES_GAINS], data[:, row])
     frame, passes = _passes(x, scenario.nodes, powers, variance, *data)
@@ -360,14 +354,14 @@ def _chunk_errors(scenario: Scenario, streams, slots: int, tables, workspace):
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> np.ndarray:
-    """Summed error counts of blocks ``first`` to ``stop`` - 1: each of their _training_groups
-    trained, then its data groups run, in one workspace and one list of kept generator rows,
+    """Summed error counts of blocks ``first`` to ``stop`` - 1: each training group of their
+    _groups trained, then its data groups run, in one workspace and on one set of _generators,
     under a ufunc buffer of _UFUNC_BUFFER elements; the caller's buffer is restored after."""
-    workspace, kept, total = Workspace(), [], 0
+    workspace, generators, total = Workspace(), _generators(), 0
     buffer = np.setbufsize(_UFUNC_BUFFER)  # np.errstate does not restore it on numpy 1.x
     try:
-        for groups in _training_groups(scenario, first, stop):
-            trained = _train(scenario, range(groups[0][0].start, groups[-1][0].stop), kept)
+        for groups in _groups(scenario, first, stop):
+            trained = _train(scenario, range(groups[0][0].start, groups[-1][0].stop), generators)
             total += sum(_run_block(scenario, rows, slots, workspace, trained).sum(axis=0)
                          for rows, slots in groups)
         return total

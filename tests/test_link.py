@@ -20,6 +20,7 @@ from bccsim import (
 )
 from bccsim import montecarlo
 from bccsim.detectors import Workspace
+from bccsim.link import generate_noise
 from bccsim.montecarlo import _run_block
 
 
@@ -109,6 +110,20 @@ class TestGenerateDataSymbols:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             generate_data_symbols(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_rejects_a_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ParameterError, match="^symbol count: must be an integer"):
+            generate_data_symbols(n, np.random.default_rng(0))
+
+
+class TestGenerateNoise:
+    @pytest.mark.parametrize("variance_w", [-1.0, -1e-16, math.nan, math.inf, -math.inf])
+    def test_rejects_a_variance_that_is_not_finite_and_nonnegative(self, variance_w):
+        # as generate_received does, through the same check, and before any
+        # numpy warning: a negative variance's square root is NaN
+        with pytest.raises(ParameterError, match="power and noise variance"):
+            generate_noise(variance_w, np.ones((4, 2)))
 
 
 class TestGenerateReceived:

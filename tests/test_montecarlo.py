@@ -38,8 +38,9 @@ from bccsim import (
 )
 from bccsim import cli, detectors, link, montecarlo
 from bccsim.detectors import MarginTables, Workspace, compute_training_stats
-from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _run_block, _streams, _train
+from bccsim.montecarlo import MAX_N_T, STREAM_VERSION, _generators, _run_block, _train
 from bccsim.presets import PRESET_NAMES
+from test_reference import block_streams
 
 F9 = (registry_entry("f9"),)
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,8 +90,10 @@ def inline_forks(runs, scenario, bounds):
 
 def training_stats(scenario, blocks):
     """The (lengths, blocks, powers, K) training statistics of a group of ``blocks``, each
-    row's pools drawn from that block's own streams, as a group draws them."""
-    return montecarlo._training_stats(scenario, [_streams(scenario.seed, b) for b in blocks])
+    row's pools drawn from that block's own streams, restated into a worker's six generators
+    as a group draws them."""
+    states = [block_streams(scenario.seed, b)[0].bit_generator.state for b in blocks]
+    return montecarlo._training_stats(scenario, _generators(), states)
 
 
 def small_scenario(**overrides):
@@ -172,6 +175,17 @@ class TestScenarioValidation:
                 Scenario(nodes=F9, n_data_symbols=n, blocks=blocks)
         for nodes in (F9, preset("fig6").nodes):
             assert Scenario(nodes=nodes, n_data_symbols=2 ** 63 - 1).n_data_symbols == 2 ** 63 - 1
+
+    def test_block_slots_reject_an_index_outside_the_blocks(self):
+        # fig4 deals 10^6 symbols over 100 blocks; only indices 0 to 99 name one
+        scenario = preset("fig4")
+        assert scenario.block_slots(0) == scenario.block_slots(99) == 10 ** 4
+        for index in (10 ** 9, 100, -1, -5):
+            with pytest.raises(ParameterError, match=r"block index must be in \[0, 100\)"):
+                scenario.block_slots(index)
+        for index in (1.0, True):
+            with pytest.raises(ParameterError, match="^index: must be an integer"):
+                scenario.block_slots(index)
 
 
 class TestBerPoint:
@@ -401,7 +415,8 @@ class TestPowerPasses:
         # (12, 26, 1, 100) pass of 31,200 elements, which holds no more than
         # the fig6 block above, whatever the blocks' draws take
         scenario = replace(preset("fig4"), n_data_symbols=10 ** 4, seed=1)
-        assert [len(blocks) for blocks, _ in montecarlo._groups(scenario, 0, 24)] == [12, 12]
+        assert [len(blocks) for groups in montecarlo._groups(scenario, 0, 24)
+                for blocks, _ in groups] == [12, 12]
         assert self.held_by_a_worker(scenario, 100, 12) <= 1318 * 1024
 
     def test_a_fig6_block_derives_its_tables_once(self, monkeypatch):
@@ -660,29 +675,40 @@ class TestBlockGroups:
 
     def test_a_fig4_run_draws_and_detects_once_per_group(self, monkeypatch):
         # 100 blocks of 100 slots at K=1 and 26 powers: 32,768 // 2,600 = 12
-        # blocks a group, so nine groups each draw two frames, the training
-        # pool's and the data's, and detect each trained technique once, where
-        # running the blocks alone drew 200 frames and detected 300 times
-        calls = collections.Counter()
+        # blocks a data group, so nine data groups each draw the data frame and
+        # detect each trained technique once, and a training group takes as many
+        # data groups as fit one pass of 32,768 // (26 x 25) = 50 blocks' ones
+        # pools, so three training groups of 48, 48 and 4 blocks each draw one
+        # training frame and derive one set of tables: 12 frames, where running
+        # the blocks alone drew 200 and detected 300 times
+        calls, rows = collections.Counter(), []
         for name in ("generate_received", "detect"):
             def counted(*args, original=getattr(montecarlo, name), name=name, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(montecarlo, name, counted)
+
+        def tables(stats):
+            rows.append(stats.a_th.shape[1])
+            return detectors.margin_tables(stats)
+
+        monkeypatch.setattr(montecarlo, "margin_tables", tables)
         run_scenario(replace(preset("fig4"), n_data_symbols=10 ** 4, seed=1))
         groups = math.ceil(100 / 12)
-        assert calls == {"generate_received": 2 * groups, "detect": 3 * groups}
+        assert calls == {"generate_received": 3 + groups, "detect": 3 * groups}
+        assert rows == [48, 48, 4]
 
     def test_groups_count_what_their_blocks_count_alone(self, monkeypatch):
         # 10,050 symbols are 50 blocks of 101 slots, then 50 of 100, so a group
         # ends where the size changes; the workers of --jobs 3 start at blocks
         # 33 and 66, inside groups that --jobs 1 runs
         scenario = replace(preset("fig4"), n_data_symbols=10_050, seed=3)
-        plan = [(len(blocks), slots) for blocks, slots in montecarlo._groups(scenario, 0, 100)]
+        plan = [(len(blocks), slots) for groups in montecarlo._groups(scenario, 0, 100)
+                for blocks, slots in groups]
         assert plan == ([(12, 101)] * 4 + [(2, 101)] + [(12, 100)] * 4 + [(2, 100)])
-        assert [len(blocks) for blocks, _ in montecarlo._groups(scenario, 33, 66)] == [12, 5,
-                                                                                      12, 4]
+        assert [len(blocks) for groups in montecarlo._groups(scenario, 33, 66)
+                for blocks, _ in groups] == [12, 5, 12, 4]
         errors = sum(_run_block(scenario, range(b, b + 1), scenario.block_slots(b),
                                 Workspace())[0] for b in range(100))
         grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
@@ -699,53 +725,81 @@ class TestBlockGroups:
         assert forked == [[(0, 33), (33, 66), (66, 100)]]
 
     def test_an_mrc_only_group_restates_only_its_data_streams(self):
-        # MRC reads the symbols, gains and noise alone, so each row of a group
-        # that counts it alone restates two kept generators, not five, and a
-        # trained group's rows restate all five; each is left where its stream
-        # is after the row's draws: 100 data slots, and 25 of each training pool
+        # MRC reads the symbols, gains and noise alone, so a group that counts
+        # it alone restates three of the worker's six generators and leaves the
+        # training three as they were, and a trained group restates all six;
+        # each is left where the last row's stream is after that row's draws:
+        # 100 data slots, and 25 of each training pool
         scenario = replace(preset("fig6"), techniques=("mrc",), n_data_symbols=200, blocks=2,
                            seed=3)
-        kept = []
-        for techniques, count in [(("mrc",), 2), (("probability", "mrc"), 5)]:
+        generators = _generators()
+        untouched = [g.bit_generator.state for g in generators]
+        for techniques, count in [(("mrc",), 3), (("probability", "mrc"), 6)]:
             counted = replace(scenario, techniques=techniques)
-            _run_block(counted, range(2), 100, Workspace(), _train(counted, range(2), kept))
-            assert [len(row) for row in kept] == [count, count]
-            for block, row in enumerate(kept):
-                streams = _streams(scenario.seed, block)
-                montecarlo._draw(streams[montecarlo._GAINS:montecarlo._ONES_GAINS],
-                                 np.empty((2, 100, 9)))
-                montecarlo._draw(streams[montecarlo._ONES_GAINS:], np.empty((3, 25, 9)))
-                assert [g.bit_generator.state for g in row] == [
-                    g.bit_generator.state for g in streams[1:count + 1]]
+            _run_block(counted, range(2), 100, Workspace(), _train(counted, range(2), generators))
+            streams = block_streams(scenario.seed, 1)
+            streams[montecarlo._SYMBOLS].random(100)
+            montecarlo._draw(streams[montecarlo._GAINS:montecarlo._ONES_GAINS],
+                             np.empty((2, 100, 9)))
+            montecarlo._draw(streams[montecarlo._ONES_GAINS:], np.empty((3, 25, 9)))
+            assert [g.bit_generator.state for g in generators] == [
+                g.bit_generator.state for g in streams[:count]] + untouched[count:]
 
-    def test_a_group_of_many_chunks_counts_what_its_blocks_count_alone(self):
+    @pytest.mark.parametrize("name, symbols, blocks", [("fig4", 10_000, 100), ("fig6", 2407, 12),
+                                                       ("fig6", 150, 100)])
+    def test_a_worker_makes_six_generators_whatever_its_groups(self, name, symbols, blocks,
+                                                                monkeypatch):
+        # fig4's training groups hold 48 rows, fig6's at 2,407 symbols five
+        # one-block data groups, and fig6's at 150 symbols 100 one- and
+        # two-slot blocks; every row restates the worker's six generators
+        made = []
+
+        def counted(*args, original=np.random.Generator):
+            made.append(args)
+            return original(*args)
+
+        scenario = replace(preset(name), n_data_symbols=symbols, blocks=blocks, seed=3)
+        monkeypatch.setattr(montecarlo.np.random, "Generator", counted)
+        montecarlo._run_blocks(scenario, 0, blocks)
+        assert len(made) == 6
+
+    def test_a_group_of_many_blocks_and_many_chunks_is_refused(self):
         # three 5,000-slot fig6 blocks take two data chunks each (3,640 and
-        # 1,360 slots at K=9); a group of them, which _groups does not make,
-        # draws every row's chunks from that row's own streams
+        # 1,360 slots at K=9), and a later chunk continues the streams of its
+        # group's one row, so a group of them, which _groups never makes, raises
         scenario = replace(preset("fig6"), power_sweep_dbm=(-10.0, 0.0), n_data_symbols=15_000,
                            blocks=3, seed=5)
-        alone = np.stack([_run_block(scenario, range(b, b + 1), 5000, Workspace())[0]
-                          for b in range(3)])
-        assert alone.sum() > 0
-        assert np.array_equal(_run_block(scenario, range(3), 5000, Workspace()), alone)
+        assert [len(blocks) for groups in montecarlo._groups(scenario, 0, 3)
+                for blocks, _ in groups] == [1, 1, 1]
+        with pytest.raises(ParameterError, match="3-block group must fit one chunk of 3640 slots"):
+            _run_block(scenario, range(3), 5000, Workspace())
 
     # fig7: 15 blocks of 5,501 slots, then 7 of 5,500, each a data group of its own, training
     # ten a group (32,768 // (6 x 500)), so blocks 10 to 19 hold both sizes; fig6: 7 blocks of
     # 201 slots, then 5 of 200, training five a group (32,768 // (26 x 9 x 25)), so blocks 5
-    # to 9 hold both.  --jobs 3 starts workers at blocks 7 and 14 (fig7) and 4 and 8 (fig6),
-    # inside the training groups --jobs 1 runs; each of its workers trains as one group
+    # to 9 hold both; fig4: 30 blocks of 101 slots, then 70 of 100, in data groups of 12
+    # (32,768 // (26 x 101)) that end where the size changes, training as many as fit 50
+    # blocks (32,768 // (26 x 25)), so blocks 0 to 41 train as data groups of 12, 12 and 6
+    # blocks of 101 slots and one of 12 of 100 (at 10,050 symbols the size would change where
+    # a training group ends).  --jobs 3 starts workers at blocks 7 and 14 (fig7), 4 and 8
+    # (fig6) and 33 and 66 (fig4), inside the training groups --jobs 1 runs; each of its
+    # workers trains as one group.  Each entry: symbols, blocks, the index of the training
+    # group that holds both sizes and each --jobs value's training groups
     TRAINING_GROUPS = {
-        "fig7": (121_015, 22, {1: [(0, 10), (10, 20), (20, 22)], 3: [(0, 7), (7, 14), (14, 22)]}),
-        "fig6": (2407, 12, {1: [(0, 5), (5, 10), (10, 12)], 3: [(0, 4), (4, 8), (8, 12)]}),
+        "fig7": (121_015, 22, 1,
+                 {1: [(0, 10), (10, 20), (20, 22)], 3: [(0, 7), (7, 14), (14, 22)]}),
+        "fig6": (2407, 12, 1, {1: [(0, 5), (5, 10), (10, 12)], 3: [(0, 4), (4, 8), (8, 12)]}),
+        "fig4": (10_030, 100, 0,
+                 {1: [(0, 42), (42, 90), (90, 100)], 3: [(0, 33), (33, 66), (66, 100)]}),
     }
 
     @pytest.mark.parametrize("name", TRAINING_GROUPS)
     def test_training_groups_count_what_their_blocks_count_alone(self, name, monkeypatch):
-        symbols, blocks, plans = self.TRAINING_GROUPS[name]
+        symbols, blocks, mixed, plans = self.TRAINING_GROUPS[name]
         scenario = replace(preset(name), n_data_symbols=symbols, blocks=blocks, seed=3)
-        groups = list(montecarlo._training_groups(scenario, 0, blocks))
+        groups = list(montecarlo._groups(scenario, 0, blocks))
         assert [(run[0][0].start, run[-1][0].stop) for run in groups] == plans[1]
-        assert len({slots for _, slots in groups[1]}) == 2  # both block sizes train as one
+        assert len({slots for _, slots in groups[mixed]}) == 2  # both block sizes train as one
         errors = sum(_run_block(scenario, range(b, b + 1), scenario.block_slots(b),
                                 Workspace())[0] for b in range(blocks))
         grid = itertools.product(scenario.power_sweep_dbm, scenario.n_t)
@@ -803,7 +857,7 @@ class TestTrainingGroups:
             _run_block(scenario, range(b, b + 1), 100, Workspace())
             assert len(derived) == b + 1  # one call covers every length
             for i, n_t in enumerate(scenario.n_t):
-                streams, shape = _streams(scenario.seed, b), (n_t // 2, k)
+                streams, shape = block_streams(scenario.seed, b), (n_t // 2, k)
                 ones = generate_received(np.ones(n_t // 2, dtype=np.int64), scenario.nodes,
                                          powers, variance,
                                          streams[montecarlo._ONES_GAINS].random(shape),
@@ -836,7 +890,7 @@ class TestTrainingGroups:
         shape = (scenario.n_t[-1] // 2, len(scenario.nodes))
         stats = training_stats(scenario, range(2))
         for b in range(2):
-            streams = _streams(scenario.seed, b)
+            streams = block_streams(scenario.seed, b)
             ones = generate_received(np.ones(shape[0], dtype=np.int64), scenario.nodes, powers,
                                      variance, streams[montecarlo._ONES_GAINS].random(shape),
                                      streams[montecarlo._ONES_NOISE].standard_normal(shape)).y
@@ -875,7 +929,7 @@ class TestTrainingGroups:
 
     def test_a_fig7_block_pays_its_fixed_costs_once(self, monkeypatch):
         # counts repeat exactly where times do not.  A warm fig7 block seeds one
-        # generator and draws two frames, the ones pool of its seven training
+        # key for its streams and draws two frames, the ones pool of its seven training
         # lengths and the data's, with one inverse_cdf call per node each, reduces
         # each length once and derives every length's tables in one call; the
         # three blocks of a run are one group, which draws the two frames of all
@@ -884,7 +938,8 @@ class TestTrainingGroups:
         workspace = Workspace()
         _run_block(scenario, range(1), 1000, workspace)
         calls = collections.Counter()
-        for owner, name in [(montecarlo, "_streams"), (montecarlo, "generate_received"),
+        for owner, name in [(montecarlo.np.random, "SeedSequence"),
+                            (montecarlo, "generate_received"),
                             (montecarlo, "margin_tables"),
                             (montecarlo, "compute_training_stats"), (BurrXII, "inverse_cdf"),
                             (Weibull, "inverse_cdf"), (montecarlo, "dbm_to_watts"),
@@ -895,12 +950,12 @@ class TestTrainingGroups:
 
             monkeypatch.setattr(owner, name, counted)
         _run_block(scenario, range(1, 2), 1000, workspace)
-        assert calls == {"_streams": 1, "generate_received": 2, "inverse_cdf": 12,
+        assert calls == {"SeedSequence": 1, "generate_received": 2, "inverse_cdf": 12,
                          "margin_tables": 1, "compute_training_stats": 7}
         calls.clear()
         montecarlo._run_blocks(scenario, 0, 3)
         assert calls["dbm_to_watts"] == 0  # the run reads the watts the scenario kept
-        assert calls["generate_received"] == 2 and calls["_streams"] == 3
+        assert calls["generate_received"] == 2 and calls["SeedSequence"] == 3
         assert calls["margin_tables"] == 1 and calls["compute_training_stats"] == 7
         calls.clear()
         montecarlo._run_blocks(replace(scenario), 0, 3)  # a scenario's whole life
@@ -1167,15 +1222,19 @@ class TestSweepShapes:
         assert point in run_scenario(in_grid, jobs=2)
 
     def test_blocks_and_streams_draw_distinct_values(self):
-        # stream j of block b is the generator seeded by the key (3, b),
-        # advanced j * 2^64 draws, and no two streams or blocks repeat
-        draws = [generator.random(8) for b in (0, 1) for generator in _streams(7, b)]
+        # stream j of block b, as a worker restates it, is the generator seeded
+        # by the key (3, b), advanced j * 2^64 draws, and no two streams or
+        # blocks repeat
+        generators, draws = _generators(), []
+        for b, state in enumerate(_train(small_scenario(seed=7), range(2), generators)[2]):
+            montecarlo._restate(generators, state, range(6))
+            for j, generator in enumerate(generators):
+                bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=7, spawn_key=(3, b)))
+                bits.advance(j << 64)
+                draws.append(generator.random(8))
+                assert np.array_equal(draws[-1], np.random.Generator(bits).random(8))
         for a, b in itertools.combinations(draws, 2):
             assert not np.array_equal(a, b)
-        for j, generator in enumerate(_streams(7, 1)):
-            bits = np.random.PCG64DXSM(np.random.SeedSequence(entropy=7, spawn_key=(3, 1)))
-            bits.advance(j << 64)
-            assert np.array_equal(generator.random(8), np.random.Generator(bits).random(8))
 
 
 class TestStreamVersion:

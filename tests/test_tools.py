@@ -111,4 +111,4 @@ class TestIdentityCsvs:
         assert montecarlo._PASS_ELEMENTS // (9 * 4000) == 0
         assert mrc.techniques == ("mrc",) and mrc.nodes == scenario.nodes and mrc.seed == 3
         assert mrc.power_sweep_dbm == scenario.power_sweep_dbm
-        assert len(identity.RUNS) + len(identity.CONFIGS) == 37
+        assert len(identity.RUNS) + len(identity.CONFIGS) == 38

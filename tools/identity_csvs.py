@@ -2,14 +2,16 @@
 
     PYTHONPATH=src python3 tools/identity_csvs.py OUT_DIR
 
-The set is fixed at 37 CSVs: each of the 14 presets at seeds 1 and 7 with
+The set is fixed at 38 CSVs: each of the 14 presets at seeds 1 and 7 with
 30,000 symbols, fig6 at seed 3 with 10^5 symbols, fig7 at seed 3 with its own
 budget and with 600,055 symbols (55 blocks of 6,001 slots, then 45 of 6,000, each
 a data group of its own, trained ten a group, so blocks 50 to 59 train as one
 across the change of size), fig4 at seed 3 with 10^4 and with 10,050 symbols (50 blocks of 101
 slots, then 50 of 100, so a data group of blocks ends where the block size
-changes), fig6 at seed 3 with 150 symbols (one- and two-slot blocks at
-K = 9, whose one-slot node sums numpy adds pairwise), and three ``--config``
+changes) and with 10,030 symbols (30 blocks of 101 slots, then 70 of 100, so
+blocks 0 to 41 train as one group of data groups of both sizes), fig6 at seed
+3 with 150 symbols (one- and two-slot blocks at K = 9, whose one-slot node
+sums numpy adds pairwise), and three ``--config``
 documents at seed 3 over the nine nodes and two powers.  The first has ``n_t``
 10, 1,000 and 4,000 and 3,000 symbols, whose longest training length is longer
 than a pass, so each block reads its training pools one power at a time; the
@@ -31,7 +33,7 @@ from bccsim.presets import PRESET_NAMES
 
 RUNS = ([(name, seed, 30_000) for seed in (1, 7) for name in PRESET_NAMES]
         + [("fig6", 3, 100_000), ("fig7", 3, None), ("fig7", 3, 600_055), ("fig4", 3, 10_000),
-           ("fig4", 3, 10_050), ("fig6", 3, 150)])
+           ("fig4", 3, 10_050), ("fig4", 3, 10_030), ("fig6", 3, 150)])
 
 # The --config runs, each written as the CSV it is keyed by.
 CONFIGS = {
